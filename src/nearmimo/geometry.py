@@ -65,10 +65,6 @@ class ArrayGeometry:
     def size(self) -> int:
         return self.m_h * self.m_v
 
-    def antenna_position(self, m: int) -> np.ndarray:
-        """Position of element ``m`` in the canonical linear order."""
-        return self.positions[m]
-
     def aperture(self) -> tuple[float, float]:
         """Physical extent (horizontal, vertical) in meters."""
         return (self.m_h - 1) * self.d_h, (self.m_v - 1) * self.d_v
@@ -219,12 +215,3 @@ def recover_kx(k_y: float, k_z: float) -> np.ndarray:
             f"direction cosines ({k_y}, {k_z}) have squared sum > 1"
         )
     return np.array([np.sqrt(max(radicand, 0.0)), k_y, k_z])
-
-
-def direction_between(origin, target) -> np.ndarray:
-    """Unit vector from ``origin`` toward ``target``."""
-    d = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
-    r = np.linalg.norm(d)
-    if r == 0:
-        raise InvalidDirectionError("origin and target coincide")
-    return d / r

@@ -112,9 +112,16 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if min(self.tiles_h, self.tiles_v) < 1 or self.bs_m_h % self.tiles_h \
+                or self.bs_m_v % self.tiles_v:
+            raise ValueError(
+                f"{self.tiles_h}x{self.tiles_v} tiles must divide the "
+                f"{self.bs_m_h}x{self.bs_m_v} array"
+            )
+        m_i = (self.bs_m_h // self.tiles_h) * (self.bs_m_v // self.tiles_v)
+        if self.m_s < 1 or m_i % self.m_s:
+            raise ValueError(f"M_s={self.m_s} must divide the tile size {m_i}")
         m = self.bs_m_h * self.bs_m_v
-        if m % self.m_s:
-            raise ValueError(f"M_s={self.m_s} must divide M={m}")
         if self.m_rf is not None and self.m_rf * self.m_s != m:
             warnings.warn(
                 f"inconsistent RF chain count: M_RF*M_s = {self.m_rf * self.m_s} != M = {m}; "

@@ -131,13 +131,11 @@ def simulate_reception(
     rng = np.random.default_rng(seed)
     t = combiner.t_slots
     b = precoder.num_blocks
-    signal = np.sqrt(p) * (combiner.aggregated @ (h @ precoder.w))
-    obs = np.array(signal, dtype=complex)
+    obs = np.sqrt(p) * combiner.apply(h @ precoder.w)
     sigma2 = scene.noise_var
     if sigma2 > 0:
         noise = rng.standard_normal((b, t, m, 2)) * np.sqrt(sigma2 / 2.0)
-        for tau in range(b):
-            obs[:, tau] += combiner.apply_noise(noise[tau, ..., 0] + 1j * noise[tau, ..., 1])
+        obs += combiner.apply((noise[..., 0] + 1j * noise[..., 1]).transpose(1, 2, 0))
     return ReceptionRecord(
         observations=obs, combiner=combiner, precoder=precoder,
         power=p, noise_var=sigma2, noise_seed=seed,
@@ -174,7 +172,7 @@ def stage1(
     channels = []
     for i in range(combiner.tiling.num_tiles):
         y_i = y[combiner.tile_rows(i)]
-        a_bar = scale * (combiner.tile_slices[i] @ dictionary.matrix)
+        a_bar = scale * combiner.apply_tile(i, dictionary.matrix)
         problem = SparseProblem(a_bar, y_i)
         if options.stage1_solver == "omp":
             sol = omp(problem, max_atoms=max_atoms, residual_tol=options.omp_residual_tol)
@@ -244,7 +242,7 @@ def location_operator(
     w = record.precoder.w[:, 0]
     h_cols = dict_matrix.reshape(m, n, -1, order="F")
     hw = np.einsum("mns,n->ms", h_cols, w)
-    return np.sqrt(record.power) * (record.combiner.aggregated @ hw)
+    return np.sqrt(record.power) * record.combiner.apply(hw)
 
 
 def stage3(
@@ -376,14 +374,14 @@ def baseline_antenna_wise(
     if per_subarray:
         for i in range(combiner.tiling.num_tiles):
             tile = combiner.tiling.tiles[i]
-            a_bar = scale * (combiner.tile_slices[i] @ dictionary.matrix)
+            a_bar = scale * combiner.apply_tile(i, dictionary.matrix)
             rows = combiner.tile_rows(i)
             for col in range(n):
                 sol = omp(SparseProblem(a_bar, per_antenna[rows, col]),
                           max_atoms=max_atoms, residual_tol=1e-3)
                 h_hat[tile.antenna_indices, col] = dictionary.matrix @ sol.coefficients
     else:
-        a_bar = scale * (combiner.aggregated @ dictionary.matrix)
+        a_bar = scale * combiner.apply(dictionary.matrix)
         for col in range(n):
             sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
                       max_atoms=max_atoms, residual_tol=1e-3)

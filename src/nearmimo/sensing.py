@@ -1,11 +1,14 @@
 """Analog combiner and precoder design for sub-connected arrays.
 
-Each RF chain drives ``M_s`` antennas through phase shifters, so every
-per-slot combiner ``V_t`` is block diagonal with unit-modulus rows.  The
-designed combiner draws those rows from strided rows of a DFT matrix,
-which makes the aggregated combiner column-orthonormal
-(``V^H V = I_M``), makes each per-tile slice column-orthonormal, and
-keeps the effective received noise white.
+Each RF chain drives ``M_s`` antennas through phase shifters, so the
+whole combiner is fixed by one T x M_s unit-modulus block per chain and
+the subarray tiling.  ``CombinerDesign`` stores only those blocks and
+applies them by structure: the stacked (T*M_RF) x M combiner ``V``,
+whose row ``t*M_RF + i*M_rf_i + m`` is chain m of tile i in slot t, is
+never stored.  The designed combiner draws the blocks from strided rows
+of a DFT matrix, which makes ``V`` column-orthonormal (``V^H V = I_M``),
+makes each per-tile slice column-orthonormal, and keeps the effective
+received noise white.
 
 With entry modulus ``1/sqrt(T)`` the per-slot rows satisfy
 ``V_t V_t^H = (M_s/T) I``; for the nominal ``T = M_s`` this is exactly
@@ -28,25 +31,19 @@ _ORTHO_TOL = 1e-10
 class CombinerDesign:
     """Sub-connected analog combiner over T time slots.
 
-    ``slot_combiners[t]`` is the M_RF x M matrix applied in slot t, in
-    the parent array's canonical antenna order.  ``aggregated`` stacks
-    the slots into the (T*M_RF) x M sensing combiner.  ``tile_slices[i]``
-    is the (T*M_rf_i) x M_i per-subarray combiner acting on tile i's
-    antennas in within-tile order.  ``dft_blocks[m]`` holds the T x M_s
-    row block assigned to RF chain m of every tile (empty for random
-    designs).
+    ``chain_blocks[i, m]`` is the T x M_s block of RF chain m of tile i:
+    in slot t that chain combines tile antennas ``m*M_s .. (m+1)*M_s - 1``
+    (within-tile order) with weights ``chain_blocks[i, m, t]``.  Outputs
+    are ordered ``t*M_RF + i*M_rf_i + m``; a tile's own outputs
+    (``apply_tile``) are ordered ``t*M_rf_i + m``.
     """
 
     tiling: SubarrayTiling
     t_slots: int
     m_s: int
     m_rf_per_tile: int
-    slot_combiners: tuple[np.ndarray, ...]
-    aggregated: np.ndarray
-    tile_slices: tuple[np.ndarray, ...]
-    dft_blocks: np.ndarray
+    chain_blocks: np.ndarray  # (I, M_rf_i, T, M_s)
     entry_modulus: float
-    designed: bool
 
     @property
     def m_rf_total(self) -> int:
@@ -62,55 +59,65 @@ class CombinerDesign:
         return self.m_s * self.entry_modulus ** 2
 
     def tile_rows(self, i: int) -> np.ndarray:
-        """Row indices of tile ``i``'s RF chains within the aggregated output."""
+        """Row indices of tile ``i``'s RF chains within the combined output."""
         start = i * self.m_rf_per_tile
         per_slot = np.arange(start, start + self.m_rf_per_tile)
         return (np.arange(self.t_slots)[:, None] * self.m_rf_total + per_slot).ravel()
 
-    def blockdiag_aggregated(self) -> np.ndarray:
-        """The (T*M_RF) x (T*M) block-diagonal combiner acting on stacked noise."""
-        t, m_rf, m = self.t_slots, self.m_rf_total, self.num_antennas
-        out = np.zeros((t * m_rf, t * m), dtype=complex)
-        for k, v_t in enumerate(self.slot_combiners):
-            out[k * m_rf:(k + 1) * m_rf, k * m:(k + 1) * m] = v_t
-        return out
+    def apply_tile(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Combine tile ``i``'s antennas, within-tile order, in O(T*M_i*K).
 
-    def apply_noise(self, noise: np.ndarray) -> np.ndarray:
-        """Combine per-slot antenna noise, shape (T, M) -> (T*M_RF,).
-
-        Equivalent to ``blockdiag_aggregated() @ noise.ravel()`` without
-        materializing the block-diagonal matrix.
+        ``x`` is a common (M_i, K) input seen in every slot, or a
+        per-slot (T, M_i, K) input; returns (T*M_rf_i, K).
         """
-        return np.concatenate(
-            [v_t @ noise[k] for k, v_t in enumerate(self.slot_combiners)]
-        )
+        t, m_rf, m_s = self.t_slots, self.m_rf_per_tile, self.m_s
+        blocks = self.chain_blocks[i]
+        if x.ndim == 2:
+            out = (blocks @ x.reshape(m_rf, m_s, -1)).transpose(1, 0, 2)
+        else:
+            out = np.einsum("mts,tmsk->tmk", blocks, x.reshape(t, m_rf, m_s, -1))
+        return out.reshape(t * m_rf, -1)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``V x`` for a common (M, K) input, or per-slot ``V_t x_t`` for (T, M, K).
+
+        Returns (T*M_RF, K); loops over tiles so only one tile's rows of
+        ``x`` are gathered at a time.
+        """
+        k = x.shape[-1]
+        out = np.empty((self.t_slots, self.tiling.num_tiles, self.m_rf_per_tile, k),
+                       dtype=np.result_type(x, self.chain_blocks))
+        for i, tile in enumerate(self.tiling.tiles):
+            out[:, i] = self.apply_tile(i, x[..., tile.antenna_indices, :]).reshape(
+                self.t_slots, self.m_rf_per_tile, k)
+        return out.reshape(-1, k)
+
+    def matrix(self) -> np.ndarray:
+        """The dense (T*M_RF) x M combiner ``V``, for checks only."""
+        return self.apply(np.eye(self.num_antennas))
 
     def verify(self, tol: float = _ORTHO_TOL) -> None:
         """Check the algebraic guarantees of the designed construction.
 
         Raises ``InfeasibleDesignError`` if any check fails.
         """
+        def check(gram, target, what):
+            err = np.linalg.norm(gram - target * np.eye(gram.shape[0]))
+            if err > tol:
+                raise InfeasibleDesignError(f"{what} Gram error {err:.2e}")
+
         gram_target = self.t_slots * self.entry_modulus ** 2
-        v = self.aggregated
-        err = np.linalg.norm(v.conj().T @ v - gram_target * np.eye(v.shape[1]))
-        if err > tol:
-            raise InfeasibleDesignError(f"aggregated combiner Gram error {err:.2e}")
-        for i, slc in enumerate(self.tile_slices):
-            err = np.linalg.norm(slc.conj().T @ slc - gram_target * np.eye(slc.shape[1]))
-            if err > tol:
-                raise InfeasibleDesignError(f"tile {i} combiner Gram error {err:.2e}")
-        row_target = self.noise_scale
-        for k, v_t in enumerate(self.slot_combiners):
-            err = np.linalg.norm(v_t @ v_t.conj().T - row_target * np.eye(v_t.shape[0]))
-            if err > tol:
-                raise InfeasibleDesignError(f"slot {k} row Gram error {err:.2e}")
-        if self.dft_blocks.size:
-            for m, f_m in enumerate(self.dft_blocks):
-                err = np.linalg.norm(
-                    f_m.conj().T @ f_m - gram_target * np.eye(self.m_s)
-                )
-                if err > tol:
-                    raise InfeasibleDesignError(f"DFT block {m} Gram error {err:.2e}")
+        v = self.matrix()
+        check(v.conj().T @ v, gram_target, "global combiner")
+        m_i = self.tiling.tiles[0].geometry.size
+        for i in range(self.tiling.num_tiles):
+            slc = self.apply_tile(i, np.eye(m_i))
+            check(slc.conj().T @ slc, gram_target, f"tile {i} combiner")
+        for k, v_t in enumerate(v.reshape(self.t_slots, self.m_rf_total, -1)):
+            check(v_t @ v_t.conj().T, self.noise_scale, f"slot {k} row")
+        for i, tile_blocks in enumerate(self.chain_blocks):
+            for m, f_m in enumerate(tile_blocks):
+                check(f_m.conj().T @ f_m, gram_target, f"tile {i} chain {m} block")
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ class PrecoderDesign:
         return self.w.shape[1]
 
 
-def _chain_layout(tiling: SubarrayTiling, m_rf_per_tile: int) -> tuple[int, int]:
+def _chain_layout(tiling: SubarrayTiling, m_rf_per_tile: int) -> int:
+    """Antennas per RF chain, M_s, for equally sized tiles."""
     m_i = tiling.tiles[0].geometry.size
     for tile in tiling.tiles:
         if tile.geometry.size != m_i:
@@ -134,29 +142,7 @@ def _chain_layout(tiling: SubarrayTiling, m_rf_per_tile: int) -> tuple[int, int]
         raise ValueError(
             f"RF chains per tile ({m_rf_per_tile}) must divide tile size ({m_i})"
         )
-    return m_i, m_i // m_rf_per_tile
-
-
-def _assemble(tiling, t_slots, m_rf_per_tile, m_s, chain_rows) -> tuple:
-    """Place per-chain rows into slot combiners and per-tile slices.
-
-    ``chain_rows[i][m]`` is the T x M_s row block of chain m in tile i.
-    """
-    num_tiles = tiling.num_tiles
-    m_rf_total = m_rf_per_tile * num_tiles
-    m_total = tiling.parent.size
-    m_i = tiling.tiles[0].geometry.size
-
-    slots = [np.zeros((m_rf_total, m_total), dtype=complex) for _ in range(t_slots)]
-    slices = [np.zeros((t_slots * m_rf_per_tile, m_i), dtype=complex) for _ in range(num_tiles)]
-    for i, tile in enumerate(tiling.tiles):
-        for m in range(m_rf_per_tile):
-            cols = tile.antenna_indices[m * m_s:(m + 1) * m_s]
-            for t in range(t_slots):
-                slots[t][i * m_rf_per_tile + m, cols] = chain_rows[i][m][t]
-                slices[i][t * m_rf_per_tile + m, m * m_s:(m + 1) * m_s] = chain_rows[i][m][t]
-    aggregated = np.vstack(slots)
-    return tuple(slots), aggregated, tuple(slices)
+    return m_i // m_rf_per_tile
 
 
 def design_combiner(
@@ -168,7 +154,7 @@ def design_combiner(
     of the first ``M_s`` columns of the (T*M_rf)-point DFT matrix scaled
     to entry modulus ``1/sqrt(T)``.  Requires ``T >= M_s``.
     """
-    m_i, m_s = _chain_layout(tiling, m_rf_per_tile)
+    m_s = _chain_layout(tiling, m_rf_per_tile)
     if t_slots < m_s:
         raise InfeasibleDesignError(
             f"need T >= M_s for orthogonal sub-connected sensing, got T={t_slots}, M_s={m_s}"
@@ -180,12 +166,10 @@ def design_combiner(
         dft[np.arange(t_slots) * m_rf_per_tile + m, :]
         for m in range(m_rf_per_tile)
     ])
-    chain_rows = [blocks] * tiling.num_tiles
-    slots, aggregated, slices = _assemble(tiling, t_slots, m_rf_per_tile, m_s, chain_rows)
     design = CombinerDesign(
         tiling=tiling, t_slots=t_slots, m_s=m_s, m_rf_per_tile=m_rf_per_tile,
-        slot_combiners=slots, aggregated=aggregated, tile_slices=slices,
-        dft_blocks=blocks, entry_modulus=1.0 / np.sqrt(t_slots), designed=True,
+        chain_blocks=np.stack([blocks] * tiling.num_tiles),
+        entry_modulus=1.0 / np.sqrt(t_slots),
     )
     design.verify()
     return design
@@ -199,20 +183,18 @@ def random_combiner(
     No orthogonality is asserted; used to quantify what the structured
     design buys.
     """
-    m_i, m_s = _chain_layout(tiling, m_rf_per_tile)
+    m_s = _chain_layout(tiling, m_rf_per_tile)
     rng = np.random.default_rng(seed)
     modulus = 1.0 / np.sqrt(m_s)
-    chain_rows = [
+    chain_blocks = np.stack([
         modulus * np.exp(
             2j * np.pi * rng.random((m_rf_per_tile, t_slots, m_s))
         )
         for _ in range(tiling.num_tiles)
-    ]
-    slots, aggregated, slices = _assemble(tiling, t_slots, m_rf_per_tile, m_s, chain_rows)
+    ])
     return CombinerDesign(
         tiling=tiling, t_slots=t_slots, m_s=m_s, m_rf_per_tile=m_rf_per_tile,
-        slot_combiners=slots, aggregated=aggregated, tile_slices=slices,
-        dft_blocks=np.empty((0, t_slots, m_s)), entry_modulus=modulus, designed=False,
+        chain_blocks=chain_blocks, entry_modulus=modulus,
     )
 
 
@@ -250,9 +232,7 @@ def empirical_noise_covariance(
         nb = min(batch, n_samples - done)
         noise = rng.standard_normal((t, m, nb)) + 1j * rng.standard_normal((t, m, nb))
         noise *= np.sqrt(sigma2 / 2.0)
-        out = np.concatenate(
-            [design.slot_combiners[k] @ noise[k] for k in range(t)], axis=0
-        )
+        out = design.apply(noise)
         cov += out @ out.conj().T
         done += nb
     return cov / n_samples

@@ -43,10 +43,11 @@ def test_acceptance_1_sensing_design_exactness(paper_setup):
     tic = time.perf_counter()
     _bs, _tiling, combiner = paper_setup
     assert combiner.m_s == 6 and combiner.t_slots == 6
-    for i, slc in enumerate(combiner.tile_slices):
+    for i in range(combiner.tiling.num_tiles):
+        slc = combiner.apply_tile(i, np.eye(96))
         err = np.linalg.norm(slc.conj().T @ slc - np.eye(96))
         assert err < 1e-10, f"tile {i} Gram error {err:.2e}"
-    v = combiner.aggregated
+    v = combiner.matrix()
     global_err = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
     assert global_err < 1e-10
     elapsed = time.perf_counter() - tic

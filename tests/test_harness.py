@@ -85,9 +85,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             desk_profile(methods=("warp-drive",))
 
-    def test_rejects_bad_ms(self):
+    @pytest.mark.parametrize("m_s", [7, 16, 0])
+    def test_rejects_bad_ms(self, m_s):
+        # 7 divides no tile; 16 divides M = 288 but not the 72-antenna tile
         with pytest.raises(ValueError):
-            desk_profile(m_s=7)
+            desk_profile(m_s=m_s)
 
     def test_warns_on_inconsistent_rf_count(self):
         with pytest.warns(UserWarning, match="inconsistent RF chain count"):

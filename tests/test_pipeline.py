@@ -46,7 +46,7 @@ class TestSimulateReception:
         scene, real, comb = desk["scene"], desk["real"], desk["combiner"]
         precoder = uniform_precoder(2)
         rec = simulate_reception(scene, real, comb, precoder, seed=5)
-        expected = comb.aggregated @ (real.h @ precoder.w)
+        expected = comb.matrix() @ (real.h @ precoder.w)
         np.testing.assert_allclose(rec.observations, expected, atol=1e-12)
 
     def test_same_seed_identical(self, desk):
@@ -131,7 +131,8 @@ class TestStage1:
         tiling = partition(bs, 2, 4)
         comb = design_combiner(6, tiling, m_rf_per_tile=16)
         d = build_angular(8, 12, HALF, HALF, WAVELENGTH, 64)
-        per_tile_scan = comb.tile_slices[0].shape[0] * d.num_atoms
+        a_bar = comb.apply_tile(0, d.matrix)
+        per_tile_scan = a_bar.shape[0] * a_bar.shape[1]
         assert per_tile_scan == 6 * 16 * 64 ** 2
         total = tiling.num_tiles * per_tile_scan
         assert total == 8 * 6 * 16 * 64 ** 2
@@ -175,7 +176,7 @@ class TestStage3:
             + 1j * rng.standard_normal((comb.num_antennas * 2, 3))
         op = location_operator(rec, cols, comb.num_antennas, 2)
         w = rec.precoder.w[:, 0]
-        kron_op = np.sqrt(rec.power) * np.kron(w[None, :], comb.aggregated)
+        kron_op = np.sqrt(rec.power) * np.kron(w[None, :], comb.matrix())
         np.testing.assert_allclose(op, kron_op @ cols, atol=1e-10)
 
     def test_true_center_on_grid_noiseless(self, desk):
@@ -249,7 +250,7 @@ class TestBaselines:
         rec = simulate_reception(scene, real, comb, precoder, seed=0, power=p_b)
         per_antenna = rec.observations @ precoder.w.conj().T
         for col in range(n):
-            expected = np.sqrt(p_b) * (comb.aggregated @ real.h[:, col])
+            expected = np.sqrt(p_b) * (comb.matrix() @ real.h[:, col])
             np.testing.assert_allclose(per_antenna[:, col], expected, atol=1e-10)
 
     def test_far_field_on_grid_user_recovered(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,49 @@ def paper_tiling():
     return partition(build_upa(16, 48, HALF, HALF, (0, 0, 0)), 2, 4)
 
 
+def dense_reference(design):
+    """Slot, stacked and per-tile matrices placed entry by entry from the blocks.
+
+    Independent of ``CombinerDesign.apply``: chain m of tile i in slot t
+    is row ``t*M_RF + i*M_rf_i + m`` and covers tile antennas
+    ``m*M_s .. (m+1)*M_s - 1``.
+    """
+    t_slots, m_rf, m_s = design.t_slots, design.m_rf_per_tile, design.m_s
+    m_i = design.tiling.tiles[0].geometry.size
+    slots = np.zeros((t_slots, design.m_rf_total, design.num_antennas), dtype=complex)
+    tiles = np.zeros((design.tiling.num_tiles, t_slots * m_rf, m_i), dtype=complex)
+    for i, tile in enumerate(design.tiling.tiles):
+        for m in range(m_rf):
+            cols = tile.antenna_indices[m * m_s:(m + 1) * m_s]
+            for t in range(t_slots):
+                slots[t, i * m_rf + m, cols] = design.chain_blocks[i, m, t]
+                tiles[i, t * m_rf + m, m * m_s:(m + 1) * m_s] = design.chain_blocks[i, m, t]
+    return slots, slots.reshape(-1, design.num_antennas), tiles
+
+
+def block_diagonal(slots):
+    """The (T*M_RF) x (T*M) combiner acting on slot-stacked noise."""
+    t, m_rf, m = slots.shape
+    out = np.zeros((t * m_rf, t * m), dtype=complex)
+    for k in range(t):
+        out[k * m_rf:(k + 1) * m_rf, k * m:(k + 1) * m] = slots[k]
+    return out
+
+
+COMBINERS = {
+    "designed-desk": lambda: design_combiner(4, desk_tiling(), m_rf_per_tile=8),
+    "random-desk": lambda: random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=3),
+    "designed-paper": lambda: design_combiner(6, paper_tiling(), m_rf_per_tile=16),
+    "random-paper": lambda: random_combiner(6, paper_tiling(), m_rf_per_tile=16, seed=4),
+}
+
+
 class TestDesignCombiner:
     def test_degenerate_single_slot(self):
         tiling = partition(build_upa(2, 1, HALF, HALF, (0, 0, 0)), 1, 1)
         design = design_combiner(1, tiling, m_rf_per_tile=2)
         assert design.m_s == 1
-        v = design.tile_slices[0]
+        v = design.apply_tile(0, np.eye(2))
         assert v.shape == (2, 2)
         nz = v[np.abs(v) > 0]
         np.testing.assert_allclose(np.abs(nz), 1.0, atol=1e-14)
@@ -37,32 +76,33 @@ class TestDesignCombiner:
     def test_paper_tile_orthogonality(self):
         design = design_combiner(6, paper_tiling(), m_rf_per_tile=16)
         assert design.m_s == 6
-        for slc in design.tile_slices:
+        for i in range(design.tiling.num_tiles):
+            slc = design.apply_tile(i, np.eye(96))
             err = np.linalg.norm(slc.conj().T @ slc - np.eye(96))
             assert err < 1e-10
 
     def test_global_orthogonality(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
-        v = design.aggregated
+        v = design.matrix()
         err = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
         assert err < 1e-10
 
     def test_slot_rows_orthonormal_when_t_equals_ms(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
         assert design.m_s == 4
-        for v_t in design.slot_combiners:
+        for v_t in design.matrix().reshape(4, design.m_rf_total, -1):
             err = np.linalg.norm(v_t @ v_t.conj().T - np.eye(v_t.shape[0]))
             assert err < 1e-10
 
     def test_entry_modulus_is_inverse_sqrt_t(self):
         design = design_combiner(6, paper_tiling(), m_rf_per_tile=16)
-        v = design.aggregated
+        v = design.matrix()
         nz = np.abs(v[np.abs(v) > 0])
         np.testing.assert_allclose(nz, 1.0 / np.sqrt(6), atol=1e-14)
 
     def test_dft_block_orthogonality(self):
         design = design_combiner(6, paper_tiling(), m_rf_per_tile=16)
-        for f_m in design.dft_blocks:
+        for f_m in design.chain_blocks.reshape(-1, design.t_slots, design.m_s):
             np.testing.assert_allclose(
                 f_m.conj().T @ f_m, np.eye(design.m_s), atol=1e-12
             )
@@ -70,19 +110,30 @@ class TestDesignCombiner:
     def test_permutation_recovers_blockdiag(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
         t, m_rf, m_s = design.t_slots, design.m_rf_per_tile, design.m_s
-        slc = design.tile_slices[0]
+        slc = design.apply_tile(0, np.eye(design.tiling.tiles[0].geometry.size))
         perm = np.array([t_i * m_rf + m for m in range(m_rf) for t_i in range(t)])
         permuted = slc[perm]
         expected = np.zeros_like(permuted)
         for m in range(m_rf):
-            expected[m * t:(m + 1) * t, m * m_s:(m + 1) * m_s] = design.dft_blocks[m]
+            expected[m * t:(m + 1) * t, m * m_s:(m + 1) * m_s] = design.chain_blocks[0, m]
         np.testing.assert_array_equal(permuted, expected)
 
-    def test_tile_slice_matches_aggregated_submatrix(self):
-        design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
+    @pytest.mark.parametrize("name", ["designed-desk", "random-desk"])
+    def test_tile_slice_matches_combiner_submatrix(self, name):
+        design = COMBINERS[name]()
+        v = design.matrix()
+        eye = np.eye(design.tiling.tiles[0].geometry.size)
         for i, tile in enumerate(design.tiling.tiles):
-            sub = design.aggregated[np.ix_(design.tile_rows(i), tile.antenna_indices)]
-            np.testing.assert_array_equal(sub, design.tile_slices[i])
+            sub = v[np.ix_(design.tile_rows(i), tile.antenna_indices)]
+            np.testing.assert_array_equal(sub, design.apply_tile(i, eye))
+
+    def test_verify_catches_one_broken_block(self):
+        design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
+        design.verify()
+        blocks = design.chain_blocks.copy()
+        blocks[-1, 0, 0, 0] *= -1
+        with pytest.raises(InfeasibleDesignError):
+            replace(design, chain_blocks=blocks).verify()
 
     def test_infeasible_when_t_below_ms(self):
         with pytest.raises(InfeasibleDesignError):
@@ -93,21 +144,64 @@ class TestDesignCombiner:
             design_combiner(4, desk_tiling(), m_rf_per_tile=5)
 
 
+class TestStructuredApply:
+    """``apply``/``apply_tile``/``matrix`` against the dense reference."""
+
+    @pytest.fixture(params=sorted(COMBINERS), scope="class")
+    def case(self, request):
+        design = COMBINERS[request.param]()
+        return design, dense_reference(design)
+
+    def test_matrix_equals_reference(self, case):
+        design, (_slots, stacked, _tiles) = case
+        np.testing.assert_array_equal(design.matrix(), stacked)
+
+    def test_apply_common_input(self, case):
+        design, (_slots, stacked, _tiles) = case
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((design.num_antennas, 5)) \
+            + 1j * rng.standard_normal((design.num_antennas, 5))
+        np.testing.assert_allclose(design.apply(x), stacked @ x, rtol=1e-12, atol=1e-12)
+
+    def test_apply_per_slot_input(self, case):
+        design, (slots, _stacked, _tiles) = case
+        rng = np.random.default_rng(12)
+        shape = (design.t_slots, design.num_antennas, 3)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.concatenate([slots[t] @ x[t] for t in range(design.t_slots)])
+        np.testing.assert_allclose(design.apply(x), expected, rtol=1e-12, atol=1e-12)
+
+    def test_apply_tile_both_inputs(self, case):
+        design, (_slots, _stacked, tiles) = case
+        rng = np.random.default_rng(13)
+        t, m_rf, m_i = design.t_slots, design.m_rf_per_tile, tiles.shape[2]
+        for i in range(design.tiling.num_tiles):
+            x = rng.standard_normal((m_i, 4)) + 1j * rng.standard_normal((m_i, 4))
+            np.testing.assert_allclose(
+                design.apply_tile(i, x), tiles[i] @ x, rtol=1e-12, atol=1e-12)
+            xs = rng.standard_normal((t, m_i, 2)) + 1j * rng.standard_normal((t, m_i, 2))
+            expected = np.concatenate([
+                tiles[i][k * m_rf:(k + 1) * m_rf] @ xs[k] for k in range(t)
+            ])
+            np.testing.assert_allclose(
+                design.apply_tile(i, xs), expected, rtol=1e-12, atol=1e-12)
+
+
 class TestRandomCombiner:
     def test_entry_modulus(self):
         design = random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=0)
-        v = design.aggregated
+        v = design.matrix()
         nz = np.abs(v[np.abs(v) > 0])
         np.testing.assert_allclose(nz, 1.0 / np.sqrt(design.m_s), atol=1e-14)
 
     def test_seed_determinism(self):
         a = random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=9)
         b = random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=9)
-        np.testing.assert_array_equal(a.aggregated, b.aggregated)
+        np.testing.assert_array_equal(a.chain_blocks, b.chain_blocks)
 
     def test_generically_not_orthogonal(self):
         design = random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=1)
-        slc = design.tile_slices[0]
+        slc = design.apply_tile(0, np.eye(32))
         err = np.linalg.norm(slc.conj().T @ slc - np.eye(slc.shape[1]))
         assert err > 1e-3
 
@@ -136,8 +230,8 @@ class TestNoiseWhiteness:
         rng = np.random.default_rng(5)
         t, m = design.t_slots, design.num_antennas
         noise = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
-        direct = design.blockdiag_aggregated() @ noise.reshape(-1)
-        np.testing.assert_allclose(design.apply_noise(noise), direct, atol=1e-12)
+        direct = block_diagonal(dense_reference(design)[0]) @ noise.reshape(-1)
+        np.testing.assert_allclose(design.apply(noise[..., None])[:, 0], direct, atol=1e-12)
 
     def test_designed_combiner_whitens(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
