@@ -64,7 +64,8 @@ class ChannelRealization:
 def pairwise_distances(a: ArrayGeometry, b: ArrayGeometry) -> np.ndarray:
     """Euclidean distances between every antenna pair, shape (a.size, b.size)."""
     diff = a.positions[:, None, :] - b.positions[None, :, :]
-    return np.linalg.norm(diff, axis=-1)
+    d0, d1, d2 = diff[..., 0], diff[..., 1], diff[..., 2]
+    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def los_channel(bs: ArrayGeometry, ue: ArrayGeometry, wavelength: float) -> np.ndarray:

@@ -95,7 +95,7 @@ class ExperimentConfig:
     grid_counts: tuple[int, int, int] = (5, 5, 3)
     sbl_max_iters: int = 40
     sbl_tol: float = 1e-5
-    sbl_gamma_floor: float = 1e-8
+    sbl_gamma_floor: float = 1e-4
     baseline_z_grid: int = 32
     spherical_angle_grid: int = 32
     spherical_rings: tuple[float, float, int] = (2.0, 10.0, 4)
@@ -506,6 +506,7 @@ def _dispatch_method(ctx, method, scene, realization, noise_seed, extra_seed):
             "stage1_supports": [s.support.tolist() for s in out.stage1],
             "stage3_support_size": int(out.stage3.support.size),
             "stage3_iterations": out.stage3.iterations,
+            "stage3_converged": bool(out.stage3.converged),
         }
         return out.h_hat, loc_error, out.timings, detail
 

@@ -83,7 +83,7 @@ class StageOptions:
     grid_counts: tuple[int, int, int] = (11, 11, 3)
     sbl_max_iters: int = 200
     sbl_tol: float = 1e-6
-    sbl_gamma_floor: float = 1e-8
+    sbl_gamma_floor: float = 1e-4
 
 
 @dataclass
@@ -181,7 +181,7 @@ def stage1(
                 problem, sigma2=_effective_noise_var(record),
                 max_iters=options.sbl_max_iters, tol=options.sbl_tol,
                 gamma_floor=options.sbl_gamma_floor,
-                track_evidence=False, prune=True,
+                track_evidence=False, prune=True, update="fixed-point",
             )
         else:
             raise ValueError(f"unknown stage-1 solver {options.stage1_solver!r}")
@@ -273,7 +273,7 @@ def stage3(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
             gamma_floor=options.sbl_gamma_floor,
-            track_evidence=False, prune=True,
+            track_evidence=False, prune=True, update="fixed-point",
         )
     elif options.stage3_solver == "omp":
         sol = omp(problem, max_atoms=min(options.stage3_omp_atoms, loc_dict.num_atoms),

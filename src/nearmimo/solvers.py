@@ -1,17 +1,24 @@
-"""Generic sparse recovery: orthogonal matching pursuit and SBL via EM.
+"""Generic sparse recovery: orthogonal matching pursuit and SBL.
 
 Both solvers operate on a :class:`SparseProblem` holding a complex
 sensing matrix ``A`` (P x Q) and observation ``y`` (P).  OMP greedily
 selects atoms by normalized correlation with the residual and refits by
 least squares.  SBL places independent CN(0, gamma_q) priors on the
-coefficients and learns the prior variances by expectation maximization:
+coefficients and learns the prior variances from the posterior:
 
     E-step:  Sigma = (A^H A / sigma^2 + Gamma^-1)^-1
              mu    = Sigma A^H y / sigma^2
-    M-step:  gamma_q = |mu_q|^2 + Sigma_qq
+    M-step:  gamma_q = |mu_q|^2 + Sigma_qq                  (EM)
+             gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)  (fixed point)
 
-which ascends the marginal likelihood of y under
-CN(0, sigma^2 I + A Gamma A^H).  The noise variance is held fixed.
+Both M-steps seek the marginal likelihood of y under
+CN(0, sigma^2 I + A Gamma A^H), with the noise variance held fixed.
+Only EM is guaranteed never to lower it (Wipf & Rao, IEEE TSP 2004);
+MacKay's fixed point, whose single-atom form Tipping & Faul (AISTATS
+2003) derive in closed form, sends unsupported variances to zero in far
+fewer iterations.  Atoms whose variance falls below a relative floor can
+be pruned during the iteration; with Q <= P this runs entirely on the
+active rows and columns of ``A^H A`` and ``A^H y``, never on ``A``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ import scipy.linalg
 from .errors import DivergenceError, NumericalRankError
 
 _GAMMA_ABS_FLOOR = 1e-100
+# lower bound on the fixed-point denominator 1 - Sigma_qq/gamma_q, which
+# rounding can push to zero or below once gamma_q vanishes
+_DENOM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ def omp(
     converged = residual_tol is not None and 1.0 <= residual_tol
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
-        scores = np.abs(a.conj().T @ residual) / norms
+        scores = np.abs(residual.conj() @ a) / norms
         support.append(int(np.argmax(scores)))
         basis = a[:, support]
         coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
@@ -183,6 +193,12 @@ def _log_evidence_from_chol(chol_c, y) -> float:
     return float(-p * np.log(np.pi) - logdet - np.real(half.conj() @ half))
 
 
+def _gram(a, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(A^H A, A^H y)``, the data the primal SBL iteration needs."""
+    a_h = a.conj().T
+    return a_h @ a, a_h @ y
+
+
 def sbl_em(
     problem: SparseProblem,
     sigma2: float | None = None,
@@ -191,17 +207,29 @@ def sbl_em(
     gamma_floor: float = 1e-8,
     track_evidence: bool = True,
     prune: bool = False,
+    update: str = "em",
 ) -> tuple[SparseSolution, SblState]:
     """Sparse Bayesian learning with fixed noise variance.
+
+    Every iteration runs the same E-step and then one of two M-steps:
+    ``"em"`` sets ``gamma_q = |mu_q|^2 + Sigma_qq`` and never lowers the
+    evidence; ``"fixed-point"`` (MacKay) sets
+    ``gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)``, which drives
+    unsupported atoms to zero far faster but carries no monotonicity
+    guarantee.  The E-step inverts in coefficient space (primal, Q <= P)
+    or in observation space (dual, Q > P), whichever is smaller.  The
+    primal branch forms ``A^H A`` and ``A^H y`` once and iterates,
+    prunes and computes the exit posterior on their active rows and
+    columns alone; the dual branch narrows ``A`` when it prunes.
 
     Parameters
     ----------
     problem : SparseProblem
     sigma2 : float, optional
         Noise variance; falls back to ``problem.noise_var``.
-    max_iters, tol : EM stopping controls; convergence is declared when
-        the largest relative change of any prior variance drops below
-        ``tol``.
+    max_iters, tol : iteration stopping controls; convergence is
+        declared when the largest relative change of any prior variance
+        drops below ``tol``.
     gamma_floor : float
         Relative pruning threshold: atoms whose prior variance falls
         below ``gamma_floor * max(gamma)`` are zeroed in the reported
@@ -210,8 +238,10 @@ def sbl_em(
         Record the log marginal likelihood at every iteration.
     prune : bool
         Drop atoms below the floor *during* the iteration (standard ARD
-        speedup).  Off by default: with pruning deferred to exit, the
-        recorded evidence is exactly non-decreasing.
+        speedup).  Off by default: with EM and pruning deferred to exit,
+        the recorded evidence is exactly non-decreasing.
+    update : {"em", "fixed-point"}
+        The M-step rule.
 
     Returns
     -------
@@ -223,53 +253,57 @@ def sbl_em(
     DivergenceError
         If an iterate turns non-finite; carries the iteration index.
     """
+    if update not in ("em", "fixed-point"):
+        raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'fixed-point'")
     if sigma2 is None:
         sigma2 = problem.noise_var
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
-    a_full = problem.sensing_matrix
+    a = problem.sensing_matrix  # narrowed by pruning while the dual branch runs
     y = problem.observation
-    p, q_full = a_full.shape
+    p, q_full = a.shape
 
     active = np.arange(q_full)
-    a = a_full
-    a_conj = a.conj()
+    a_conj = a.conj() if q_full > p else None
+    gram = rhs = None  # A^H A and A^H y over the active atoms, once Q <= P
     gamma = np.ones(q_full)
     mu = np.zeros(q_full, dtype=complex)
     evidence: list[float] = []
     history: list[float] = [float(np.linalg.norm(y))]
     y_energy = float(np.linalg.norm(y) ** 2)
-    aha = ahy = None
     iterations = 0
     converged = False
 
     for it in range(max_iters):
         iterations = it + 1
         q = active.size
-        use_primal = q <= p  # invert in coefficient space vs observation space
-        if use_primal:
-            if aha is None or aha.shape[0] != q:
-                aha = a_conj.T @ a
-                ahy = a_conj.T @ y
-            m = aha / sigma2
+        if q <= p:
+            if gram is None:
+                gram, rhs = _gram(a, y)
+                a_conj = None
+            m = gram / sigma2
             m[np.diag_indices_from(m)] += 1.0 / gamma
             try:
                 chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
-            mu = scipy.linalg.cho_solve((chol_m, True), ahy, check_finite=False) / sigma2
+            mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
             inv_factor = scipy.linalg.solve_triangular(
                 chol_m, np.eye(q, dtype=complex), lower=True, check_finite=False
             )
             sigma_diag = np.real(np.sum(inv_factor.conj() * inv_factor, axis=0))
+            fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
             if track_evidence:
                 # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
                 logdet_c = (
                     p * np.log(sigma2) + np.sum(np.log(gamma))
                     + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
                 )
-                quad = (y_energy - np.real(y.conj() @ (a @ mu))) / sigma2
+                quad = (y_energy - fit) / sigma2
                 evidence.append(float(-p * np.log(np.pi) - logdet_c - quad))
+            # ||y - A mu||^2 expanded, so no P x Q product is formed
+            residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
+            history.append(float(np.sqrt(max(residual2, 0.0))))
         else:
             ag = a * gamma
             c = ag @ a_conj.T
@@ -286,11 +320,14 @@ def sbl_em(
             half = scipy.linalg.solve_triangular(chol_c, a, lower=True, check_finite=False)
             quad_diag = np.real(np.sum(half.conj() * half, axis=0))
             sigma_diag = gamma - gamma ** 2 * quad_diag
+            history.append(float(np.linalg.norm(y - a @ mu)))
 
-        gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
+        if update == "em":
+            gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
+        else:
+            gamma_new = np.abs(mu) ** 2 / np.maximum(1.0 - sigma_diag / gamma, _DENOM_FLOOR)
         if not np.all(np.isfinite(gamma_new)) or not np.all(np.isfinite(mu)):
-            raise DivergenceError("non-finite EM iterate", it)
-        history.append(float(np.linalg.norm(y - a @ mu)))
+            raise DivergenceError("non-finite SBL iterate", it)
         delta = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, _GAMMA_ABS_FLOOR))
         gamma = np.maximum(gamma_new, _GAMMA_ABS_FLOOR)
         if prune:
@@ -298,9 +335,12 @@ def sbl_em(
             if not np.all(keep):
                 active = active[keep]
                 gamma = gamma[keep]
-                a = a[:, keep]
-                a_conj = a_conj[:, keep]
-                aha = ahy = None  # rebuilt on demand for the shrunken set
+                if gram is None:
+                    a = a[:, keep]
+                    a_conj = a_conj[:, keep]
+                else:
+                    gram = gram[np.ix_(keep, keep)]
+                    rhs = rhs[keep]
         if delta < tol:
             converged = True
             break
@@ -308,16 +348,15 @@ def sbl_em(
     # final posterior at the exit prior, over the surviving atoms
     q = active.size
     if q <= p:
-        if aha is None or aha.shape[0] != q:
-            aha = a_conj.T @ a
-            ahy = a_conj.T @ y
-        m = aha / sigma2
+        if gram is None:
+            gram, rhs = _gram(a, y)
+        m = gram / sigma2
         m[np.diag_indices_from(m)] += 1.0 / gamma
         chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
         covariance = scipy.linalg.cho_solve(
             (chol_m, True), np.eye(q, dtype=complex), check_finite=False
         )
-        mu = covariance @ ahy / sigma2
+        mu = covariance @ rhs / sigma2
     else:
         ag = a * gamma
         c = ag @ a_conj.T

@@ -214,6 +214,7 @@ class TestSweep:
         assert report["method"] == "proposed-omp3"
         assert result["h_hat"].shape == result["h_true"].shape
         assert report["nmse_db"] is not None
+        assert isinstance(report["detail"]["stage3_converged"], bool)
         json.dumps(report)  # must be JSON-serializable
 
     def test_simulate_once_rejects_unknown_method(self):

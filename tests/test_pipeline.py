@@ -191,6 +191,19 @@ class TestStage3:
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -80
 
+    def test_noisy_sbl_prunes_and_converges(self, desk):
+        scene, real = desk["scene"], desk["real"]
+        noise_var = np.linalg.norm(real.h) ** 2 / (real.h.size * 100.0)  # 20 dB SNR
+        rec = simulate_reception(
+            scene.with_noise_var(noise_var), real, desk["combiner"], uniform_precoder(2),
+            seed=3,
+        )
+        sol, h_hat, loc_dict = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH)
+        assert sol.converged
+        assert sol.support.size < loc_dict.num_atoms / 4
+        nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
+        assert 10 * np.log10(nmse) < -25
+
     def test_single_point_grid_is_least_squares(self, desk):
         scene, real = desk["scene"], desk["real"]
         rec = simulate_reception(

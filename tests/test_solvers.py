@@ -142,12 +142,16 @@ class TestSblEm:
         sbl_sol, _ = sbl_em(problem, sigma2=1e-6)
         assert np.argmax(np.abs(sbl_sol.coefficients)) == omp_sol.support[0]
 
-    @pytest.mark.parametrize("p,q", [(24, 12), (12, 48)])
-    def test_posterior_mean_linear_system_consistency(self, p, q):
+    @pytest.mark.parametrize(
+        "p,q,update",
+        [(24, 12, "em"), (12, 48, "em"), (24, 12, "fixed-point"), (12, 48, "fixed-point")],
+        ids=["24-12", "12-48", "24-12-fixed-point", "12-48-fixed-point"],
+    )
+    def test_posterior_mean_linear_system_consistency(self, p, q, update):
         rng = np.random.default_rng(6)
         problem, _x, _s = _random_problem(rng, p, q, sparsity=3, sigma=0.05)
         sigma2 = 0.05 ** 2
-        _sol, state = sbl_em(problem, sigma2=sigma2)
+        _sol, state = sbl_em(problem, sigma2=sigma2, update=update)
         a = problem.sensing_matrix
         lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / state.gamma)) @ state.mean
         rhs = a.conj().T @ problem.observation / sigma2
@@ -175,3 +179,38 @@ class TestSblEm:
         problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError):
             sbl_em(problem)
+
+
+class TestSblFixedPoint:
+    def test_single_atom_closed_form(self):
+        # one unit-norm atom: the fixed point is gamma = |a^H y|^2 - sigma^2
+        a = np.ones((5, 1), dtype=complex) / np.sqrt(5)
+        y = 3.0 * a[:, 0]
+        sol, state = sbl_em(SparseProblem(a, y), sigma2=0.5, update="fixed-point")
+        assert sol.converged
+        assert state.gamma[0] == pytest.approx(8.5, rel=1e-6)
+        # first step from gamma = 1: mu = 2 and Sigma = 1/3, so the fixed
+        # point gives 4 / (1 - 1/3) = 6 where EM would give 4 + 1/3
+        _sol, first = sbl_em(SparseProblem(a, y), sigma2=0.5, max_iters=1,
+                             update="fixed-point")
+        assert first.gamma[0] == pytest.approx(6.0, rel=1e-12)
+
+    def test_pruned_run_converges_sparse_and_consistent(self):
+        rng = np.random.default_rng(9)
+        problem, _x, planted = _random_problem(rng, 40, 30, sparsity=3, sigma=0.05)
+        sigma2 = 0.05 ** 2
+        sol, state = sbl_em(problem, sigma2=sigma2, gamma_floor=1e-4,
+                            prune=True, update="fixed-point")
+        assert sol.converged
+        assert set(planted) <= set(sol.support)
+        assert sol.support.size <= 3 + 2
+        a = problem.sensing_matrix[:, state.active]
+        mean = state.mean[state.active]
+        lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / state.gamma[state.active])) @ mean
+        rhs = a.conj().T @ problem.observation / sigma2
+        assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
+
+    def test_rejects_unknown_update(self):
+        problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
+        with pytest.raises(ValueError):
+            sbl_em(problem, sigma2=0.1, update="mackay")
