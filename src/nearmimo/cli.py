@@ -9,26 +9,36 @@ Subcommands:
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 Output artifacts are byte-reproducible for a fixed (config, seed);
 wall-clock timings are zeroed in files unless --timings is passed.
+
+BLAS and OpenMP run one thread unless one of the thread variables
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, ...) is set.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+from .threads import single_thread_defaults
 
-from .dictionaries import (
+# before numpy first loads: OpenBLAS reads its thread count only then
+os.environ.update(single_thread_defaults())
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from .dictionaries import (  # noqa: E402
     build_angular,
     build_location,
     build_spherical_baseline,
     reciprocal_distance_rings,
 )
-from .errors import NearMimoError
-from .harness import ExperimentConfig, desk_profile, paper_profile, run_sweep, simulate_once
-from .matfile import save_matrix
+from .errors import NearMimoError  # noqa: E402
+from .harness import (  # noqa: E402
+    ExperimentConfig, desk_profile, paper_profile, run_sweep, simulate_once,
+)
+from .matfile import save_matrix  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,7 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .pipeline import (
     uniform_precoder,
 )
 from .sensing import design_combiner, design_precoder_dft, random_combiner
+from .threads import single_thread_children
 
 METHODS = (
     "proposed-sbl",
@@ -107,6 +111,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.spacing not in ("half_wavelength", "aperture"):
             raise ValueError(f"unknown spacing mode {self.spacing!r}")
         unknown = set(self.methods) - set(METHODS)
@@ -596,8 +602,13 @@ def simulate_once(
 
 
 def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
-    """Run the full (method x SNR x trial) grid; deterministic per config."""
-    ctx = SweepContext(config)
+    """Run the full (method x SNR x trial) grid; deterministic per config.
+
+    With ``workers > 1`` the cells go to a pool of ``spawn``ed processes,
+    each of which builds one ``SweepContext`` when it starts; the pool
+    starts them with BLAS at one thread unless a thread variable is set
+    (see ``threads``).  ``progress(done, total)`` is called every 25 trials.
+    """
     cells = [
         (method, snr, trial)
         for method in config.methods
@@ -605,31 +616,38 @@ def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
         for trial in range(config.trials)
     ]
     table = ResultTable(config=config)
-    if config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_run_trial_star, [(config, c) for c in cells],
-                                 chunksize=8))
-        table.rows.extend(rows)
-    else:
-        for i, cell in enumerate(cells):
-            table.rows.append(run_trial(ctx, *cell))
-            if progress is not None and (i + 1) % 25 == 0:
-                progress(i + 1, len(cells))
+    with ExitStack() as stack:
+        if config.workers > 1:
+            stack.enter_context(single_thread_children())
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=config.workers, mp_context=get_context("spawn"),
+                initializer=_init_worker, initargs=(config,),
+            ))
+            rows = pool.map(_run_cell, cells, chunksize=4)
+        else:
+            ctx = SweepContext(config)
+            rows = (run_trial(ctx, *cell) for cell in cells)
+        for i, row in enumerate(rows, 1):
+            table.rows.append(row)
+            if progress is not None and i % 25 == 0:
+                progress(i, len(cells))
     table.rows = table.sorted_rows()
     return table
 
 
-_CTX_CACHE: dict = {}
+_worker_ctx: SweepContext | Exception | None = None
 
 
-def _run_trial_star(args):
-    config, cell = args
-    key = config.to_json()
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = SweepContext(config)
-        _CTX_CACHE.clear()
-        _CTX_CACHE[key] = ctx
-    return run_trial(ctx, *cell)
+def _init_worker(config: ExperimentConfig) -> None:
+    """Build the pool worker's context; a failure is raised by its first cell."""
+    global _worker_ctx
+    try:
+        _worker_ctx = SweepContext(config)
+    except Exception as exc:  # an initializer that raises only breaks the pool
+        _worker_ctx = exc
+
+
+def _run_cell(cell) -> TrialRow:
+    if isinstance(_worker_ctx, Exception):
+        raise _worker_ctx
+    return run_trial(_worker_ctx, *cell)

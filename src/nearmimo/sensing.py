@@ -99,7 +99,10 @@ class CombinerDesign:
     def verify(self, tol: float = _ORTHO_TOL) -> None:
         """Check the algebraic guarantees of the designed construction.
 
-        Raises ``InfeasibleDesignError`` if any check fails.
+        The dense Gram checks (global, per tile, per slot) and then the
+        block checks of ``verify_blocks``, for tests and ``nearmimo
+        verify``; ``design_combiner`` runs only ``verify_blocks``.  Raises
+        ``InfeasibleDesignError`` if any check fails.
         """
         def check(gram, target, what):
             err = np.linalg.norm(gram - target * np.eye(gram.shape[0]))
@@ -115,9 +118,28 @@ class CombinerDesign:
             check(slc.conj().T @ slc, gram_target, f"tile {i} combiner")
         for k, v_t in enumerate(v.reshape(self.t_slots, self.m_rf_total, -1)):
             check(v_t @ v_t.conj().T, self.noise_scale, f"slot {k} row")
-        for i, tile_blocks in enumerate(self.chain_blocks):
-            for m, f_m in enumerate(tile_blocks):
-                check(f_m.conj().T @ f_m, gram_target, f"tile {i} chain {m} block")
+        self.verify_blocks(tol)
+
+    def verify_blocks(self, tol: float = _ORTHO_TOL) -> None:
+        """The build-time check: unit-modulus entries and every chain's Gram.
+
+        Chains touch disjoint antennas, so ``V^H V`` is block diagonal with
+        the chain Grams ``F^H F`` as its blocks, and each ``V_t V_t^H`` is
+        diagonal with the blocks' squared row norms, which unit modulus
+        fixes at ``noise_scale``.  These two checks so imply the global,
+        tile and slot checks of ``verify``; the Gram error is the Frobenius
+        norm over all chains, which is the global check's error.  Raises
+        ``InfeasibleDesignError`` if either fails.
+        """
+        blocks = self.chain_blocks
+        modulus_err = float(np.max(np.abs(np.abs(blocks) - self.entry_modulus)))
+        if modulus_err > tol:
+            raise InfeasibleDesignError(f"entry modulus error {modulus_err:.2e}")
+        gram = blocks.conj().swapaxes(-1, -2) @ blocks  # (I, M_rf_i, M_s, M_s)
+        gram -= self.t_slots * self.entry_modulus ** 2 * np.eye(self.m_s)
+        err = np.linalg.norm(gram)
+        if err > tol:
+            raise InfeasibleDesignError(f"chain block Gram error {err:.2e}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +170,7 @@ def _chain_layout(tiling: SubarrayTiling, m_rf_per_tile: int) -> int:
 def design_combiner(
     t_slots: int, tiling: SubarrayTiling, m_rf_per_tile: int
 ) -> CombinerDesign:
-    """Build the DFT-based combiner with verified orthogonality.
+    """Build the DFT-based combiner, checked by ``CombinerDesign.verify_blocks``.
 
     Chain ``m`` of every tile takes rows ``m, M_rf+m, ..., (T-1)M_rf+m``
     of the first ``M_s`` columns of the (T*M_rf)-point DFT matrix scaled
@@ -171,7 +193,7 @@ def design_combiner(
         chain_blocks=np.stack([blocks] * tiling.num_tiles),
         entry_modulus=1.0 / np.sqrt(t_slots),
     )
-    design.verify()
+    design.verify_blocks()
     return design
 
 

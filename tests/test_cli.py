@@ -38,6 +38,15 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_workers(tmp_path, tiny_config_file, capsys):
+    data = json.loads(tiny_config_file.read_text())
+    data["workers"] = 0
+    bad = tmp_path / "zero_workers.json"
+    bad.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

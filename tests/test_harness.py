@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nearmimo.errors import InfeasibleDesignError
 from nearmimo.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -90,6 +92,15 @@ class TestConfig:
         # 7 divides no tile; 16 divides M = 288 but not the 72-antenna tile
         with pytest.raises(ValueError):
             desk_profile(m_s=m_s)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            desk_profile(workers=workers)
+
+    def test_example_config_loads(self):
+        path = Path(__file__).resolve().parents[1] / "demos" / "example_config.json"
+        assert ExperimentConfig.from_json(path.read_text()).workers == 1
 
     def test_warns_on_inconsistent_rf_count(self):
         with pytest.warns(UserWarning, match="inconsistent RF chain count"):
@@ -228,3 +239,16 @@ class TestSweep:
         serial.to_csv(ps)
         parallel.to_csv(pp)
         assert ps.read_bytes() == pp.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_every_25_trials(self, workers):
+        calls = []
+        cfg = tiny_config(methods=("stage1-only",), trials=51, workers=workers)
+        run_sweep(cfg, progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(25, 51), (50, 51)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_context_failure_reaches_the_caller(self, workers):
+        cfg = tiny_config(methods=("stage1-only",), t_slots=3, workers=workers)  # T < M_s
+        with pytest.raises(InfeasibleDesignError, match="T >= M_s"):
+            run_sweep(cfg)

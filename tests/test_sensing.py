@@ -135,6 +135,20 @@ class TestDesignCombiner:
         with pytest.raises(InfeasibleDesignError):
             replace(design, chain_blocks=blocks).verify()
 
+    def test_build_check_rejects_one_broken_block(self):
+        design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
+        blocks = design.chain_blocks.copy()
+        blocks[-1, 0, 0, 0] *= -1  # still unit modulus; the chain loses orthogonality
+        with pytest.raises(InfeasibleDesignError, match="Gram"):
+            replace(design, chain_blocks=blocks).verify_blocks()
+
+    def test_build_check_rejects_an_entry_off_unit_modulus(self):
+        design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
+        blocks = design.chain_blocks.copy()
+        blocks[1, 3, 2, 1] *= 1.0 + 1e-6
+        with pytest.raises(InfeasibleDesignError, match="modulus"):
+            replace(design, chain_blocks=blocks).verify_blocks()
+
     def test_infeasible_when_t_below_ms(self):
         with pytest.raises(InfeasibleDesignError):
             design_combiner(3, desk_tiling(), m_rf_per_tile=8)  # M_s = 4 > T
