@@ -10,6 +10,7 @@ the angular-grid quantization of the sparse recovery stage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,26 @@ def extract_axis_factors(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _steering(
+    m_e: int, d_e: float, wavelength: float, grid_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine grid over [-1, 1] and the (m_e, grid_points) ULA steering matrix.
+
+    Built once per argument tuple and shared by every later scan of an
+    axis with the same geometry; both arrays are read-only.
+    """
+    grid = np.linspace(-1.0, 1.0, grid_points)
+    offsets = np.arange(m_e) - (m_e - 1) / 2.0
+    # allocated before the temporaries of the phase, so the kept array is
+    # not left above freed heap that the allocator then cannot return
+    steering = np.empty((m_e, grid_points), dtype=complex)
+    np.exp(2j * np.pi / wavelength * d_e * offsets[:, None] * grid[None, :], out=steering)
+    grid.flags.writeable = False
+    steering.flags.writeable = False
+    return grid, steering
+
+
 def music_1d(
     cov: AxisCovariance | np.ndarray,
     m_e: int,
@@ -89,7 +110,9 @@ def music_1d(
 
     Eigendecomposes the axis covariance, projects steering vectors on
     the noise subspace, and refines the grid peak with a parabolic fit
-    of the log pseudo-spectrum.
+    of the log pseudo-spectrum.  The grid and steering matrix are built
+    once per ``(m_e, d_e, wavelength, grid_points)`` and shared read-only,
+    so the returned ``grid`` must not be written to.
     """
     c = cov.matrix if isinstance(cov, AxisCovariance) else np.asarray(cov)
     if c.shape != (m_e, m_e):
@@ -99,9 +122,7 @@ def music_1d(
     eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.conj().T))
     noise_basis = eigvecs[:, : m_e - n_sources]  # ascending eigenvalues
 
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    offsets = np.arange(m_e) - (m_e - 1) / 2.0
-    steering = np.exp(2j * np.pi / wavelength * d_e * offsets[:, None] * grid[None, :])
+    grid, steering = _steering(m_e, d_e, wavelength, grid_points)
     denom = np.sum(np.abs(noise_basis.conj().T @ steering) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, _SPECTRUM_EPS)
 

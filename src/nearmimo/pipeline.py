@@ -151,6 +151,24 @@ def _effective_noise_var(record: ReceptionRecord) -> float:
     return _NOISELESS_SBL_FLOOR * float(np.mean(np.abs(y) ** 2))
 
 
+def _tile_operators(combiner: CombinerDesign, matrix: np.ndarray, scale: float):
+    """Yield ``(i, scale * combiner.apply_tile(i, matrix), column norms)`` per tile.
+
+    A tile whose chain blocks equal the previous tile's reuses that
+    operator and its norms, so the designed combiner, whose tiles share
+    one block set, forms one operator per call.  Operators are formed
+    lazily, one at a time, so a combiner with distinct blocks per tile
+    never holds more than the current tile's.
+    """
+    blocks = a_bar = norms = None
+    for i in range(combiner.tiling.num_tiles):
+        if blocks is None or not np.array_equal(combiner.chain_blocks[i], blocks):
+            blocks = combiner.chain_blocks[i]
+            a_bar = scale * combiner.apply_tile(i, matrix)
+            norms = np.linalg.norm(a_bar, axis=0)
+        yield i, a_bar, norms
+
+
 def stage1(
     record: ReceptionRecord,
     dictionary: AngularDictionary,
@@ -159,7 +177,8 @@ def stage1(
     """Per-subarray sparse recovery over the angular dictionary.
 
     Expects the single-block uniform-precoder record; returns the sparse
-    solutions and the reconstructed subarray channels ``A x_hat``.
+    solutions and the reconstructed subarray channels ``A x_hat``.  Tiles
+    with equal chain blocks share one operator and its column norms.
     """
     if record.precoder.kind != "uniform" or record.num_blocks != 1:
         raise ValueError("stage 1 runs on the single-block uniform-precoder record")
@@ -170,10 +189,8 @@ def stage1(
     max_atoms = max(options.stage1_max_atoms, options.l_assumed + 1)
     solutions = []
     channels = []
-    for i in range(combiner.tiling.num_tiles):
-        y_i = y[combiner.tile_rows(i)]
-        a_bar = scale * combiner.apply_tile(i, dictionary.matrix)
-        problem = SparseProblem(a_bar, y_i)
+    for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
+        problem = SparseProblem(a_bar, y[combiner.tile_rows(i)], column_norms=norms)
         if options.stage1_solver == "omp":
             sol = omp(problem, max_atoms=max_atoms, residual_tol=options.omp_residual_tol)
         elif options.stage1_solver == "sbl":
@@ -359,6 +376,8 @@ def baseline_antenna_wise(
     channel is recovered independently with OMP and the estimate is
     assembled column by column.  With ``per_subarray=True`` the
     dictionary is applied tile by tile instead of to the whole array.
+    The N problems of one operator share its column norms, and tiles
+    with equal chain blocks share one operator.
     """
     n = scene.ue.size
     if precoder.kind != "dft" or precoder.num_blocks != n:
@@ -372,18 +391,19 @@ def baseline_antenna_wise(
     m = scene.bs.size
     h_hat = np.zeros((m, n), dtype=complex)
     if per_subarray:
-        for i in range(combiner.tiling.num_tiles):
+        for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
             tile = combiner.tiling.tiles[i]
-            a_bar = scale * combiner.apply_tile(i, dictionary.matrix)
             rows = combiner.tile_rows(i)
             for col in range(n):
-                sol = omp(SparseProblem(a_bar, per_antenna[rows, col]),
+                sol = omp(SparseProblem(a_bar, per_antenna[rows, col], column_norms=norms),
                           max_atoms=max_atoms, residual_tol=1e-3)
                 h_hat[tile.antenna_indices, col] = dictionary.matrix @ sol.coefficients
     else:
-        a_bar = scale * combiner.apply(dictionary.matrix)
+        a_bar = combiner.apply(dictionary.matrix)
+        a_bar *= scale  # in place: no second full-array-sized copy
+        norms = np.linalg.norm(a_bar, axis=0)
         for col in range(n):
-            sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
+            sol = omp(SparseProblem(a_bar, per_antenna[:, col], column_norms=norms),
                       max_atoms=max_atoms, residual_tol=1e-3)
             h_hat[:, col] = dictionary.matrix @ sol.coefficients
     return h_hat

@@ -1,10 +1,13 @@
 """Generic sparse recovery: orthogonal matching pursuit and SBL.
 
 Both solvers operate on a :class:`SparseProblem` holding a complex
-sensing matrix ``A`` (P x Q) and observation ``y`` (P).  OMP greedily
-selects atoms by normalized correlation with the residual and refits by
-least squares.  SBL places independent CN(0, gamma_q) priors on the
-coefficients and learns the prior variances from the posterior:
+sensing matrix ``A`` (P x Q), observation ``y`` (P) and the column norms
+of ``A``, computed once when the problem is built (or passed in by a
+caller that poses many problems on one matrix).  OMP greedily selects
+atoms by normalized correlation with the residual, dividing by those
+stored norms, and refits by least squares.  SBL places independent
+CN(0, gamma_q) priors on the coefficients and learns the prior variances
+from the posterior:
 
     E-step:  Sigma = (A^H A / sigma^2 + Gamma^-1)^-1
              mu    = Sigma A^H y / sigma^2
@@ -48,11 +51,17 @@ class SparseProblem:
     observation : ndarray, shape (P,)
     noise_var : float, optional
         Known noise variance; used by SBL when not passed explicitly.
+    column_norms : ndarray, shape (Q,), optional
+        ``np.linalg.norm(sensing_matrix, axis=0)``, computed here when
+        omitted.  A caller that poses many problems on one matrix passes
+        them once computed; they are checked for shape and zeros, not
+        recomputed.  OMP divides its correlations by them.
     """
 
     sensing_matrix: np.ndarray
     observation: np.ndarray
     noise_var: float | None = None
+    column_norms: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.sensing_matrix)
@@ -63,11 +72,19 @@ class SparseProblem:
             raise ValueError(
                 f"observation length {y.shape[0]} != matrix rows {a.shape[0]}"
             )
-        norms = np.linalg.norm(a, axis=0)
+        if self.column_norms is None:
+            norms = np.linalg.norm(a, axis=0)
+        else:
+            norms = np.asarray(self.column_norms)
+            if norms.shape != (a.shape[1],):
+                raise ValueError(
+                    f"column norms shape {norms.shape} != ({a.shape[1]},)"
+                )
         if np.any(norms == 0):
             raise ValueError("sensing matrix contains an all-zero column")
         object.__setattr__(self, "sensing_matrix", a)
         object.__setattr__(self, "observation", y)
+        object.__setattr__(self, "column_norms", norms)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,7 +145,8 @@ def omp(
     """Orthogonal matching pursuit with normalized-correlation selection.
 
     Atoms are scored by ``|a_q^H r| / ||a_q||`` against the current
-    residual (columns may carry unequal physical amplitudes), ties break
+    residual (columns may carry unequal physical amplitudes; the norms
+    are the problem's stored ``column_norms``), ties break
     toward the lowest index, and the coefficients are refit by least
     squares on the accumulated support after every selection.
 
@@ -150,7 +168,6 @@ def omp(
     if max_atoms is not None and not (1 <= max_atoms <= min(p, q)):
         raise ValueError(f"max_atoms must be in [1, min(P, Q)], got {max_atoms}")
 
-    norms = np.linalg.norm(a, axis=0)
     y_norm = np.linalg.norm(y)
     x = np.zeros(q, dtype=complex)
     if y_norm == 0:
@@ -165,7 +182,7 @@ def omp(
     converged = residual_tol is not None and 1.0 <= residual_tol
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
-        scores = np.abs(residual.conj() @ a) / norms
+        scores = np.abs(residual.conj() @ a) / problem.column_norms
         support.append(int(np.argmax(scores)))
         basis = a[:, support]
         coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)

@@ -3,6 +3,7 @@ import pytest
 
 from nearmimo.channel import far_field_steering, planar_far_field_steering
 from nearmimo.doa import (
+    _steering,
     dump_spectrum,
     extract_axis_factors,
     music_1d,
@@ -136,3 +137,53 @@ class TestMusic1d:
         data = np.loadtxt(out)
         assert data.shape == (64, 2)
         np.testing.assert_allclose(data[:, 0], spec.grid)
+
+
+class TestSteeringMemo:
+    @staticmethod
+    def fresh_spectrum(c, m_e, d_e, grid_points):
+        """Grid and pseudo-spectrum with the steering matrix built afresh."""
+        _w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+        grid = np.linspace(-1.0, 1.0, grid_points)
+        offsets = np.arange(m_e) - (m_e - 1) / 2.0
+        steering = np.exp(2j * np.pi / WAVELENGTH * d_e * offsets[:, None] * grid[None, :])
+        denom = np.sum(np.abs(v[:, : m_e - 1].conj().T @ steering) ** 2, axis=0)
+        return grid, 1.0 / np.maximum(denom, 1e-300)
+
+    def test_memoized_arrays_are_read_only(self):
+        grid, steering = _steering(8, HALF, WAVELENGTH, 256)
+        assert not grid.flags.writeable and not steering.flags.writeable
+        with pytest.raises(ValueError):
+            steering[0, 0] = 0.0
+        spec = music_1d(np.eye(8, dtype=complex), 8, HALF, WAVELENGTH, grid_points=256)
+        assert spec.grid is grid
+        with pytest.raises(ValueError):
+            spec.grid[0] = 0.0
+
+    def test_spectrum_matches_fresh_steering(self):
+        a = far_field_steering(8, HALF, 0.3, WAVELENGTH)
+        c = np.outer(a, a.conj())
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            spec = music_1d(c, 8, HALF, WAVELENGTH, grid_points=512)
+            grid, values = self.fresh_spectrum(c, 8, HALF, 512)
+            np.testing.assert_array_equal(spec.grid, grid)
+            np.testing.assert_array_equal(spec.values, values)
+
+    @pytest.mark.parametrize("m_v, d_v", [(4, 0.6 * WAVELENGTH), (6, HALF)])
+    def test_tile_axes_do_not_share_an_entry(self, m_v, d_v):
+        # a 4 x m_v tile whose vertical axis differs from the horizontal
+        # one in spacing or in count
+        m_h, d_h = 4, HALF
+        rng = np.random.default_rng(5)
+        h = planar_far_field_steering(m_h, m_v, d_h, d_v, *rng.uniform(-0.5, 0.5, 2),
+                                      WAVELENGTH)
+        c_h, c_v = extract_axis_factors(subarray_covariance(h), m_h, m_v)
+        _steering.cache_clear()
+        for cov, m_e, d_e in ((c_h, m_h, d_h), (c_v, m_v, d_v)):
+            spec = music_1d(cov, m_e, d_e, WAVELENGTH, grid_points=128)
+            np.testing.assert_array_equal(
+                spec.values, self.fresh_spectrum(cov.matrix, m_e, d_e, 128)[1])
+        assert _steering.cache_info().currsize == 2
+        hor = _steering(m_h, d_h, WAVELENGTH, 128)[1]
+        ver = _steering(m_v, d_v, WAVELENGTH, 128)[1]
+        assert hor is not ver and not np.array_equal(hor, ver[:m_h])

@@ -19,7 +19,14 @@ from nearmimo.pipeline import (
     stage2,
     stage3,
 )
-from nearmimo.sensing import design_combiner, design_precoder_dft, uniform_precoder
+from nearmimo.sensing import (
+    CombinerDesign,
+    design_combiner,
+    design_precoder_dft,
+    random_combiner,
+    uniform_precoder,
+)
+from nearmimo.solvers import SparseProblem, omp
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -136,6 +143,78 @@ class TestStage1:
         assert per_tile_scan == 6 * 16 * 64 ** 2
         total = tiling.num_tiles * per_tile_scan
         assert total == 8 * 6 * 16 * 64 ** 2
+
+
+class TestSharedTileOperator:
+    """Tiles with equal chain blocks share one operator within a call.
+
+    The references form every tile's ``scale * apply_tile(i, D)`` and its
+    problem separately, without passed norms.
+    """
+
+    @pytest.fixture(params=["designed", "random"])
+    def case(self, request, desk):
+        if request.param == "designed":
+            comb, expected = desk["combiner"], 1
+        else:
+            comb = random_combiner(4, desk["tiling"], m_rf_per_tile=8, seed=3)
+            expected = desk["tiling"].num_tiles
+        scene = desk["scene"].with_noise_var(0.01)
+        return comb, expected, scene, desk["real"], desk["dictionary"]
+
+    @staticmethod
+    def count_operators(monkeypatch, matrix) -> list:
+        """Record the tiles whose ``apply_tile`` input is ``matrix`` itself."""
+        formed = []
+        original = CombinerDesign.apply_tile
+
+        def counting(self, i, x):
+            if x is matrix:
+                formed.append(i)
+            return original(self, i, x)
+
+        monkeypatch.setattr(CombinerDesign, "apply_tile", counting)
+        return formed
+
+    def test_stage1_forms_one_operator_per_block_set(self, case, monkeypatch):
+        comb, expected, scene, real, d = case
+        rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=7)
+        options = StageOptions()
+        formed = self.count_operators(monkeypatch, d.matrix)
+        sols, channels = stage1(rec, d, options)
+        assert len(formed) == expected
+        monkeypatch.undo()
+
+        scale = np.sqrt(rec.power / 2)
+        y = rec.observations[:, 0]
+        for i in range(comb.tiling.num_tiles):
+            a_bar = scale * comb.apply_tile(i, d.matrix)
+            ref = omp(SparseProblem(a_bar, y[comb.tile_rows(i)]),
+                      max_atoms=options.stage1_max_atoms,
+                      residual_tol=options.omp_residual_tol)
+            np.testing.assert_array_equal(sols[i].coefficients, ref.coefficients)
+            np.testing.assert_array_equal(channels[i], d.matrix @ ref.coefficients)
+
+    def test_per_subarray_baseline_forms_one_operator_per_block_set(self, case, monkeypatch):
+        comb, expected, scene, real, d = case
+        n = scene.ue.size
+        precoder = design_precoder_dft(n)
+        formed = self.count_operators(monkeypatch, d.matrix)
+        h_hat = baseline_antenna_wise(scene, real, comb, d, precoder, seed=7,
+                                      per_subarray=True)
+        assert len(formed) == expected
+        monkeypatch.undo()
+
+        rec = simulate_reception(scene, real, comb, precoder, seed=7, power=scene.power / n)
+        per_antenna = rec.observations @ precoder.w.conj().T
+        ref = np.zeros_like(h_hat)
+        for i, tile in enumerate(comb.tiling.tiles):
+            a_bar = np.sqrt(rec.power) * comb.apply_tile(i, d.matrix)
+            for col in range(n):
+                sol = omp(SparseProblem(a_bar, per_antenna[comb.tile_rows(i), col]),
+                          max_atoms=3, residual_tol=1e-3)
+                ref[tile.antenna_indices, col] = d.matrix @ sol.coefficients
+        np.testing.assert_array_equal(h_hat, ref)
 
 
 class TestStage2:

@@ -47,6 +47,47 @@ class TestProblemValidation:
             SparseProblem(sensing_matrix=np.ones((3, 2)), observation=np.ones(4))
 
 
+class TestColumnNorms:
+    def test_stored_norms_match_numpy(self):
+        problem, _x, _s = _random_problem(np.random.default_rng(11), 12, 30)
+        np.testing.assert_array_equal(
+            problem.column_norms, np.linalg.norm(problem.sensing_matrix, axis=0)
+        )
+
+    @pytest.mark.parametrize("norms", [np.ones(29), np.ones((30, 1)), np.ones(31)])
+    def test_rejects_passed_norms_of_wrong_shape(self, norms):
+        a = np.ones((12, 30), dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            SparseProblem(a, np.ones(12), column_norms=norms)
+
+    def test_rejects_passed_norms_with_a_zero(self):
+        norms = np.ones(30)
+        norms[7] = 0.0
+        with pytest.raises(ValueError, match="zero"):
+            SparseProblem(np.ones((12, 30), dtype=complex), np.ones(12), column_norms=norms)
+
+    def test_omp_identical_with_passed_norms(self):
+        problem, _x, _s = _random_problem(np.random.default_rng(12), 16, 40, sparsity=3, sigma=0.05)
+        a, y = problem.sensing_matrix, problem.observation
+        passed = SparseProblem(a, y, column_norms=np.linalg.norm(a, axis=0))
+        ref = omp(problem, max_atoms=5)
+        sol = omp(passed, max_atoms=5)
+        np.testing.assert_array_equal(sol.coefficients, ref.coefficients)
+        np.testing.assert_array_equal(sol.support, ref.support)
+        assert sol.residual_history == ref.residual_history
+
+    def test_omp_scores_with_the_stored_norms(self):
+        # a tiny stored norm inflates that atom's score, so OMP picks it
+        # first: the norms are read from the problem, not recomputed
+        problem, _x, support = _random_problem(np.random.default_rng(13), 16, 40)
+        a, y = problem.sensing_matrix, problem.observation
+        decoy = next(q for q in range(40) if q not in support)
+        norms = np.linalg.norm(a, axis=0)
+        norms[decoy] = 1e-12
+        sol = omp(SparseProblem(a, y, column_norms=norms), max_atoms=1)
+        assert sol.support[0] == decoy
+
+
 class TestOmp:
     def test_identity_dictionary(self):
         problem = SparseProblem(np.eye(3, dtype=complex), np.array([0.0, 2.0, 0.0]))
