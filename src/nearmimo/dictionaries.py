@@ -8,6 +8,9 @@ Three families:
   candidate user-center positions,
 * spherical (baseline): full-array spherical steering vectors over a
   joint angle/distance grid.
+
+One kernel, ``channel._spherical_wave``, builds the location and spherical
+atoms; full-array atoms are unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import far_field_steering, los_channel, near_field_steering
+from .channel import _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
 from .geometry import ArrayGeometry, build_ula
 
@@ -33,6 +36,7 @@ class AngularDictionary:
     """
 
     matrix: np.ndarray
+    column_norms: np.ndarray
     cosines: np.ndarray
     z: int
     m_ih: int
@@ -69,6 +73,7 @@ class SphericalDictionary:
     """Near-field steering atoms over joint (cosine, cosine, distance) grid."""
 
     matrix: np.ndarray
+    column_norms: np.ndarray
     cosines: np.ndarray
     distances: np.ndarray
     entries: np.ndarray  # (num_atoms, 3) rows of (ky, kz, r)
@@ -89,8 +94,8 @@ def build_angular(
     a_h = np.column_stack([far_field_steering(m_ih, d_h, c, wavelength) for c in g])
     a_v = np.column_stack([far_field_steering(m_iv, d_v, c, wavelength) for c in g])
     return AngularDictionary(
-        matrix=np.kron(a_h, a_v), cosines=g, z=z,
-        m_ih=m_ih, m_iv=m_iv, d_h=d_h, d_v=d_v, wavelength=wavelength,
+        matrix=np.kron(a_h, a_v), column_norms=np.full(z * z, np.sqrt(m_ih * m_iv)),
+        cosines=g, z=z, m_ih=m_ih, m_iv=m_iv, d_h=d_h, d_v=d_v, wavelength=wavelength,
     )
 
 
@@ -124,13 +129,14 @@ def build_location(
     gx = np.maximum(_axis_grid(center[0], dx, s_x, "x"), MIN_GRID_X)
     gy = _axis_grid(center[1], dy, s_y, "y")
     gz = _axis_grid(center[2], dz, s_z, "z")
-    points = np.array([(x, y, zz) for x in gx for y in gy for zz in gz])
-    cols = np.empty((bs.size * ue_template.size, len(points)), dtype=complex)
-    for s, p in enumerate(points):
-        ue = build_ula(ue_template.m_h, ue_template.d_h, p, ue_template.axis)
-        cols[:, s] = los_channel(bs, ue, wavelength).ravel(order="F")
+    points = np.stack(np.meshgrid(gx, gy, gz, indexing="ij"), axis=-1).reshape(-1, 3)
+    # user antenna n sits at p + offsets[n]; its rows of vec(H) are block n
+    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3), ue_template.axis)
+    cols = np.empty((ue_template.size, bs.size, len(points)), dtype=complex)
+    for n, offset in enumerate(offsets.positions):
+        _spherical_wave(bs.positions, points + offset, wavelength, cols[n], divide=True)
     return LocationDictionary(
-        matrix=cols, points=points, center=center,
+        matrix=cols.reshape(-1, len(points)), points=points, center=center,
         half_widths=(dx, dy, dz), counts=(s_x, s_y, s_z),
     )
 
@@ -148,21 +154,17 @@ def build_spherical_baseline(
     if angle_grid < 1 or rings.size == 0:
         raise ValueError("need a non-empty angle and distance grid")
     g = cosine_grid(angle_grid) if angle_grid > 1 else np.array([0.0])
-    entries = []
-    cols = []
+    directions = []
     for ky in g:
         for kz in g:
             kx = np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz))
-            direction = np.array([kx, ky, kz])
-            norm = np.linalg.norm(direction)
-            direction = direction / norm
-            for r in rings:
-                pos = bs.center + r * direction
-                cols.append(near_field_steering(bs, pos, wavelength))
-                entries.append((ky, kz, r))
+            directions.append(np.array([kx, ky, kz]) / np.linalg.norm([kx, ky, kz]))
+    points = (bs.center + np.array(directions)[:, None] * rings[:, None]).reshape(-1, 3)
+    matrix = _spherical_wave(bs.positions, points, wavelength)
     return SphericalDictionary(
-        matrix=np.column_stack(cols), cosines=g, distances=rings,
-        entries=np.array(entries),
+        matrix=matrix, column_norms=np.full(len(points), np.sqrt(bs.size)),
+        cosines=g, distances=rings,
+        entries=np.stack(np.meshgrid(g, g, rings, indexing="ij"), axis=-1).reshape(-1, 3),
     )
 
 

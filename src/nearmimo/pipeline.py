@@ -203,6 +203,8 @@ def stage1(
         else:
             raise ValueError(f"unknown stage-1 solver {options.stage1_solver!r}")
         solutions.append(sol)
+        # the dense product, not the support-only one: stage 2's MUSIC and
+        # stage-3 SBL amplify its rounding into visibly different rows
         channels.append(dictionary.matrix @ sol.coefficients)
     return solutions, channels
 
@@ -374,10 +376,11 @@ def baseline_antenna_wise(
     ``p/N`` so the total pilot energy matches the single-block schemes.
     Right-multiplying by W^H separates the user antennas; each SIMO
     channel is recovered independently with OMP and the estimate is
-    assembled column by column.  With ``per_subarray=True`` the
-    dictionary is applied tile by tile instead of to the whole array.
-    The N problems of one operator share its column norms, and tiles
-    with equal chain blocks share one operator.
+    assembled column by column from the atoms on its support.  The
+    full-array variant needs ``V^H V = I`` (else ``ValueError``) and runs
+    OMP on the dictionary against ``V^H y / sqrt(p)``, as if on the never
+    formed ``sqrt(p) V D``.  With ``per_subarray=True`` OMP runs tile by
+    tile; tiles with equal chain blocks share one operator.
     """
     n = scene.ue.size
     if precoder.kind != "dft" or precoder.num_blocks != n:
@@ -390,22 +393,27 @@ def baseline_antenna_wise(
     max_atoms = l_assumed + 1
     m = scene.bs.size
     h_hat = np.zeros((m, n), dtype=complex)
+    d = dictionary.matrix
     if per_subarray:
-        for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
-            tile = combiner.tiling.tiles[i]
+        for i, a_bar, norms in _tile_operators(combiner, d, scale):
+            antennas = combiner.tiling.tiles[i].antenna_indices
             rows = combiner.tile_rows(i)
             for col in range(n):
                 sol = omp(SparseProblem(a_bar, per_antenna[rows, col], column_norms=norms),
                           max_atoms=max_atoms, residual_tol=1e-3)
-                h_hat[tile.antenna_indices, col] = dictionary.matrix @ sol.coefficients
+                h_hat[antennas, col] = d[:, sol.support] @ sol.coefficients[sol.support]
     else:
-        a_bar = combiner.apply(dictionary.matrix)
-        a_bar *= scale  # in place: no second full-array-sized copy
-        norms = np.linalg.norm(a_bar, axis=0)
+        combiner.verify_blocks()  # InfeasibleDesignError is a ValueError
+        z = combiner.adjoint(per_antenna)
+        # ||y - sVDx||² = ||z - sDx||² + ||y - Vz||²: the stop rule's residual
+        # keeps the energy outside V's range, which a tall V (T > M_s) leaves
+        y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
+        outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
+        tols = np.sqrt(np.maximum((1e-3 * y_norm) ** 2 - outside ** 2, 0)) / z_norm
         for col in range(n):
-            sol = omp(SparseProblem(a_bar, per_antenna[:, col], column_norms=norms),
-                      max_atoms=max_atoms, residual_tol=1e-3)
-            h_hat[:, col] = dictionary.matrix @ sol.coefficients
+            sol = omp(SparseProblem(d, z[:, col] / scale, column_norms=dictionary.column_norms),
+                      max_atoms=max_atoms, residual_tol=tols[col])
+            h_hat[:, col] = d[:, sol.support] @ sol.coefficients[sol.support]
     return h_hat
 
 

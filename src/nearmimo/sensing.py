@@ -35,7 +35,8 @@ class CombinerDesign:
     in slot t that chain combines tile antennas ``m*M_s .. (m+1)*M_s - 1``
     (within-tile order) with weights ``chain_blocks[i, m, t]``.  Outputs
     are ordered ``t*M_RF + i*M_rf_i + m``; a tile's own outputs
-    (``apply_tile``) are ordered ``t*M_rf_i + m``.
+    (``apply_tile``) are ordered ``t*M_rf_i + m``.  ``apply`` (``V x``)
+    and ``adjoint`` (``V^H z``) never form ``V``.
     """
 
     tiling: SubarrayTiling
@@ -91,6 +92,16 @@ class CombinerDesign:
             out[:, i] = self.apply_tile(i, x[..., tile.antenna_indices, :]).reshape(
                 self.t_slots, self.m_rf_per_tile, k)
         return out.reshape(-1, k)
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """``V^H z`` for a (T*M_RF, K) input, in O(T*M*K); returns (M, K)."""
+        k = z.shape[-1]
+        per_chain = z.reshape(self.t_slots, self.tiling.num_tiles, self.m_rf_per_tile, k)
+        out = np.empty((self.num_antennas, k), dtype=np.result_type(z, self.chain_blocks))
+        for i, tile in enumerate(self.tiling.tiles):  # chain m's antennas get F^H z_m
+            blocks_h = self.chain_blocks[i].conj().swapaxes(-1, -2)  # (M_rf_i, M_s, T)
+            out[tile.antenna_indices] = (blocks_h @ per_chain[:, i].swapaxes(0, 1)).reshape(-1, k)
+        return out
 
     def matrix(self) -> np.ndarray:
         """The dense (T*M_RF) x M combiner ``V``, for checks only."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DivergenceError, NumericalRankError
 
@@ -204,6 +203,7 @@ def omp(
 
 def _log_evidence_from_chol(chol_c, y) -> float:
     """Log CN(y; 0, C) evidence from a Cholesky factor of C."""
+    import scipy.linalg
     p = y.shape[0]
     half = scipy.linalg.solve_triangular(chol_c, y, lower=True)
     logdet = 2.0 * np.sum(np.log(np.real(np.diag(chol_c))))
@@ -270,6 +270,7 @@ def sbl_em(
     DivergenceError
         If an iterate turns non-finite; carries the iteration index.
     """
+    import scipy.linalg  # loaded on first use: a sweep pool's parent never needs it
     if update not in ("em", "fixed-point"):
         raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'fixed-point'")
     if sigma2 is None:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nearmimo.channel import los_channel, planar_far_field_steering
+from nearmimo.channel import los_channel, near_field_steering, planar_far_field_steering
 from nearmimo.dictionaries import (
     build_angular,
     build_location,
@@ -11,6 +13,7 @@ from nearmimo.dictionaries import (
 )
 from nearmimo.errors import DegenerateGridError
 from nearmimo.geometry import build_ula, build_upa
+from nearmimo.harness import desk_profile
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -138,3 +141,123 @@ class TestSpherical:
     def test_reciprocal_rings(self):
         rings = reciprocal_distance_rings(5.0, 25.0, 4)
         np.testing.assert_allclose(1.0 / rings, np.linspace(0.2, 0.04, 4))
+
+
+def los_reference(bs, ue):
+    """The LoS channel as one array expression over all antenna pairs."""
+    diff = bs.positions[:, None, :] - ue.positions[None, :, :]
+    d0, d1, d2 = diff[..., 0], diff[..., 1], diff[..., 2]
+    r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    return np.exp(-2j * np.pi * r / WAVELENGTH) / r
+
+
+def steering_reference(bs, pos):
+    """The steering vector with its distances from ``np.linalg.norm``."""
+    r = np.linalg.norm(bs.positions - pos, axis=1)
+    return np.exp(-2j * np.pi * r / WAVELENGTH)
+
+
+def location_reference(center, half_widths, counts, bs, ue):
+    """``build_location``'s matrix, one ``build_ula`` and LoS channel per atom."""
+    axes = []
+    for c, w, k in zip(center, half_widths, counts):
+        axes.append(np.array([c]) if k == 1 else np.linspace(c - w, c + w, k))
+    axes[0] = np.maximum(axes[0], 0.1)
+    cols = []
+    for x in axes[0]:
+        for y in axes[1]:
+            for z in axes[2]:
+                moved = build_ula(ue.m_h, ue.d_h, (x, y, z), ue.axis)
+                cols.append(los_reference(bs, moved).ravel(order="F"))
+    return np.column_stack(cols)
+
+
+def spherical_reference(bs, angle_grid, rings):
+    """``build_spherical_baseline``'s matrix, one steering vector per atom."""
+    g = cosine_grid(angle_grid) if angle_grid > 1 else np.array([0.0])
+    cols = []
+    for ky in g:
+        for kz in g:
+            direction = np.array([np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz)), ky, kz])
+            direction = direction / np.linalg.norm(direction)
+            for r in rings:
+                cols.append(steering_reference(bs, bs.center + r * direction))
+    return np.column_stack(cols)
+
+
+# antenna counts that the kernel's row blocks do not divide (35 = 27 + 8,
+# 150 = 16 * 9 + 6 rows), odd atom counts and count-1 grid axes
+LOCATION_CASES = [
+    ((5, 7), 2, (4.0, 0.5, -1.0), (0.2, 0.2, 0.02), (5, 5, 3)),
+    ((5, 7), 3, (6.0, -1.0, -1.0), (0.3, 0.0, 0.05), (3, 1, 5)),
+    ((10, 15), 2, (8.0, 1.0, -1.0), (0.2, 0.2, 0.02), (11, 11, 3)),
+    ((10, 15), 1, (0.12, 1.0, -1.0), (0.2, 0.2, 0.0), (7, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
+def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_widths, counts):
+    bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
+    ue = build_ula(n_ue, HALF, center, (0.3, 1.0, 0.2))
+    d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH)
+    np.testing.assert_array_equal(
+        d.matrix, location_reference(center, half_widths, counts, bs, ue))
+
+
+@pytest.mark.parametrize("shape,angle_grid,rings", [
+    ((5, 7), 7, [2.0, 3.5, 9.0]),
+    ((5, 7), 1, [4.0]),
+    ((10, 15), 6, [1.5, 8.0]),
+    ((4, 1), 5, [3.0, 6.0, 12.0]),
+])
+def test_spherical_bit_identical_to_per_atom_loop(shape, angle_grid, rings):
+    bs = build_upa(*shape, HALF, HALF, (0.5, -0.2, 1.0))
+    d = build_spherical_baseline(bs, angle_grid, rings, WAVELENGTH)
+    np.testing.assert_array_equal(d.matrix, spherical_reference(bs, angle_grid, rings))
+    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.matrix, axis=0),
+                               rtol=1e-14)
+
+
+def test_channel_helpers_bit_identical_to_one_expression():
+    bs = build_upa(10, 15, HALF, HALF, (0, 0, 0))
+    ue = build_ula(4, HALF, (6.0, 1.0, -1.0), (0.2, 1.0, 0.0))
+    np.testing.assert_array_equal(los_channel(bs, ue, WAVELENGTH), los_reference(bs, ue))
+    for pos in ([3.0, -2.0, 0.5], [12.0, 4.0, -3.0]):
+        np.testing.assert_array_equal(
+            near_field_steering(bs, pos, WAVELENGTH), steering_reference(bs, np.array(pos)))
+
+
+def test_angular_column_norms_match_matrix():
+    d = build_angular(6, 10, HALF, HALF, WAVELENGTH, 16)
+    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.matrix, axis=0),
+                               rtol=1e-14)
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_desk_builds_peak_near_their_output():
+    # the temporaries are bounded blocks, not a copy of the whole grid
+    cfg = desk_profile()
+    d_h, d_v = cfg.spacings()
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))
+    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (4.0, 0.5, -1.0), cfg.ue_orientation)
+    r_min, r_max, count = cfg.spherical_rings
+    builds = {
+        "location": lambda: build_location(
+            (4.0, 0.5, -1.0), *cfg.grid_half_widths, *cfg.grid_counts, bs, ue,
+            cfg.wavelength),
+        "spherical": lambda: build_spherical_baseline(
+            bs, cfg.spherical_angle_grid,
+            reciprocal_distance_rings(r_min, r_max, int(count)), cfg.wavelength),
+    }
+    for name, build in builds.items():
+        d, peak = traced_peak(build)
+        assert peak <= 1.25 * d.matrix.nbytes, (name, peak / d.matrix.nbytes)

@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nearmimo.channel import PathParams, Scene, synthesize
-from nearmimo.dictionaries import build_angular
+from nearmimo.dictionaries import (
+    build_angular,
+    build_spherical_baseline,
+    reciprocal_distance_rings,
+)
 from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa, partition, wave_vector
 from nearmimo.localization import Ray, ls_intersect
@@ -213,7 +219,8 @@ class TestSharedTileOperator:
             for col in range(n):
                 sol = omp(SparseProblem(a_bar, per_antenna[comb.tile_rows(i), col]),
                           max_atoms=3, residual_tol=1e-3)
-                ref[tile.antenna_indices, col] = d.matrix @ sol.coefficients
+                ref[tile.antenna_indices, col] = \
+                    d.matrix[:, sol.support] @ sol.coefficients[sol.support]
         np.testing.assert_array_equal(h_hat, ref)
 
 
@@ -330,6 +337,75 @@ class TestThreeStage:
         nmse3 = np.linalg.norm(out.h_hat - h) ** 2 / np.linalg.norm(h) ** 2
         nmse1 = np.linalg.norm(h1 - h) ** 2 / np.linalg.norm(h) ** 2
         assert nmse3 < nmse1
+
+
+def explicit_operator_baseline(scene, real, comb, dictionary, precoder, seed, l_assumed=2):
+    """The full-array antenna-wise baseline on the formed operator ``sqrt(p) V D``."""
+    n = scene.ue.size
+    rec = simulate_reception(scene, real, comb, precoder, seed, power=scene.power / n)
+    per_antenna = rec.observations @ precoder.w.conj().T
+    a_bar = np.sqrt(rec.power) * comb.apply(dictionary.matrix)
+    h_hat = np.zeros((scene.bs.size, n), dtype=complex)
+    for col in range(n):
+        sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
+                  max_atoms=l_assumed + 1, residual_tol=1e-3)
+        h_hat[:, col] = dictionary.matrix @ sol.coefficients
+    return h_hat
+
+
+class TestFullArrayAntennaWise:
+    """The antenna-domain solve against the explicit-operator reference."""
+
+    @pytest.fixture(scope="class")
+    def dictionaries(self, desk):
+        bs = desk["bs"]
+        return {
+            "dft": build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, 32),
+            "spherical": build_spherical_baseline(
+                bs, 16, reciprocal_distance_rings(1.5, 8.0, 3), WAVELENGTH),
+        }
+
+    @pytest.mark.parametrize("kind", ["dft", "spherical"])
+    def test_matches_explicit_operator_with_noise(self, desk, dictionaries, kind):
+        scene = desk["scene"].with_noise_var(0.05)
+        precoder = design_precoder_dft(scene.ue.size)
+        d = dictionaries[kind]
+        for seed in (3, 4):
+            h_hat = baseline_antenna_wise(scene, desk["real"], desk["combiner"], d,
+                                          precoder, seed)
+            ref = explicit_operator_baseline(scene, desk["real"], desk["combiner"], d,
+                                             precoder, seed)
+            assert np.linalg.norm(h_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["dft", "spherical"])
+    def test_tall_combiner_noiseless(self, desk, dictionaries, kind):
+        comb = design_combiner(6, desk["tiling"], m_rf_per_tile=8)
+        assert comb.t_slots > comb.m_s
+        precoder = design_precoder_dft(desk["scene"].ue.size)
+        d = dictionaries[kind]
+        h_hat = baseline_antenna_wise(desk["scene"], desk["real"], comb, d, precoder, 0)
+        ref = explicit_operator_baseline(desk["scene"], desk["real"], comb, d, precoder, 0)
+        assert np.linalg.norm(h_hat - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["dft", "spherical"])
+    def test_tall_combiner_stop_rule_sees_noise_outside_range(self, desk, dictionaries, kind):
+        # on-grid atoms and noise near the 1e-3 stop threshold: whether OMP
+        # stops after the true atoms depends on the noise outside V's range
+        comb = design_combiner(6, desk["tiling"], m_rf_per_tile=8)
+        d = dictionaries[kind]
+        real = replace(desk["real"], h=d.matrix[:, [37, 301]] * np.array([1.0, 0.8j]))
+        scene = desk["scene"].with_noise_var(6e-7)
+        precoder = design_precoder_dft(scene.ue.size)
+        for seed in (0, 1, 2):
+            h_hat = baseline_antenna_wise(scene, real, comb, d, precoder, seed)
+            ref = explicit_operator_baseline(scene, real, comb, d, precoder, seed)
+            assert np.linalg.norm(h_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_random_combiner_rejected(self, desk, dictionaries):
+        comb = random_combiner(4, desk["tiling"], m_rf_per_tile=8, seed=1)
+        with pytest.raises(ValueError):
+            baseline_antenna_wise(desk["scene"], desk["real"], comb, dictionaries["dft"],
+                                  design_precoder_dft(2), seed=0)
 
 
 class TestBaselines:

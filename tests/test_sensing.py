@@ -200,6 +200,26 @@ class TestStructuredApply:
             np.testing.assert_allclose(
                 design.apply_tile(i, xs), expected, rtol=1e-12, atol=1e-12)
 
+    def test_adjoint_equals_conjugate_transpose(self, case):
+        design, (_slots, stacked, _tiles) = case
+        rng = np.random.default_rng(14)
+        z = rng.standard_normal((stacked.shape[0], 3)) \
+            + 1j * rng.standard_normal((stacked.shape[0], 3))
+        np.testing.assert_allclose(
+            design.adjoint(z), design.matrix().conj().T @ z, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("design", [
+    design_combiner(4, desk_tiling(), m_rf_per_tile=8),
+    design_combiner(6, desk_tiling(), m_rf_per_tile=8),  # tall: T > M_s
+    design_combiner(6, paper_tiling(), m_rf_per_tile=16),
+], ids=["desk", "desk-tall", "paper"])
+def test_adjoint_inverts_designed_apply(design):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((design.num_antennas, 4)) \
+        + 1j * rng.standard_normal((design.num_antennas, 4))
+    np.testing.assert_allclose(design.adjoint(design.apply(x)), x, rtol=0, atol=1e-12)
+
 
 class TestRandomCombiner:
     def test_entry_modulus(self):
