@@ -26,6 +26,7 @@ os.environ.update(single_thread_defaults())
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .dictionaries import (  # noqa: E402
@@ -59,8 +60,6 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = desk_profile()
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, base_seed=args.seed)
     return cfg
 
@@ -113,11 +112,6 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     method = {"proposed": "proposed-sbl"}.get(args.method, args.method)
-    if method not in cfg.methods:
-        from .harness import METHODS
-
-        if method not in METHODS:
-            raise ValueError(f"unknown method {args.method!r}")
     seed = args.seed if args.seed is not None else cfg.base_seed
     result = simulate_once(cfg, method, args.snr_db, seed,
                            include_timings=args.timings)
@@ -184,8 +178,8 @@ def _cmd_export_dict(args) -> int:
             box = cfg.user_box
             center = tuple((lo + hi) / 2 for lo, hi in box)
         ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
-        dx, dy, dz = cfg.grid_half_widths
-        sx, sy, sz = cfg.grid_counts
+        dx, dy, dz = cfg.stages.grid_half_widths
+        sx, sy, sz = cfg.stages.grid_counts
         d = build_location(center, dx, dy, dz, sx, sy, sz, bs, ue, cfg.wavelength)
         manifest = (
             f"kind location\ncenter {center[0]:.10g} {center[1]:.10g} {center[2]:.10g}\n"

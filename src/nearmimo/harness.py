@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, PathParams, Scene, synthesize
+from .channel import SPEED_OF_LIGHT, ChannelRealization, PathParams, Scene, synthesize
 from .dictionaries import (
     build_angular,
     build_spherical_baseline,
@@ -43,16 +43,103 @@ from .pipeline import (
 from .sensing import design_combiner, design_precoder_dft, random_combiner
 from .threads import single_thread_children
 
-METHODS = (
-    "proposed-sbl",
-    "proposed-omp3",
-    "stage1-only",
-    "antenna-wise-dft",
-    "antenna-wise-spherical",
-    "antenna-wise-subarray-dft",
-    "eigen-dictionary",
-    "random-combiner",
-)
+
+@dataclass(frozen=True)
+class TrialResult:
+    """One method's output on one trial.
+
+    ``location`` is the estimated user center, ``None`` for a method that
+    does not locate; ``timings`` holds per-stage wall times in seconds.
+    """
+
+    h_hat: np.ndarray
+    location: np.ndarray | None = None
+    timings: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict)
+
+
+class _Draw(NamedTuple):
+    """One cell's scene, noise variance set, and the seeds its method uses."""
+
+    scene: Scene
+    realization: ChannelRealization
+    noise_seed: int
+    extra_seed: int
+
+
+def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
+    out = run_three_stage(
+        draw.scene, draw.realization, combiner, ctx.tile_dictionary, draw.noise_seed,
+        ctx.config.stages, stage3_solver=stage3_solver,
+    )
+    detail = {
+        "location": {
+            "point": out.location.point.tolist(),
+            "residual": out.location.residual,
+            "condition": out.location.condition,
+        },
+        "directions": [None if d is None else d.tolist() for d in out.directions],
+        "stage1_supports": [s.support.tolist() for s in out.stage1],
+        "stage3_support_size": int(out.stage3.support.size),
+        "stage3_iterations": out.stage3.iterations,
+        "stage3_converged": bool(out.stage3.converged),
+    }
+    return TrialResult(out.h_hat, out.location.point, out.timings, detail)
+
+
+def _stage1(ctx, draw):
+    """The single-block uniform-precoder record, and stage 1's solutions and channels."""
+    record = simulate_reception(
+        draw.scene, draw.realization, ctx.combiner, uniform_precoder(ctx.config.n_ue),
+        draw.noise_seed,
+    )
+    return (record, *stage1(record, ctx.tile_dictionary, ctx.config.stages))
+
+
+def _stage1_only(ctx, draw) -> TrialResult:
+    _record, sols, channels = _stage1(ctx, draw)
+    h_hat = stage1_only_estimate(channels, ctx.tiling, ctx.config.n_ue)
+    return TrialResult(h_hat, detail={"stage1_supports": [s.support.tolist() for s in sols]})
+
+
+def _antenna_wise(ctx, draw, dictionary, per_subarray=False) -> TrialResult:
+    return TrialResult(baseline_antenna_wise(
+        draw.scene, draw.realization, ctx.combiner, dictionary, ctx.dft_precoder(),
+        draw.noise_seed, l_assumed=ctx.config.stages.l_assumed, per_subarray=per_subarray,
+    ))
+
+
+def _eigen_dictionary(ctx, draw) -> TrialResult:
+    record, _sols, channels = _stage1(ctx, draw)
+    scene = draw.scene
+    estimate, _dirs, _rays = stage2(channels, ctx.tiling, scene.wavelength, ctx.config.stages)
+    h_hat = baseline_eigen_dictionary(
+        record, estimate.point, scene.bs, scene.ue, scene.wavelength,
+        rank=ctx.config.eigen_rank,
+    )
+    return TrialResult(h_hat, estimate.point,
+                       detail={"location": {"point": estimate.point.tolist()}})
+
+
+# method name -> runner(ctx, draw) -> TrialResult.  Runners call the
+# pipeline through this module's globals when they run, never through a
+# reference taken here, so a rebound global (a tracer's wrapper) is seen.
+_RUNNERS = {
+    "proposed-sbl": lambda ctx, draw: _three_stage(ctx, draw, ctx.combiner),
+    "proposed-omp3": lambda ctx, draw: _three_stage(ctx, draw, ctx.combiner, "omp"),
+    "stage1-only": _stage1_only,
+    "antenna-wise-dft": lambda ctx, draw: _antenna_wise(
+        ctx, draw, ctx.full_array_dictionary()),
+    "antenna-wise-spherical": lambda ctx, draw: _antenna_wise(
+        ctx, draw, ctx.spherical_dictionary()),
+    "antenna-wise-subarray-dft": lambda ctx, draw: _antenna_wise(
+        ctx, draw, ctx.tile_dictionary, per_subarray=True),
+    "eigen-dictionary": _eigen_dictionary,
+    "random-combiner": lambda ctx, draw: _three_stage(ctx, draw, random_combiner(
+        ctx.config.t_slots, ctx.tiling, ctx.m_rf_per_tile, seed=draw.extra_seed)),
+}
+
+METHODS = tuple(_RUNNERS)
 
 CSV_COLUMNS = (
     "method", "snr_db", "trial", "seed", "nmse_db", "rmse_m",
@@ -64,12 +151,23 @@ AGGREGATE_COLUMNS = (
     "nmse_mean", "nmse_mean_db", "nmse_std", "rmse_m",
 )
 
+# the desk profile's stage knobs: a coarser stage-3 grid and a shorter SBL
+# run than the paper's, which StageOptions() keeps
+DESK_STAGES = StageOptions(
+    grid_half_widths=(0.4, 0.4, 0.05), grid_counts=(5, 5, 3),
+    sbl_max_iters=40, sbl_tol=1e-5,
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: geometry, scene statistics, solvers, sweep grid."""
+    """One experiment: geometry, scene statistics, solvers, sweep grid.
 
-    schema: int = 1
+    Its JSON layout is version ``schema``: the pipeline's knobs sit in
+    one ``stages`` object, whose missing keys take ``DESK_STAGES``.
+    """
+
+    schema = 2  # a class constant, not a field
     profile: str = "desk"
     carrier_freq_hz: float = 6.8e9
     bs_m_h: int = 12
@@ -80,7 +178,6 @@ class ExperimentConfig:
     tiles_v: int = 2
     t_slots: int = 6
     m_s: int = 6
-    m_rf: int | None = None  # informational; derived from m_s when None
     n_ue: int = 2
     ue_orientation: tuple[float, float, float] = (0.0, 1.0, 0.0)
     num_nlos: int = 2
@@ -89,17 +186,7 @@ class ExperimentConfig:
     user_box: tuple[tuple[float, float], ...] = ((2.0, 5.0), (-2.0, 2.0), (-1.0, -1.0))
     scatter_box: tuple[tuple[float, float], ...] = ((0.8, 4.0), (-2.5, 2.5), (-2.0, 0.0))
     z_grid: int = 32
-    l_assumed: int = 2
-    stage1_max_atoms: int = 6
-    stage1_solver: str = "omp"
-    stage3_omp_atoms: int = 1
-    omp_residual_tol: float = 1e-3
-    music_grid_points: int = 4096
-    grid_half_widths: tuple[float, float, float] = (0.4, 0.4, 0.05)
-    grid_counts: tuple[int, int, int] = (5, 5, 3)
-    sbl_max_iters: int = 40
-    sbl_tol: float = 1e-5
-    sbl_gamma_floor: float = 1e-4
+    stages: StageOptions = DESK_STAGES
     baseline_z_grid: int = 32
     spherical_angle_grid: int = 32
     spherical_rings: tuple[float, float, int] = (2.0, 10.0, 4)
@@ -127,21 +214,10 @@ class ExperimentConfig:
         m_i = (self.bs_m_h // self.tiles_h) * (self.bs_m_v // self.tiles_v)
         if self.m_s < 1 or m_i % self.m_s:
             raise ValueError(f"M_s={self.m_s} must divide the tile size {m_i}")
-        m = self.bs_m_h * self.bs_m_v
-        if self.m_rf is not None and self.m_rf * self.m_s != m:
-            warnings.warn(
-                f"inconsistent RF chain count: M_RF*M_s = {self.m_rf * self.m_s} != M = {m}; "
-                f"using M_RF = {m // self.m_s}",
-                stacklevel=2,
-            )
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
-
-    @property
-    def m_rf_effective(self) -> int:
-        return self.bs_m_h * self.bs_m_v // self.m_s
 
     def spacings(self) -> tuple[float, float]:
         if self.spacing == "aperture":
@@ -151,41 +227,22 @@ class ExperimentConfig:
             )
         return self.wavelength / 2, self.wavelength / 2
 
-    def stage_options(self) -> StageOptions:
-        return StageOptions(
-            l_assumed=self.l_assumed,
-            stage1_max_atoms=self.stage1_max_atoms,
-            stage1_solver=self.stage1_solver,
-            stage3_omp_atoms=self.stage3_omp_atoms,
-            omp_residual_tol=self.omp_residual_tol,
-            music_grid_points=self.music_grid_points,
-            grid_half_widths=self.grid_half_widths,
-            grid_counts=self.grid_counts,
-            sbl_max_iters=self.sbl_max_iters,
-            sbl_tol=self.sbl_tol,
-            sbl_gamma_floor=self.sbl_gamma_floor,
-        )
-
     def to_dict(self) -> dict:
-        def convert(v):
-            if isinstance(v, tuple):
-                return [convert(x) for x in v]
-            return v
-
-        return {k: convert(v) for k, v in asdict(self).items()}
+        return {"schema": self.schema, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        def to_tuple(v):
-            if isinstance(v, list):
-                return tuple(to_tuple(x) for x in v)
-            return v
-
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: to_tuple(v) for k, v in data.items()})
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
+        data = dict(data)
+        schema = data.pop("schema", None)
+        if schema != cls.schema:
+            raise ValueError(
+                f"config schema {schema!r} is not {cls.schema}; schema {cls.schema} "
+                f"keeps the stage knobs in a 'stages' object"
+            )
+        stages = _known_keys(StageOptions, data.pop("stages", {}), "stages")
+        return cls(**_known_keys(cls, data, "config"), stages=replace(DESK_STAGES, **stages))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -195,13 +252,26 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _known_keys(cls, data: dict, what: str) -> dict:
+    """``data`` with its lists as tuples; ``ValueError`` on a key ``cls`` lacks."""
+    def to_tuple(v):
+        return tuple(to_tuple(x) for x in v) if isinstance(v, list) else v
+
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return {k: to_tuple(v) for k, v in data.items()}
+
+
 def desk_profile(**overrides) -> ExperimentConfig:
     """Reduced geometry that sweeps quickly on a laptop."""
-    return replace(ExperimentConfig(), **overrides) if overrides else ExperimentConfig()
+    return ExperimentConfig(**overrides)
 
 
 def paper_profile(**overrides) -> ExperimentConfig:
-    """Full-scale geometry; slow, intended for overnight sweeps."""
+    """Full-scale geometry with the paper's stage knobs; for overnight sweeps."""
     cfg = ExperimentConfig(
         profile="paper",
         bs_m_h=16, bs_m_v=48, tiles_h=2, tiles_v=4,
@@ -210,14 +280,11 @@ def paper_profile(**overrides) -> ExperimentConfig:
         user_box=((5.0, 15.0), (-5.0, 5.0), (-1.0, -1.0)),
         scatter_box=((2.0, 12.0), (-5.0, 5.0), (-2.0, 0.0)),
         los_nlos_ratio_db=20.0,
-        grid_half_widths=(0.2, 0.2, 0.02),
-        grid_counts=(11, 11, 3),
-        sbl_max_iters=200,
-        sbl_tol=1e-6,
+        stages=StageOptions(),
         spherical_rings=(5.0, 25.0, 4),
         trials=200,
     )
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
@@ -393,7 +460,6 @@ class SweepContext:
         self.tile_dictionary = build_angular(
             tile.m_h, tile.m_v, tile.d_h, tile.d_v, config.wavelength, config.z_grid
         )
-        self.options = config.stage_options()
         self._lazy = {}
 
     def full_array_dictionary(self):
@@ -452,107 +518,41 @@ def noise_var_for_snr(config: ExperimentConfig, h: np.ndarray, snr_db: float) ->
     return config.power * float(np.linalg.norm(h, "fro") ** 2) / (m * n * snr)
 
 
-def run_trial(ctx: SweepContext, method: str, snr_db: float, trial: int) -> TrialRow:
-    """Run one (method, SNR, trial) cell; never raises on solver failure."""
+def _trial(ctx: SweepContext, method: str, snr_db: float, seed: int):
+    """Draw one scene from ``seed`` and run ``method`` on it.
+
+    Returns ``(draw, result, nmse, loc_error, status)``.  A
+    ``NearMimoError`` gives its class name as the status, NaN metrics and
+    an all-zero estimate; an unknown method raises ``ValueError``.
+    """
+    runner = _RUNNERS.get(method)
+    if runner is None:
+        raise ValueError(f"unknown method {method!r}")
     config = ctx.config
-    seed = derive_seed(config.base_seed, method, snr_db, trial)
-    children = np.random.SeedSequence(seed).spawn(4)
     scene_seed, chan_seed, noise_seed, extra_seed = (
-        int(c.generate_state(1)[0]) for c in children
+        int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(4)
     )
     scene = draw_scene(config, ctx.bs, scene_seed)
     realization = synthesize(scene, chan_seed)
     scene = scene.with_noise_var(noise_var_for_snr(config, realization.h, snr_db))
-    timings = {}
-    loc_error = float("nan")
+    draw = _Draw(scene, realization, noise_seed, extra_seed)
+    nan = float("nan")
     try:
-        h_hat, loc_error, timings, _detail = _dispatch_method(
-            ctx, method, scene, realization, noise_seed, extra_seed
-        )
-        value = nmse(h_hat, realization.h)
-        status = "ok"
+        result = runner(ctx, draw)
+        value = nmse(result.h_hat, realization.h)
     except NearMimoError as exc:
-        value = float("nan")
-        status = type(exc).__name__
-    return TrialRow(
-        method=method, snr_db=snr_db, trial=trial, seed=seed,
-        nmse=value, loc_error_m=loc_error,
-        t_stage1_ms=1e3 * timings.get("stage1", 0.0),
-        t_stage2_ms=1e3 * timings.get("stage2", 0.0),
-        t_stage3_ms=1e3 * timings.get("stage3", 0.0),
-        status=status,
-    )
+        return draw, TrialResult(np.zeros_like(realization.h)), nan, nan, type(exc).__name__
+    loc_error = nan if result.location is None else float(
+        np.linalg.norm(result.location - scene.ue.center))
+    return draw, result, value, loc_error, "ok"
 
 
-def _dispatch_method(ctx, method, scene, realization, noise_seed, extra_seed):
-    """Run one method; returns (h_hat, loc_error, timings, detail)."""
-    config = ctx.config
-    options = ctx.options
-    target = scene.ue.center
-    if method in ("proposed-sbl", "proposed-omp3", "random-combiner"):
-        combiner = ctx.combiner
-        if method == "random-combiner":
-            combiner = random_combiner(
-                config.t_slots, ctx.tiling, ctx.m_rf_per_tile, seed=extra_seed
-            )
-        opts = options if method != "proposed-omp3" else replace(options, stage3_solver="omp")
-        out = run_three_stage(
-            scene, realization, combiner, ctx.tile_dictionary, noise_seed, opts
-        )
-        loc_error = float(np.linalg.norm(out.location.point - target))
-        detail = {
-            "location": {
-                "point": out.location.point.tolist(),
-                "residual": out.location.residual,
-                "condition": out.location.condition,
-            },
-            "directions": [
-                None if d is None else d.tolist() for d in out.directions
-            ],
-            "stage1_supports": [s.support.tolist() for s in out.stage1],
-            "stage3_support_size": int(out.stage3.support.size),
-            "stage3_iterations": out.stage3.iterations,
-            "stage3_converged": bool(out.stage3.converged),
-        }
-        return out.h_hat, loc_error, out.timings, detail
-
-    if method == "stage1-only":
-        record = simulate_reception(
-            scene, realization, ctx.combiner, uniform_precoder(config.n_ue), noise_seed
-        )
-        sols, channels = stage1(record, ctx.tile_dictionary, options)
-        h_hat = stage1_only_estimate(channels, ctx.tiling, config.n_ue)
-        detail = {"stage1_supports": [s.support.tolist() for s in sols]}
-        return h_hat, float("nan"), {}, detail
-
-    if method in ("antenna-wise-dft", "antenna-wise-spherical", "antenna-wise-subarray-dft"):
-        if method == "antenna-wise-dft":
-            dictionary, per_subarray = ctx.full_array_dictionary(), False
-        elif method == "antenna-wise-spherical":
-            dictionary, per_subarray = ctx.spherical_dictionary(), False
-        else:
-            dictionary, per_subarray = ctx.tile_dictionary, True
-        h_hat = baseline_antenna_wise(
-            scene, realization, ctx.combiner, dictionary, ctx.dft_precoder(),
-            noise_seed, l_assumed=config.l_assumed, per_subarray=per_subarray,
-        )
-        return h_hat, float("nan"), {}, {}
-
-    if method == "eigen-dictionary":
-        record = simulate_reception(
-            scene, realization, ctx.combiner, uniform_precoder(config.n_ue), noise_seed
-        )
-        _sols, channels = stage1(record, ctx.tile_dictionary, options)
-        estimate, _dirs, _rays = stage2(channels, ctx.tiling, scene.wavelength, options)
-        h_hat = baseline_eigen_dictionary(
-            record, estimate.point, scene.bs, scene.ue, scene.wavelength,
-            rank=config.eigen_rank,
-        )
-        loc_error = float(np.linalg.norm(estimate.point - target))
-        detail = {"location": {"point": estimate.point.tolist()}}
-        return h_hat, loc_error, {}, detail
-
-    raise ValueError(f"unknown method {method!r}")
+def run_trial(ctx: SweepContext, method: str, snr_db: float, trial: int) -> TrialRow:
+    """Run one (method, SNR, trial) cell; never raises on solver failure."""
+    seed = derive_seed(ctx.config.base_seed, method, snr_db, trial)
+    _draw, result, value, loc_error, status = _trial(ctx, method, snr_db, seed)
+    stage_ms = (1e3 * result.timings.get(s, 0.0) for s in ("stage1", "stage2", "stage3"))
+    return TrialRow(method, snr_db, trial, seed, value, loc_error, *stage_ms, status)
 
 
 def simulate_once(
@@ -560,28 +560,7 @@ def simulate_once(
     include_timings: bool = False,
 ) -> dict:
     """Run one scene + one method; returns a JSON-able report and matrices."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    ctx = SweepContext(config)
-    children = np.random.SeedSequence(seed).spawn(4)
-    scene_seed, chan_seed, noise_seed, extra_seed = (
-        int(c.generate_state(1)[0]) for c in children
-    )
-    scene = draw_scene(config, ctx.bs, scene_seed)
-    realization = synthesize(scene, chan_seed)
-    scene = scene.with_noise_var(noise_var_for_snr(config, realization.h, snr_db))
-    h_true = realization.h
-    try:
-        h_hat, loc_error, timings, detail = _dispatch_method(
-            ctx, method, scene, realization, noise_seed, extra_seed
-        )
-        value = nmse(h_hat, h_true)
-        status = "ok"
-    except NearMimoError as exc:
-        h_hat = np.zeros_like(h_true)
-        loc_error, value = float("nan"), float("nan")
-        timings, detail = {}, {}
-        status = type(exc).__name__
+    draw, result, value, loc_error, status = _trial(SweepContext(config), method, snr_db, seed)
     report = {
         "method": method,
         "seed": seed,
@@ -591,14 +570,14 @@ def simulate_once(
             float(10 * np.log10(value)) if np.isfinite(value) and value > 0 else None
         ),
         "loc_error_m": loc_error if np.isfinite(loc_error) else None,
-        "true_center": scene.ue.center.tolist(),
+        "true_center": draw.scene.ue.center.tolist(),
         "timings_ms": {
-            k: (1e3 * v if include_timings else 0.0) for k, v in timings.items()
+            k: (1e3 * v if include_timings else 0.0) for k, v in result.timings.items()
         },
-        "detail": detail,
+        "detail": result.detail,
         "config": config.to_dict(),
     }
-    return {"report": report, "h_hat": h_hat, "h_true": h_true}
+    return {"report": report, "h_hat": result.h_hat, "h_true": draw.realization.h}
 
 
 def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:

@@ -75,7 +75,6 @@ class StageOptions:
     l_assumed: int = 2
     stage1_max_atoms: int = 6
     stage1_solver: str = "omp"
-    stage3_solver: str = "sbl"
     stage3_omp_atoms: int = 1  # the LoS-only dictionary model is 1-sparse
     omp_residual_tol: float = 1e-3
     music_grid_points: int = 4096
@@ -271,13 +270,14 @@ def stage3(
     ue_template: ArrayGeometry,
     wavelength: float,
     options: StageOptions = StageOptions(),
+    solver: str = "sbl",
 ) -> tuple[SparseSolution, np.ndarray, LocationDictionary]:
     """Location-aided recovery of the full MIMO channel.
 
     Builds the location dictionary around ``p_hat``, forms the
     equivalent sensing matrix of the single-block record, solves with
-    SBL (or OMP for the ablation), and returns the channel estimate
-    ``unvec(A_L x_hat)``.
+    ``solver`` (``"sbl"``, or ``"omp"`` for the ablation), and returns
+    the channel estimate ``unvec(A_L x_hat)``.
     """
     if record.num_blocks != 1:
         raise ValueError("stage 3 consumes the single-block record")
@@ -287,18 +287,18 @@ def stage3(
     m, n = bs.size, ue_template.size
     a_bar = location_operator(record, loc_dict.matrix, m, n)
     problem = SparseProblem(a_bar, record.observations[:, 0])
-    if options.stage3_solver == "sbl":
+    if solver == "sbl":
         sol, _state = sbl_em(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
             gamma_floor=options.sbl_gamma_floor,
             track_evidence=False, prune=True, update="fixed-point",
         )
-    elif options.stage3_solver == "omp":
+    elif solver == "omp":
         sol = omp(problem, max_atoms=min(options.stage3_omp_atoms, loc_dict.num_atoms),
                   residual_tol=options.omp_residual_tol)
     else:
-        raise ValueError(f"unknown stage-3 solver {options.stage3_solver!r}")
+        raise ValueError(f"unknown stage-3 solver {solver!r}")
     h_hat = (loc_dict.matrix @ sol.coefficients).reshape(m, n, order="F")
     return sol, h_hat, loc_dict
 
@@ -310,6 +310,7 @@ def run_three_stage(
     dictionary: AngularDictionary,
     seed: int,
     options: StageOptions = StageOptions(),
+    stage3_solver: str = "sbl",
 ) -> StageOutputs:
     """Simulate one single-block reception and run all three stages."""
     precoder = uniform_precoder(scene.ue.size)
@@ -332,7 +333,8 @@ def run_three_stage(
     tic = time.perf_counter()
     try:
         sol3, h_hat, _loc_dict = stage3(
-            record, estimate.point, scene.bs, scene.ue, scene.wavelength, options
+            record, estimate.point, scene.bs, scene.ue, scene.wavelength, options,
+            solver=stage3_solver,
         )
     except NearMimoError as exc:
         raise StageFailure("stage3", str(exc)) from exc

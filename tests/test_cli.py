@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nearmimo.cli import main
-from nearmimo.harness import desk_profile
+from nearmimo.harness import DESK_STAGES, desk_profile
 from nearmimo.matfile import load_matrix
 
 
@@ -16,8 +17,7 @@ def tiny_config_file(tmp_path):
         methods=("proposed-omp3", "stage1-only"),
         snr_db=(10.0,),
         trials=2,
-        sbl_max_iters=20,
-        sbl_tol=1e-4,
+        stages=replace(DESK_STAGES, sbl_max_iters=20, sbl_tol=1e-4),
     )
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json())
@@ -45,6 +45,20 @@ def test_sweep_rejects_zero_workers(tmp_path, tiny_config_file, capsys):
     bad.write_text(json.dumps(data))
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", ["flat-schema-1", "unknown-stages-key"])
+def test_config_layout_errors_exit_one(tmp_path, tiny_config_file, capsys, layout):
+    data = json.loads(tiny_config_file.read_text())
+    if layout == "flat-schema-1":
+        data.update(data.pop("stages"), schema=1)
+    else:
+        data["stages"]["flux_capacitor"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert ("config schema 1 is not 2" if layout == "flat-schema-1"
+            else "unknown stages keys") in capsys.readouterr().err
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_desk_builds_peak_near_their_output():
     r_min, r_max, count = cfg.spherical_rings
     builds = {
         "location": lambda: build_location(
-            (4.0, 0.5, -1.0), *cfg.grid_half_widths, *cfg.grid_counts, bs, ue,
+            (4.0, 0.5, -1.0), *cfg.stages.grid_half_widths, *cfg.stages.grid_counts, bs, ue,
             cfg.wavelength),
         "spherical": lambda: build_spherical_baseline(
             bs, cfg.spherical_angle_grid,

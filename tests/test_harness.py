@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from nearmimo.errors import InfeasibleDesignError
 from nearmimo.harness import (
     CSV_COLUMNS,
+    DESK_STAGES,
+    METHODS,
     ExperimentConfig,
     ResultTable,
     SweepContext,
@@ -21,6 +24,7 @@ from nearmimo.harness import (
     run_trial,
     simulate_once,
 )
+from nearmimo.pipeline import StageOptions
 
 
 def tiny_config(**overrides):
@@ -30,8 +34,7 @@ def tiny_config(**overrides):
         methods=("proposed-omp3", "stage1-only"),
         snr_db=(10.0,),
         trials=2,
-        sbl_max_iters=20,
-        sbl_tol=1e-4,
+        stages=replace(DESK_STAGES, sbl_max_iters=20, sbl_tol=1e-4),
     )
     base.update(overrides)
     return desk_profile(**base)
@@ -81,7 +84,16 @@ class TestConfig:
     def test_paper_profile_roundtrip(self):
         cfg = paper_profile()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
-        assert cfg.m_rf_effective == 128
+        assert cfg.stages == StageOptions()
+        assert json.loads(cfg.to_json())["schema"] == 2
+
+    def test_partial_stages_take_desk_defaults(self):
+        data = paper_profile().to_dict()
+        data["stages"] = {"sbl_max_iters": 7, "grid_counts": [3, 3, 1]}
+        cfg = ExperimentConfig.from_dict(data)
+        assert cfg.stages == replace(DESK_STAGES, sbl_max_iters=7, grid_counts=(3, 3, 1))
+        del data["stages"]
+        assert ExperimentConfig.from_dict(data).stages == DESK_STAGES
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -102,14 +114,33 @@ class TestConfig:
         path = Path(__file__).resolve().parents[1] / "demos" / "example_config.json"
         assert ExperimentConfig.from_json(path.read_text()).workers == 1
 
-    def test_warns_on_inconsistent_rf_count(self):
-        with pytest.warns(UserWarning, match="inconsistent RF chain count"):
-            desk_profile(m_rf=256)
-
     def test_rejects_unknown_keys(self):
         data = desk_profile().to_dict()
         data["flux_capacitor"] = 1
         with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(data)
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict([["schema", 2]])
+
+    @pytest.mark.parametrize("stages, message", [
+        ({"flux_capacitor": 1}, "unknown stages keys"),
+        (5, "stages must be a JSON object"),
+        (None, "stages must be a JSON object"),
+    ])
+    def test_rejects_bad_stages(self, stages, message):
+        data = desk_profile().to_dict()
+        data["stages"] = stages
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("schema", [1, None, 3])
+    def test_rejects_other_schemas(self, schema):
+        # schema 1 is the flat layout: the stage knobs and m_rf at top level
+        data = desk_profile().to_dict()
+        data.update(data.pop("stages"), m_rf=None, schema=schema)
+        if schema is None:
+            del data["schema"]
+        with pytest.raises(ValueError, match=f"config schema {schema!r} is not 2"):
             ExperimentConfig.from_dict(data)
 
     def test_aperture_spacing_mode(self):
@@ -227,6 +258,20 @@ class TestSweep:
         assert report["nmse_db"] is not None
         assert isinstance(report["detail"]["stage3_converged"], bool)
         json.dumps(report)  # must be JSON-serializable
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_simulate_once_matches_run_trial(self, method):
+        cfg = tiny_config()
+        row = run_trial(SweepContext(cfg), method, 10.0, 0)
+        seed = derive_seed(cfg.base_seed, method, 10.0, 0)
+        report = simulate_once(cfg, method, 10.0, seed=seed)["report"]
+        json.dumps(report)  # must be JSON-serializable
+        assert report["status"] == row.status == "ok"
+        assert report["nmse_db"] == float(10 * np.log10(row.nmse))
+        if np.isnan(row.loc_error_m):
+            assert report["loc_error_m"] is None
+        else:
+            assert report["loc_error_m"] == row.loc_error_m
 
     def test_simulate_once_rejects_unknown_method(self):
         with pytest.raises(ValueError):
