@@ -85,8 +85,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run module invariant suites")
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk")
+    sub.add_parser("verify", help="run module invariant suites")
 
     p = sub.add_parser("simulate", help="run one scene + one method")
     _add_common(p, with_method=True)

@@ -55,7 +55,6 @@ class ReceptionRecord:
     precoder: PrecoderDesign
     power: float
     noise_var: float
-    noise_seed: int
 
     @property
     def num_blocks(self) -> int:
@@ -74,7 +73,6 @@ class StageOptions:
 
     l_assumed: int = 2
     stage1_max_atoms: int = 6
-    stage1_solver: str = "omp"
     stage3_omp_atoms: int = 1  # the LoS-only dictionary model is 1-sparse
     omp_residual_tol: float = 1e-3
     music_grid_points: int = 4096
@@ -137,7 +135,7 @@ def simulate_reception(
         obs += combiner.apply((noise[..., 0] + 1j * noise[..., 1]).transpose(1, 2, 0))
     return ReceptionRecord(
         observations=obs, combiner=combiner, precoder=precoder,
-        power=p, noise_var=sigma2, noise_seed=seed,
+        power=p, noise_var=sigma2,
     )
 
 
@@ -173,7 +171,7 @@ def stage1(
     dictionary: AngularDictionary,
     options: StageOptions = StageOptions(),
 ) -> tuple[list[SparseSolution], list[np.ndarray]]:
-    """Per-subarray sparse recovery over the angular dictionary.
+    """Per-subarray OMP over the angular dictionary.
 
     Expects the single-block uniform-precoder record; returns the sparse
     solutions and the reconstructed subarray channels ``A x_hat``.  Tiles
@@ -190,17 +188,7 @@ def stage1(
     channels = []
     for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
         problem = SparseProblem(a_bar, y[combiner.tile_rows(i)], column_norms=norms)
-        if options.stage1_solver == "omp":
-            sol = omp(problem, max_atoms=max_atoms, residual_tol=options.omp_residual_tol)
-        elif options.stage1_solver == "sbl":
-            sol, _state = sbl_em(
-                problem, sigma2=_effective_noise_var(record),
-                max_iters=options.sbl_max_iters, tol=options.sbl_tol,
-                gamma_floor=options.sbl_gamma_floor,
-                track_evidence=False, prune=True, update="fixed-point",
-            )
-        else:
-            raise ValueError(f"unknown stage-1 solver {options.stage1_solver!r}")
+        sol = omp(problem, max_atoms=max_atoms, residual_tol=options.omp_residual_tol)
         solutions.append(sol)
         # the dense product, not the support-only one: stage 2's MUSIC and
         # stage-3 SBL amplify its rounding into visibly different rows

@@ -19,9 +19,9 @@ CN(0, sigma^2 I + A Gamma A^H), with the noise variance held fixed.
 Only EM is guaranteed never to lower it (Wipf & Rao, IEEE TSP 2004);
 MacKay's fixed point, whose single-atom form Tipping & Faul (AISTATS
 2003) derive in closed form, sends unsupported variances to zero in far
-fewer iterations.  Atoms whose variance falls below a relative floor can
-be pruned during the iteration; with Q <= P this runs entirely on the
-active rows and columns of ``A^H A`` and ``A^H y``, never on ``A``.
+fewer iterations.  The E-step factors that Q x Q matrix for any shape of
+``A``, from ``A^H A`` and ``A^H y`` formed once; atoms whose variance
+falls below a relative floor can be pruned from both mid-iteration.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class SparseProblem:
         Complex dictionary / sensing product. Must not contain an
         all-zero column.
     observation : ndarray, shape (P,)
-    noise_var : float, optional
-        Known noise variance; used by SBL when not passed explicitly.
     column_norms : ndarray, shape (Q,), optional
         ``np.linalg.norm(sensing_matrix, axis=0)``, computed here when
         omitted.  A caller that poses many problems on one matrix passes
@@ -59,7 +57,6 @@ class SparseProblem:
 
     sensing_matrix: np.ndarray
     observation: np.ndarray
-    noise_var: float | None = None
     column_norms: np.ndarray | None = None
 
     def __post_init__(self):
@@ -114,9 +111,9 @@ class SparseSolution:
 class SblState:
     """Posterior and prior state of the SBL solver at exit.
 
-    ``covariance`` covers the retained atoms listed in ``active`` (all
-    atoms when mid-run pruning is disabled); ``gamma`` and ``mean`` are
-    full length with zeros at discarded atoms.
+    ``covariance`` spans the retained atoms in ``active`` (all atoms
+    without mid-run pruning), for any shape of ``A``; ``gamma`` and
+    ``mean`` are full length with zeros at discarded atoms.
     """
 
     gamma: np.ndarray
@@ -169,16 +166,17 @@ def omp(
 
     y_norm = np.linalg.norm(y)
     x = np.zeros(q, dtype=complex)
-    if y_norm == 0:
+    if y_norm == 0 or (residual_tol is not None and residual_tol >= 1.0):
+        # nothing to fit, or the zero solution already meets the tolerance
         return SparseSolution(
             coefficients=x, support=np.array([], dtype=int),
-            residual_history=(0.0,), iterations=0, converged=True,
+            residual_history=(float(y_norm),), iterations=0, converged=True,
         )
 
     support: list[int] = []
     residual = y.copy()
     history = [y_norm]
-    converged = residual_tol is not None and 1.0 <= residual_tol
+    converged = False
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
         scores = np.abs(residual.conj() @ a) / problem.column_norms
@@ -201,17 +199,8 @@ def omp(
     )
 
 
-def _log_evidence_from_chol(chol_c, y) -> float:
-    """Log CN(y; 0, C) evidence from a Cholesky factor of C."""
-    import scipy.linalg
-    p = y.shape[0]
-    half = scipy.linalg.solve_triangular(chol_c, y, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.real(np.diag(chol_c))))
-    return float(-p * np.log(np.pi) - logdet - np.real(half.conj() @ half))
-
-
 def _gram(a, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(A^H A, A^H y)``, the data the primal SBL iteration needs."""
+    """``(A^H A, A^H y)`` for SBL; the conjugate copy of ``A`` dies on return."""
     a_h = a.conj().T
     return a_h @ a, a_h @ y
 
@@ -233,17 +222,17 @@ def sbl_em(
     evidence; ``"fixed-point"`` (MacKay) sets
     ``gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)``, which drives
     unsupported atoms to zero far faster but carries no monotonicity
-    guarantee.  The E-step inverts in coefficient space (primal, Q <= P)
-    or in observation space (dual, Q > P), whichever is smaller.  The
-    primal branch forms ``A^H A`` and ``A^H y`` once and iterates,
-    prunes and computes the exit posterior on their active rows and
-    columns alone; the dual branch narrows ``A`` when it prunes.
+    guarantee.  ``A^H A`` and ``A^H y`` are formed once; the E-step
+    factors the Q x Q matrix ``A^H A / sigma^2 + Gamma^-1``, and the
+    iteration, pruning and exit posterior run on their active rows and
+    columns alone.  This is exact for any shape; with Q > P each
+    iteration costs Q^3.
 
     Parameters
     ----------
     problem : SparseProblem
-    sigma2 : float, optional
-        Noise variance; falls back to ``problem.noise_var``.
+    sigma2 : float
+        Noise variance; required (``None`` raises ``ValueError``).
     max_iters, tol : iteration stopping controls; convergence is
         declared when the largest relative change of any prior variance
         drops below ``tol``.
@@ -273,19 +262,14 @@ def sbl_em(
     import scipy.linalg  # loaded on first use: a sweep pool's parent never needs it
     if update not in ("em", "fixed-point"):
         raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'fixed-point'")
-    if sigma2 is None:
-        sigma2 = problem.noise_var
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
-    a = problem.sensing_matrix  # narrowed by pruning while the dual branch runs
     y = problem.observation
-    p, q_full = a.shape
+    p, q_full = problem.shape
+    gram, rhs = _gram(problem.sensing_matrix, y)  # over the active atoms
 
     active = np.arange(q_full)
-    a_conj = a.conj() if q_full > p else None
-    gram = rhs = None  # A^H A and A^H y over the active atoms, once Q <= P
     gamma = np.ones(q_full)
-    mu = np.zeros(q_full, dtype=complex)
     evidence: list[float] = []
     history: list[float] = [float(np.linalg.norm(y))]
     y_energy = float(np.linalg.norm(y) ** 2)
@@ -294,51 +278,29 @@ def sbl_em(
 
     for it in range(max_iters):
         iterations = it + 1
-        q = active.size
-        if q <= p:
-            if gram is None:
-                gram, rhs = _gram(a, y)
-                a_conj = None
-            m = gram / sigma2
-            m[np.diag_indices_from(m)] += 1.0 / gamma
-            try:
-                chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
-            mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
-            inv_factor = scipy.linalg.solve_triangular(
-                chol_m, np.eye(q, dtype=complex), lower=True, check_finite=False
+        m = gram / sigma2
+        m[np.diag_indices_from(m)] += 1.0 / gamma
+        try:
+            chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
+        mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
+        inv_factor = scipy.linalg.solve_triangular(
+            chol_m, np.eye(active.size, dtype=complex), lower=True, check_finite=False
+        )
+        sigma_diag = np.real(np.sum(inv_factor.conj() * inv_factor, axis=0))
+        fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
+        if track_evidence:
+            # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
+            logdet_c = (
+                p * np.log(sigma2) + np.sum(np.log(gamma))
+                + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
             )
-            sigma_diag = np.real(np.sum(inv_factor.conj() * inv_factor, axis=0))
-            fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
-            if track_evidence:
-                # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
-                logdet_c = (
-                    p * np.log(sigma2) + np.sum(np.log(gamma))
-                    + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
-                )
-                quad = (y_energy - fit) / sigma2
-                evidence.append(float(-p * np.log(np.pi) - logdet_c - quad))
-            # ||y - A mu||^2 expanded, so no P x Q product is formed
-            residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
-            history.append(float(np.sqrt(max(residual2, 0.0))))
-        else:
-            ag = a * gamma
-            c = ag @ a_conj.T
-            c[np.diag_indices_from(c)] += sigma2
-            try:
-                chol_c = scipy.linalg.cholesky(c, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
-            if track_evidence:
-                evidence.append(_log_evidence_from_chol(chol_c, y))
-            cinv_y = scipy.linalg.cho_solve((chol_c, True), y, check_finite=False)
-            mu = gamma * (a_conj.T @ cinv_y)
-            # diag(A^H C^-1 A) = column norms of L^-1 A
-            half = scipy.linalg.solve_triangular(chol_c, a, lower=True, check_finite=False)
-            quad_diag = np.real(np.sum(half.conj() * half, axis=0))
-            sigma_diag = gamma - gamma ** 2 * quad_diag
-            history.append(float(np.linalg.norm(y - a @ mu)))
+            quad = (y_energy - fit) / sigma2
+            evidence.append(float(-p * np.log(np.pi) - logdet_c - quad))
+        # ||y - A mu||^2 expanded, so no P x Q product is formed
+        residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
+        history.append(float(np.sqrt(max(residual2, 0.0))))
 
         if update == "em":
             gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
@@ -353,36 +315,20 @@ def sbl_em(
             if not np.all(keep):
                 active = active[keep]
                 gamma = gamma[keep]
-                if gram is None:
-                    a = a[:, keep]
-                    a_conj = a_conj[:, keep]
-                else:
-                    gram = gram[np.ix_(keep, keep)]
-                    rhs = rhs[keep]
+                gram = gram[np.ix_(keep, keep)]
+                rhs = rhs[keep]
         if delta < tol:
             converged = True
             break
 
     # final posterior at the exit prior, over the surviving atoms
-    q = active.size
-    if q <= p:
-        if gram is None:
-            gram, rhs = _gram(a, y)
-        m = gram / sigma2
-        m[np.diag_indices_from(m)] += 1.0 / gamma
-        chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
-        covariance = scipy.linalg.cho_solve(
-            (chol_m, True), np.eye(q, dtype=complex), check_finite=False
-        )
-        mu = covariance @ rhs / sigma2
-    else:
-        ag = a * gamma
-        c = ag @ a_conj.T
-        c[np.diag_indices_from(c)] += sigma2
-        chol_c = scipy.linalg.cholesky(c, lower=True, check_finite=False)
-        cinv_ag = scipy.linalg.cho_solve((chol_c, True), ag, check_finite=False)
-        covariance = np.diag(gamma).astype(complex) - ag.conj().T @ cinv_ag
-        mu = gamma * (a_conj.T @ scipy.linalg.cho_solve((chol_c, True), y, check_finite=False))
+    m = gram / sigma2
+    m[np.diag_indices_from(m)] += 1.0 / gamma
+    chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
+    covariance = scipy.linalg.cho_solve(
+        (chol_m, True), np.eye(active.size, dtype=complex), check_finite=False
+    )
+    mu = covariance @ rhs / sigma2
     covariance = 0.5 * (covariance + covariance.conj().T)
 
     keep = gamma >= gamma_floor * gamma.max()

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -24,8 +25,12 @@ def tiny_config_file(tmp_path):
     return path
 
 
-def test_unknown_flag_exits_one(capsys):
-    assert main(["sweep", "--bogus-flag"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--bogus-flag"],
+    ["verify", "--profile", "paper"],
+], ids=["sweep-bogus-flag", "verify-profile"])
+def test_unknown_flag_exits_one(capsys, argv):
+    assert main(argv) == 1
 
 
 def test_unknown_command_exits_one(capsys):
@@ -59,6 +64,23 @@ def test_config_layout_errors_exit_one(tmp_path, tiny_config_file, capsys, layou
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert ("config schema 1 is not 2" if layout == "flat-schema-1"
             else "unknown stages keys") in capsys.readouterr().err
+
+
+def test_sweep_records_rows_when_omp_tolerance_is_met_at_once(tmp_path, tiny_config_file, capsys):
+    # omp_residual_tol = 1 makes every stage-1 OMP return the zero solution:
+    # stage 2 then has no rays, and stage1-only estimates the zero channel
+    data = json.loads(tiny_config_file.read_text())
+    data["stages"]["omp_residual_tol"] = 1.0
+    path = tmp_path / "tol_one.json"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep_rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert {r["status"] for r in rows if r["method"] == "proposed-omp3"} == {"StageFailure"}
+    stage1_only = [r for r in rows if r["method"] == "stage1-only"]
+    assert {r["status"] for r in stage1_only} == {"ok"}
+    assert all(float(r["nmse_db"]) == 0.0 for r in stage1_only)
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):

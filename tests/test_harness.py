@@ -112,7 +112,11 @@ class TestConfig:
 
     def test_example_config_loads(self):
         path = Path(__file__).resolve().parents[1] / "demos" / "example_config.json"
-        assert ExperimentConfig.from_json(path.read_text()).workers == 1
+        data = json.loads(path.read_text())
+        assert ExperimentConfig.from_dict(data).workers == 1
+        # it names every field, and only fields, so it cannot go stale
+        assert set(data) == {"schema", *ExperimentConfig.__dataclass_fields__}
+        assert set(data["stages"]) == set(StageOptions.__dataclass_fields__)
 
     def test_rejects_unknown_keys(self):
         data = desk_profile().to_dict()
@@ -126,6 +130,7 @@ class TestConfig:
         ({"flux_capacitor": 1}, "unknown stages keys"),
         (5, "stages must be a JSON object"),
         (None, "stages must be a JSON object"),
+        ({"stage1_solver": "omp"}, "unknown stages keys"),
     ])
     def test_rejects_bad_stages(self, stages, message):
         data = desk_profile().to_dict()

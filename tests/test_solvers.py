@@ -147,6 +147,14 @@ class TestOmp:
         assert sol.support.size == 0
         np.testing.assert_array_equal(sol.coefficients, 0)
 
+    def test_tolerance_met_before_any_atom(self):
+        # ||r|| / ||y|| = 1 <= residual_tol already holds for x = 0
+        problem = SparseProblem(np.eye(3, dtype=complex), np.array([1.0, 2.0, 0.0]))
+        sol = omp(problem, max_atoms=2, residual_tol=1.0)
+        assert sol.support.size == 0 and sol.iterations == 0 and sol.converged
+        np.testing.assert_array_equal(sol.coefficients, 0)
+        assert sol.residual_history == (np.sqrt(5.0),)
+
     def test_duplicate_atom_rank_failure(self):
         a = np.ones((4, 2), dtype=complex)
         y = np.ones(4) + np.array([1e-3, -1e-3, 1e-3, -1e-3])
