@@ -68,26 +68,36 @@ def pairwise_distances(a: ArrayGeometry, b: ArrayGeometry) -> np.ndarray:
     return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def _spherical_wave(antennas, points, wavelength, out=None, divide=False):
+def _spherical_wave(antennas, points, wavelength, out=None, divide=False, weights=None):
     """Fill complex (M, S) ``out`` (or a new array) with ``exp(-j*2*pi*r/λ)`` and return it.
 
     Over ``r`` if ``divide``.  Entry (m, s), from ``points[s]`` at ``antennas[m]``, is
     bit-identical to a one-point call; row blocks of 2,048-16,384 entries bound the temporaries.
+    With ``weights`` (N,) and (N, S, 3) ``points``, entry (m, s) sums ``weights[n]`` times the
+    wave from ``points[n, s]`` in order of n; a scratch holds each later wave, so blocks halve.
     """
-    out = np.empty((len(antennas), len(points)), dtype=complex) if out is None else out
+    sets = [points] if weights is None else points
+    out = np.empty((len(antennas), len(sets[0])), dtype=complex) if out is None else out
     m, s = out.shape
-    rows = max(1, min(16384, max(m * s // 16, 2048)) // s)
+    rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1) // min(len(sets), 2))
+    scratch = np.empty((min(rows, m), s), dtype=complex) if len(sets) > 1 else None
     for start in range(0, m, rows):
         near = antennas[start:start + rows]  # r summed as in pairwise_distances
-        r = np.sqrt(sum((near[:, k, None] - points[:, k]) ** 2 for k in range(3)))
-        if np.any(r <= 0):
-            raise SingularGeometryError("a point coincides with an antenna")
-        w = out[start:start + rows]
-        np.multiply(-2j * np.pi, r, out=w)
-        w /= wavelength
-        np.exp(w, out=w)
-        if divide:
-            w /= r
+        block = out[start:start + rows]
+        for n, pts in enumerate(sets):
+            r = np.sqrt(sum((near[:, k, None] - pts[:, k]) ** 2 for k in range(3)))
+            if np.any(r <= 0):
+                raise SingularGeometryError("a point coincides with an antenna")
+            w = block if n == 0 else scratch[:len(near)]
+            np.multiply(-2j * np.pi, r, out=w)
+            w /= wavelength
+            np.exp(w, out=w)
+            if divide:
+                w /= r
+            if weights is not None:
+                w *= weights[n]
+                if n:
+                    block += w
     return out
 
 

@@ -179,16 +179,17 @@ def _cmd_export_dict(args) -> int:
         ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
         dx, dy, dz = cfg.stages.grid_half_widths
         sx, sy, sz = cfg.stages.grid_counts
-        d = build_location(center, dx, dy, dz, sx, sy, sz, bs, ue, cfg.wavelength)
+        d = build_location(center, dx, dy, dz, sx, sy, sz, bs, ue, cfg.wavelength, [1] * cfg.n_ue)
         manifest = (
             f"kind location\ncenter {center[0]:.10g} {center[1]:.10g} {center[2]:.10g}\n"
             f"half_widths {dx} {dy} {dz}\ncounts {sx} {sy} {sz}\n"
-            f"atoms {d.matrix.shape[1]}\n"
+            f"atoms {d.num_atoms}\n"
         )
+    matrix = d.channels(slice(None)) if args.kind == "location" else d.matrix  # vec(H) atoms
     stem = out / f"dictionary_{args.kind}"
-    save_matrix(f"{stem}.cmx", d.matrix, cfg.wavelength)
+    save_matrix(f"{stem}.cmx", matrix, cfg.wavelength)
     Path(f"{stem}.manifest.txt").write_text(manifest)
-    print(f"wrote {stem}.cmx ({d.matrix.shape[0]}x{d.matrix.shape[1]})")
+    print(f"wrote {stem}.cmx ({matrix.shape[0]}x{matrix.shape[1]})")
     return 0
 
 

@@ -4,13 +4,14 @@ Three families:
 
 * angular: plane-wave Kronecker atoms of one subarray over uniform
   direction-cosine grids ``(2z - Z - 1)/Z`` per axis,
-* location-aided: vectorized LoS MIMO channels over a small 3D grid of
-  candidate user-center positions,
+* location-aided: LoS channels through the precoder, ``H(p) w``, over a
+  small 3D grid of candidate user-center positions,
 * spherical (baseline): full-array spherical steering vectors over a
   joint angle/distance grid.
 
 One kernel, ``channel._spherical_wave``, builds the location and spherical
-atoms; full-array atoms are unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
+atoms (and any location atom's vec(H), on demand); full-array atoms are
+unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
 """
 
 from __future__ import annotations
@@ -55,17 +56,26 @@ class AngularDictionary:
 
 @dataclass(frozen=True)
 class LocationDictionary:
-    """Vectorized LoS channels over the 3D location grid around a center."""
+    """Column s of ``matrix`` (M x S) is ``H(p_s) w``: the LoS channel from grid point s.
+
+    ``channels`` rebuilds the column-major ``vec(H(p_s))`` of chosen atoms.
+    """
 
     matrix: np.ndarray
     points: np.ndarray  # (S, 3), x-major / z-fastest ordering
-    center: np.ndarray
-    half_widths: tuple[float, float, float]
-    counts: tuple[int, int, int]
+    antennas: np.ndarray  # (M, 3) base-station positions
+    offsets: np.ndarray  # (N, 3) user antennas relative to the array center
+    wavelength: float
 
     @property
     def num_atoms(self) -> int:
         return self.matrix.shape[1]
+
+    def channels(self, support) -> np.ndarray:
+        """(M*N, K) ``vec(H(p_s))`` of the K atoms ``support`` indexes; antenna n is block n."""
+        points = self.points[support]
+        return np.concatenate([_spherical_wave(self.antennas, points + offset, self.wavelength,
+                                               divide=True) for offset in self.offsets])
 
 
 @dataclass(frozen=True)
@@ -115,30 +125,30 @@ def build_location(
     center,
     dx: float, dy: float, dz: float,
     s_x: int, s_y: int, s_z: int,
-    bs: ArrayGeometry, ue_template: ArrayGeometry, wavelength: float,
+    bs: ArrayGeometry, ue_template: ArrayGeometry, wavelength: float, w,
 ) -> LocationDictionary:
     """Build the location-aided dictionary around an estimated center.
 
     Each axis is sampled uniformly over ``center ± half_width`` with the
-    stated count (a count of 1 collapses the axis).  Column ``s`` is the
-    column-major vectorization of the LoS channel with the user array
-    moved to grid point ``s``; grid x values are clamped to stay in
-    front of the array.
+    stated count (a count of 1 collapses the axis); grid x values are
+    clamped to stay in front of the array.  Column ``s`` is the LoS
+    channel with the user array moved to grid point ``s``, times the
+    precoder column ``w``, summed over the user antennas inside the
+    kernel's row blocks: no (M*N) x S vec(H) dictionary is formed.
     """
+    w = np.asarray(w).reshape(-1)
+    if w.size != ue_template.size:
+        raise ValueError(f"precoder drives {w.size} antennas, user array has {ue_template.size}")
     center = np.asarray(center, dtype=float).reshape(3)
     gx = np.maximum(_axis_grid(center[0], dx, s_x, "x"), MIN_GRID_X)
     gy = _axis_grid(center[1], dy, s_y, "y")
     gz = _axis_grid(center[2], dz, s_z, "z")
     points = np.stack(np.meshgrid(gx, gy, gz, indexing="ij"), axis=-1).reshape(-1, 3)
-    # user antenna n sits at p + offsets[n]; its rows of vec(H) are block n
-    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3), ue_template.axis)
-    cols = np.empty((ue_template.size, bs.size, len(points)), dtype=complex)
-    for n, offset in enumerate(offsets.positions):
-        _spherical_wave(bs.positions, points + offset, wavelength, cols[n], divide=True)
-    return LocationDictionary(
-        matrix=cols.reshape(-1, len(points)), points=points, center=center,
-        half_widths=(dx, dy, dz), counts=(s_x, s_y, s_z),
-    )
+    # user antenna n sits at p + offsets[n]
+    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3), ue_template.axis).positions
+    matrix = _spherical_wave(bs.positions, points + offsets[:, None], wavelength,
+                             divide=True, weights=w)
+    return LocationDictionary(matrix, points, bs.positions, offsets, wavelength)
 
 
 def build_spherical_baseline(

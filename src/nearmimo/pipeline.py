@@ -237,18 +237,13 @@ def stage2(
     return estimate, directions, rays
 
 
-def location_operator(
-    record: ReceptionRecord, dict_matrix: np.ndarray, m: int, n: int
-) -> np.ndarray:
-    """Map columns of a vec(H) dictionary through the reception model.
+def location_operator(record: ReceptionRecord, atoms: np.ndarray) -> np.ndarray:
+    """``sqrt(p) V atoms``: the single-block observation of each received channel.
 
-    For each column, computes ``sqrt(p) V (unvec(col) w)``, the
-    single-block observation that channel would produce.
+    ``atoms`` (M x K) holds channels already seen through the precoder,
+    ``H w``, such as ``LocationDictionary.matrix``.
     """
-    w = record.precoder.w[:, 0]
-    h_cols = dict_matrix.reshape(m, n, -1, order="F")
-    hw = np.einsum("mns,n->ms", h_cols, w)
-    return np.sqrt(record.power) * record.combiner.apply(hw)
+    return np.sqrt(record.power) * record.combiner.apply(atoms)
 
 
 def stage3(
@@ -262,18 +257,20 @@ def stage3(
 ) -> tuple[SparseSolution, np.ndarray, LocationDictionary]:
     """Location-aided recovery of the full MIMO channel.
 
-    Builds the location dictionary around ``p_hat``, forms the
-    equivalent sensing matrix of the single-block record, solves with
-    ``solver`` (``"sbl"``, or ``"omp"`` for the ablation), and returns
-    the channel estimate ``unvec(A_L x_hat)``.
+    Builds the received-channel atoms ``H(p_s) w`` of the location grid
+    around ``p_hat``, maps them through the combiner into the sensing
+    matrix of the single-block record, and solves with ``solver``
+    (``"sbl"``, or ``"omp"`` for the ablation).  The channel estimate
+    ``unvec(A_L x_hat)`` is rebuilt from the vec(H) columns of the
+    support alone.
     """
     if record.num_blocks != 1:
         raise ValueError("stage 3 consumes the single-block record")
     dx, dy, dz = options.grid_half_widths
     sx, sy, sz = options.grid_counts
-    loc_dict = build_location(p_hat, dx, dy, dz, sx, sy, sz, bs, ue_template, wavelength)
-    m, n = bs.size, ue_template.size
-    a_bar = location_operator(record, loc_dict.matrix, m, n)
+    loc_dict = build_location(p_hat, dx, dy, dz, sx, sy, sz, bs, ue_template, wavelength,
+                              record.precoder.w[:, 0])
+    a_bar = location_operator(record, loc_dict.matrix)
     problem = SparseProblem(a_bar, record.observations[:, 0])
     if solver == "sbl":
         sol, _state = sbl_em(
@@ -287,8 +284,8 @@ def stage3(
                   residual_tol=options.omp_residual_tol)
     else:
         raise ValueError(f"unknown stage-3 solver {solver!r}")
-    h_hat = (loc_dict.matrix @ sol.coefficients).reshape(m, n, order="F")
-    return sol, h_hat, loc_dict
+    h_hat = loc_dict.channels(sol.support) @ sol.coefficients[sol.support]
+    return sol, h_hat.reshape(bs.size, ue_template.size, order="F"), loc_dict
 
 
 def run_three_stage(
@@ -417,17 +414,17 @@ def baseline_eigen_dictionary(
 ) -> np.ndarray:
     """LS fit over the eigenbasis of the LoS channel at one location.
 
-    Builds ``H_los(p_hat)``, keeps its top ``rank`` singular triplets as
-    a vec(H) basis, and projects the single-block observation onto it.
+    Builds ``H_los(p_hat)``, keeps its top ``rank`` singular triplets
+    ``u_k s_k v_k^H``, and fits the single-block observation over their
+    received images ``u_k (v_k^H w)``; the estimate is
+    ``sum_k c_k u_k v_k^H``, so no vec(H) basis is formed.
     """
     p_hat = np.asarray(p_hat, dtype=float).reshape(3)
     ue = build_ula(ue_template.m_h, ue_template.d_h, p_hat, ue_template.axis)
     h0 = los_channel(bs, ue, wavelength)
     u, s, vh = np.linalg.svd(h0, full_matrices=False)
     r = min(rank or s.size, s.size)
-    basis = np.column_stack([
-        np.outer(u[:, k], vh[k, :]).ravel(order="F") for k in range(r)
-    ])
-    g = location_operator(record, basis, bs.size, ue_template.size)
+    u_r, vh_r = u[:, :r], vh[:r]
+    g = location_operator(record, u_r * (vh_r @ record.precoder.w[:, 0]))
     coef, *_ = np.linalg.lstsq(g, record.observations[:, 0], rcond=None)
-    return (basis @ coef).reshape(bs.size, ue_template.size, order="F")
+    return (u_r * coef) @ vh_r

@@ -223,8 +223,9 @@ def sbl_em(
     ``gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)``, which drives
     unsupported atoms to zero far faster but carries no monotonicity
     guarantee.  ``A^H A`` and ``A^H y`` are formed once; the E-step
-    factors the Q x Q matrix ``A^H A / sigma^2 + Gamma^-1``, and the
-    iteration, pruning and exit posterior run on their active rows and
+    factors the Q x Q matrix ``A^H A / sigma^2 + Gamma^-1``, solves the
+    factor onto the identity and squares that inverse, each in place; the
+    iteration, pruning and exit posterior run on the active rows and
     columns alone.  This is exact for any shape; with Q > P each
     iteration costs Q^3.
 
@@ -278,17 +279,19 @@ def sbl_em(
 
     for it in range(max_iters):
         iterations = it + 1
-        m = gram / sigma2
+        m = np.divide(gram, sigma2, order="F")  # column-major, so LAPACK factors it in place
         m[np.diag_indices_from(m)] += 1.0 / gamma
         try:
-            chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
+            chol_m = scipy.linalg.cholesky(m, lower=True, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
         mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
         inv_factor = scipy.linalg.solve_triangular(
-            chol_m, np.eye(active.size, dtype=complex), lower=True, check_finite=False
+            chol_m, np.eye(active.size, dtype=complex, order="F"), lower=True,
+            overwrite_b=True, check_finite=False,
         )
-        sigma_diag = np.real(np.sum(inv_factor.conj() * inv_factor, axis=0))
+        np.multiply(inv_factor.conj(), inv_factor, out=inv_factor)  # |L^-1|^2
+        sigma_diag = np.real(np.sum(inv_factor, axis=0))
         fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
         if track_evidence:
             # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)

@@ -152,10 +152,12 @@ def _check_localization() -> bool:
 def _check_location_dictionary() -> bool:
     bs = build_upa(4, 4, HALF, HALF, (0, 0, 0))
     ue = build_ula(2, HALF, (4, 0.5, -1))
-    d = build_location((4, 0.5, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH)
-    truth = los_channel(bs, ue, WAVELENGTH).ravel(order="F")
+    w = np.array([0.6, 0.8j])
+    d = build_location((4, 0.5, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, w)
+    truth = los_channel(bs, ue, WAVELENGTH)
     idx = np.argmin(np.linalg.norm(d.points - np.array([4, 0.5, -1]), axis=1))
-    return bool(np.allclose(d.matrix[:, idx], truth, atol=1e-12))
+    ok = np.allclose(d.channels([idx])[:, 0], truth.ravel(order="F"), atol=1e-12)
+    return bool(ok and np.allclose(d.matrix[:, idx], truth @ w, atol=1e-12))
 
 
 def _check_metrics_and_config() -> bool:

@@ -3,9 +3,12 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_dictionaries import location_reference
 
 from nearmimo.cli import main
+from nearmimo.geometry import build_ula, build_upa
 from nearmimo.harness import DESK_STAGES, desk_profile
 from nearmimo.matfile import load_matrix
 
@@ -162,6 +165,13 @@ def test_export_dict_location(tmp_path, tiny_config_file):
     assert code == 0
     matrix, _ = load_matrix(out / "dictionary_location.cmx")
     assert matrix.shape == (12 * 24 * 2, 5 * 5 * 3)
+    # the vec(H) atoms, bit for bit, as one LoS channel per grid point
+    cfg = desk_profile()
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, *cfg.spacings(), (0, 0, 0))
+    center = (2.5, 0.5, -1.0)
+    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
+    np.testing.assert_array_equal(matrix, location_reference(
+        center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, ue))
 
 
 def test_verify_exits_zero():

@@ -69,6 +69,9 @@ class TestAngular:
         assert np.linalg.norm(h - d.matrix @ x) / np.linalg.norm(h) < 1e-10
 
 
+W2 = np.array([0.6, 0.8j])
+
+
 class TestLocation:
     def _bs_ue(self):
         bs = build_upa(4, 6, HALF, HALF, (0, 0, 0))
@@ -77,14 +80,16 @@ class TestLocation:
 
     def test_single_point_grid(self):
         bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0, 0, 0, 1, 1, 1, bs, ue, WAVELENGTH)
-        assert d.matrix.shape == (bs.size * ue.size, 1)
-        expected = los_channel(bs, ue, WAVELENGTH).ravel(order="F")
-        np.testing.assert_allclose(d.matrix[:, 0], expected, atol=1e-13)
+        d = build_location((8, 1, -1), 0, 0, 0, 1, 1, 1, bs, ue, WAVELENGTH, W2)
+        assert d.matrix.shape == (bs.size, 1)
+        h = los_channel(bs, ue, WAVELENGTH)
+        np.testing.assert_allclose(d.matrix[:, 0], h @ W2, atol=1e-13)
+        assert d.channels([0]).shape == (bs.size * ue.size, 1)
+        np.testing.assert_allclose(d.channels([0])[:, 0], h.ravel(order="F"), atol=1e-13)
 
     def test_paper_grid_size_and_spacing(self):
         bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0.2, 0.2, 0.02, 11, 11, 3, bs, ue, WAVELENGTH)
+        d = build_location((8, 1, -1), 0.2, 0.2, 0.02, 11, 11, 3, bs, ue, WAVELENGTH, W2)
         assert d.num_atoms == 363
         xs = np.unique(d.points[:, 0])
         assert xs.size == 11
@@ -94,19 +99,27 @@ class TestLocation:
 
     def test_true_center_on_grid_is_a_column(self):
         bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH)
-        truth = los_channel(bs, ue, WAVELENGTH).ravel(order="F")
+        d = build_location((8, 1, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
+        truth = los_channel(bs, ue, WAVELENGTH)
         idx = np.argmin(np.linalg.norm(d.points - np.array([8, 1, -1]), axis=1))
-        np.testing.assert_allclose(d.matrix[:, idx], truth, atol=1e-13)
+        np.testing.assert_allclose(d.channels([idx])[:, 0], truth.ravel(order="F"),
+                                   atol=1e-13)
+        np.testing.assert_allclose(d.matrix[:, idx], truth @ W2, atol=1e-13)
+
+    def test_precoder_length_must_match_user_array(self):
+        bs, ue = self._bs_ue()
+        with pytest.raises(ValueError, match="precoder"):
+            build_location((8, 1, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH,
+                           np.ones(3))
 
     def test_degenerate_grid_rejected(self):
         bs, ue = self._bs_ue()
         with pytest.raises(DegenerateGridError):
-            build_location((8, 1, -1), 0.0, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH)
+            build_location((8, 1, -1), 0.0, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
 
     def test_x_grid_clamped_to_front_halfspace(self):
         bs, ue = self._bs_ue()
-        d = build_location((0.15, 0, -1), 0.2, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH)
+        d = build_location((0.15, 0, -1), 0.2, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
         assert d.points[:, 0].min() >= 0.1
 
 
@@ -195,13 +208,44 @@ LOCATION_CASES = [
 ]
 
 
+def precoded_reference(reference, w):
+    """Contract vec(H) columns with ``w``: antenna n's block times ``w[n]``, summed in order."""
+    blocks = reference.reshape(len(w), -1, reference.shape[1])
+    atoms = np.zeros(blocks.shape[1:], dtype=complex)
+    for block, w_n in zip(blocks, w):
+        atoms += block * w_n
+    return atoms
+
+
+def random_precoder(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 @pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
 def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
     ue = build_ula(n_ue, HALF, center, (0.3, 1.0, 0.2))
-    d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH)
+    d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH,
+                       random_precoder(n_ue, 0))
     np.testing.assert_array_equal(
-        d.matrix, location_reference(center, half_widths, counts, bs, ue))
+        d.channels(np.arange(d.num_atoms)),
+        location_reference(center, half_widths, counts, bs, ue))
+
+
+@pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
+def test_precoded_atoms_bit_identical_to_contracted_reference(
+        shape, n_ue, center, half_widths, counts):
+    bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
+    ue = build_ula(n_ue, HALF, center, (0.3, 1.0, 0.2))
+    reference = location_reference(center, half_widths, counts, bs, ue)
+    for w in (random_precoder(n_ue, 1), np.full(n_ue, 1 / np.sqrt(n_ue), dtype=complex)):
+        d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH, w)
+        assert d.matrix.shape == (bs.size, reference.shape[1])
+        np.testing.assert_array_equal(d.matrix, precoded_reference(reference, w))
+    idx = np.array([d.num_atoms - 1, 0, d.num_atoms // 2])
+    np.testing.assert_array_equal(d.channels(idx), reference[:, idx])
+    assert d.channels(np.array([], dtype=int)).shape == (reference.shape[0], 0)
 
 
 @pytest.mark.parametrize("shape,angle_grid,rings", [
@@ -253,7 +297,7 @@ def test_desk_builds_peak_near_their_output():
     builds = {
         "location": lambda: build_location(
             (4.0, 0.5, -1.0), *cfg.stages.grid_half_widths, *cfg.stages.grid_counts, bs, ue,
-            cfg.wavelength),
+            cfg.wavelength, np.full(cfg.n_ue, 1 / np.sqrt(cfg.n_ue), dtype=complex)),
         "spherical": lambda: build_spherical_baseline(
             bs, cfg.spherical_angle_grid,
             reciprocal_distance_rings(r_min, r_max, int(count)), cfg.wavelength),

@@ -1,7 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loaded before tracing: sbl_em imports it on first use)
 
 from nearmimo.channel import PathParams, Scene, synthesize
 from nearmimo.dictionaries import (
@@ -11,6 +13,7 @@ from nearmimo.dictionaries import (
 )
 from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa, partition, wave_vector
+from nearmimo.harness import draw_scene, noise_var_for_snr, paper_profile
 from nearmimo.localization import Ray, ls_intersect
 from nearmimo.pipeline import (
     StageOptions,
@@ -252,7 +255,7 @@ class TestStage2:
 
 class TestStage3:
     def test_operator_matches_kron_identity(self, desk):
-        # (w^T ⊗ V) vec(H) must equal V (H w) for every dictionary column
+        # (w^T ⊗ V) vec(H) must equal sqrt(p) V (H w) for every dictionary column
         comb = desk["combiner"]
         rec = simulate_reception(
             desk["scene"], desk["real"], comb, uniform_precoder(2), seed=2
@@ -260,8 +263,9 @@ class TestStage3:
         rng = np.random.default_rng(0)
         cols = rng.standard_normal((comb.num_antennas * 2, 3)) \
             + 1j * rng.standard_normal((comb.num_antennas * 2, 3))
-        op = location_operator(rec, cols, comb.num_antennas, 2)
         w = rec.precoder.w[:, 0]
+        atoms = np.einsum("mns,n->ms", cols.reshape(comb.num_antennas, 2, -1, order="F"), w)
+        op = location_operator(rec, atoms)
         kron_op = np.sqrt(rec.power) * np.kron(w[None, :], comb.matrix())
         np.testing.assert_allclose(op, kron_op @ cols, atol=1e-10)
 
@@ -289,6 +293,32 @@ class TestStage3:
         assert sol.support.size < loc_dict.num_atoms / 4
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -25
+
+    def test_paper_sbl_peak_stays_near_its_operator(self):
+        # the 768 x 363 atoms, the operator and SBL's Gram pass share the
+        # peak; a (M*N) x S vec(H) dictionary (17.8 MB) or E-step copies
+        # would push it past the bound
+        cfg = paper_profile()
+        d_h, d_v = cfg.spacings()
+        bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))
+        tiling = partition(bs, cfg.tiles_h, cfg.tiles_v)
+        comb = design_combiner(cfg.t_slots, tiling, tiling.tiles[0].geometry.size // cfg.m_s)
+        scene = draw_scene(cfg, bs, seed=7)
+        real = synthesize(scene, rng_seed=1)
+        scene = scene.with_noise_var(noise_var_for_snr(cfg, real.h, 10.0))
+        rec = simulate_reception(scene, real, comb, uniform_precoder(cfg.n_ue), seed=2)
+        p_hat = scene.ue.center + np.array([0.03, -0.02, 0.0])
+        tracemalloc.start()
+        try:
+            sol, h_hat, loc_dict = stage3(rec, p_hat, bs, scene.ue, cfg.wavelength, cfg.stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, peak / 1e6
+        assert loc_dict.matrix.shape == (bs.size, 363)
+        assert sol.converged
+        nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
+        assert 10 * np.log10(nmse) < -15
 
     def test_single_point_grid_is_least_squares(self, desk):
         scene, real = desk["scene"], desk["real"]
