@@ -72,23 +72,34 @@ def _spherical_wave(antennas, points, wavelength, out=None, divide=False, weight
     """Fill complex (M, S) ``out`` (or a new array) with ``exp(-j*2*pi*r/λ)`` and return it.
 
     Over ``r`` if ``divide``.  Entry (m, s), from ``points[s]`` at ``antennas[m]``, is
-    bit-identical to a one-point call; row blocks of 2,048-16,384 entries bound the temporaries.
-    With ``weights`` (N,) and (N, S, 3) ``points``, entry (m, s) sums ``weights[n]`` times the
-    wave from ``points[n, s]`` in order of n; a scratch holds each later wave, so blocks halve.
+    bit-identical to a one-point call; row blocks of 2,048-16,384 entries and one
+    block-sized buffer for ``r`` bound the temporaries.  With ``weights`` (N,) and (N, S, 3)
+    ``points``, entry (m, s) sums ``weights[n]`` times the wave from ``points[n, s]`` in order
+    of n; a complex scratch holds each later wave.
     """
     sets = [points] if weights is None else points
     out = np.empty((len(antennas), len(sets[0])), dtype=complex) if out is None else out
     m, s = out.shape
     rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1) // min(len(sets), 2))
-    scratch = np.empty((min(rows, m), s), dtype=complex) if len(sets) > 1 else None
+    r_buf = np.empty((min(rows, m), s))
+    scratch = np.empty_like(r_buf, dtype=complex) if len(sets) > 1 else None
     for start in range(0, m, rows):
-        near = antennas[start:start + rows]  # r summed as in pairwise_distances
+        near = antennas[start:start + rows]
         block = out[start:start + rows]
+        r = r_buf[:len(block)]
         for n, pts in enumerate(sets):
-            r = np.sqrt(sum((near[:, k, None] - pts[:, k]) ** 2 for k in range(3)))
+            w = block if n == 0 else scratch[:len(block)]
+            d = w.real  # a square lands there before the wave overwrites it
+            # r summed as in pairwise_distances: (dx^2 + dy^2) + dz^2
+            np.subtract(near[:, 0, None], pts[:, 0], out=r)
+            np.multiply(r, r, out=r)
+            for k in (1, 2):
+                np.subtract(near[:, k, None], pts[:, k], out=d)
+                np.multiply(d, d, out=d)
+                r += d
+            np.sqrt(r, out=r)
             if np.any(r <= 0):
                 raise SingularGeometryError("a point coincides with an antenna")
-            w = block if n == 0 else scratch[:len(near)]
             np.multiply(-2j * np.pi, r, out=w)
             w /= wavelength
             np.exp(w, out=w)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
@@ -597,6 +595,9 @@ def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
     table = ResultTable(config=config)
     with ExitStack() as stack:
         if config.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads them
+            from multiprocessing import get_context
+
             stack.enter_context(single_thread_children())
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, mp_context=get_context("spawn"),

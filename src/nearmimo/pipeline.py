@@ -277,7 +277,7 @@ def stage3(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
             gamma_floor=options.sbl_gamma_floor,
-            track_evidence=False, prune=True, update="fixed-point",
+            track_evidence=False, update="sequential",
         )
     elif solver == "omp":
         sol = omp(problem, max_atoms=min(options.stage3_omp_atoms, loc_dict.num_atoms),

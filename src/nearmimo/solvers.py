@@ -6,22 +6,26 @@ of ``A``, computed once when the problem is built (or passed in by a
 caller that poses many problems on one matrix).  OMP greedily selects
 atoms by normalized correlation with the residual, dividing by those
 stored norms, and refits by least squares.  SBL places independent
-CN(0, gamma_q) priors on the coefficients and learns the prior variances
-from the posterior:
+CN(0, gamma_q) priors on the coefficients and maximizes the marginal
+likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
+variance held fixed, in one of two ways:
 
-    E-step:  Sigma = (A^H A / sigma^2 + Gamma^-1)^-1
-             mu    = Sigma A^H y / sigma^2
-    M-step:  gamma_q = |mu_q|^2 + Sigma_qq                  (EM)
-             gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)  (fixed point)
+* ``"em"`` (Wipf & Rao, IEEE TSP 2004), the reference: every iteration
+  runs the batch E-step over all Q atoms,
 
-Both M-steps seek the marginal likelihood of y under
-CN(0, sigma^2 I + A Gamma A^H), with the noise variance held fixed.
-Only EM is guaranteed never to lower it (Wipf & Rao, IEEE TSP 2004);
-MacKay's fixed point, whose single-atom form Tipping & Faul (AISTATS
-2003) derive in closed form, sends unsupported variances to zero in far
-fewer iterations.  The E-step factors that Q x Q matrix for any shape of
-``A``, from ``A^H A`` and ``A^H y`` formed once; atoms whose variance
-falls below a relative floor can be pruned from both mid-iteration.
+      Sigma = (A^H A / sigma^2 + Gamma^-1)^-1,  mu = Sigma A^H y / sigma^2,
+
+  and sets gamma_q = |mu_q|^2 + Sigma_qq, which never lowers the
+  evidence.  It factors a Q x Q matrix per iteration, with scipy.
+
+* ``"sequential"`` (Tipping & Faul, AISTATS 2003): starting from an
+  empty model, every step adds, re-estimates or deletes the one atom
+  whose single-atom optimum gamma_q = (|q_q|^2 - s_q) / s_q^2 (zero when
+  |q_q|^2 <= s_q) raises the evidence most, or re-estimates all model
+  atoms by one Newton step.  The sparsity and quality factors s_q, q_q
+  come from the K atoms in the model alone: one row of cross-Gram
+  ``u^H A`` per atom added and K x K factors, in numpy.  No Q x Q
+  matrix is formed.
 """
 
 from __future__ import annotations
@@ -33,9 +37,14 @@ import numpy as np
 from .errors import DivergenceError, NumericalRankError
 
 _GAMMA_ABS_FLOOR = 1e-100
-# lower bound on the fixed-point denominator 1 - Sigma_qq/gamma_q, which
-# rounding can push to zero or below once gamma_q vanishes
-_DENOM_FLOOR = 1e-12
+# sequential SBL: an atom whose energy outside the model's span is below
+# this fraction of its own cannot join the model
+_SPAN_RTOL = 1e-12
+# sequential SBL: no prior variance exceeds this multiple of ||y||^2 / ||a_q||^2.
+# A lone atom's optimum never reaches 1; above it, neighbouring atoms with
+# large opposite coefficients can still model an off-grid location, while
+# the factors stay well conditioned without noise
+_GAMMA_CAP = 10.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,9 @@ class SparseSolution:
 class SblState:
     """Posterior and prior state of the SBL solver at exit.
 
-    ``covariance`` spans the retained atoms in ``active`` (all atoms
-    without mid-run pruning), for any shape of ``A``; ``gamma`` and
-    ``mean`` are full length with zeros at discarded atoms.
+    ``covariance`` spans the retained atoms in ``active``, in increasing
+    order: all atoms for EM, the model atoms for the sequential rule;
+    ``gamma`` and ``mean`` are full length with zeros at discarded atoms.
     """
 
     gamma: np.ndarray
@@ -199,12 +208,6 @@ def omp(
     )
 
 
-def _gram(a, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(A^H A, A^H y)`` for SBL; the conjugate copy of ``A`` dies on return."""
-    a_h = a.conj().T
-    return a_h @ a, a_h @ y
-
-
 def sbl_em(
     problem: SparseProblem,
     sigma2: float | None = None,
@@ -212,43 +215,39 @@ def sbl_em(
     tol: float = 1e-6,
     gamma_floor: float = 1e-8,
     track_evidence: bool = True,
-    prune: bool = False,
     update: str = "em",
 ) -> tuple[SparseSolution, SblState]:
     """Sparse Bayesian learning with fixed noise variance.
 
-    Every iteration runs the same E-step and then one of two M-steps:
-    ``"em"`` sets ``gamma_q = |mu_q|^2 + Sigma_qq`` and never lowers the
-    evidence; ``"fixed-point"`` (MacKay) sets
-    ``gamma_q = |mu_q|^2 / (1 - Sigma_qq / gamma_q)``, which drives
-    unsupported atoms to zero far faster but carries no monotonicity
-    guarantee.  ``A^H A`` and ``A^H y`` are formed once; the E-step
-    factors the Q x Q matrix ``A^H A / sigma^2 + Gamma^-1``, solves the
-    factor onto the identity and squares that inverse, each in place; the
-    iteration, pruning and exit posterior run on the active rows and
-    columns alone.  This is exact for any shape; with Q > P each
-    iteration costs Q^3.
+    ``update="em"`` iterates the batch EM rule over all atoms: ``A^H A``
+    and ``A^H y`` are formed once, and every iteration factors the Q x Q
+    matrix ``A^H A / sigma^2 + Gamma^-1``, solves the factor onto the
+    identity and squares that inverse, each in place.  It is exact for
+    any shape; with Q > P each iteration costs Q^3.
+
+    ``update="sequential"`` takes one Tipping--Faul step at a time (see
+    :func:`_sbl_sequential`); each step costs O(K Q) for K atoms in the
+    model, plus one P x Q product when an atom joins it.
 
     Parameters
     ----------
     problem : SparseProblem
     sigma2 : float
         Noise variance; required (``None`` raises ``ValueError``).
-    max_iters, tol : iteration stopping controls; convergence is
-        declared when the largest relative change of any prior variance
-        drops below ``tol``.
+    max_iters, tol : stopping controls.  EM declares convergence once the
+        largest relative change of any prior variance drops below
+        ``tol``; the sequential rule once every atom in the model sits
+        within relative ``tol`` of its (capped) single-atom optimum and
+        no atom outside it that it does not already span has
+        ``|q|^2 > s``.  ``max_iters`` caps EM iterations or sequential
+        steps.
     gamma_floor : float
         Relative pruning threshold: atoms whose prior variance falls
         below ``gamma_floor * max(gamma)`` are zeroed in the reported
         coefficients.
     track_evidence : bool
-        Record the log marginal likelihood at every iteration.
-    prune : bool
-        Drop atoms below the floor *during* the iteration (standard ARD
-        speedup).  Off by default: with EM and pruning deferred to exit,
-        the recorded evidence is exactly non-decreasing.
-    update : {"em", "fixed-point"}
-        The M-step rule.
+        Record the log marginal likelihood at every iteration or step.
+    update : {"em", "sequential"}
 
     Returns
     -------
@@ -258,18 +257,23 @@ def sbl_em(
     Raises
     ------
     DivergenceError
-        If an iterate turns non-finite; carries the iteration index.
+        If an iterate turns non-finite or a factorization fails; carries
+        the iteration index.
     """
-    import scipy.linalg  # loaded on first use: a sweep pool's parent never needs it
-    if update not in ("em", "fixed-point"):
-        raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'fixed-point'")
+    if update not in ("em", "sequential"):
+        raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'sequential'")
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
+    if update == "sequential":
+        return _sbl_sequential(problem, sigma2, max_iters, tol, gamma_floor, track_evidence)
+    import scipy.linalg  # only the EM reference needs it
+
     y = problem.observation
     p, q_full = problem.shape
-    gram, rhs = _gram(problem.sensing_matrix, y)  # over the active atoms
+    a_h = problem.sensing_matrix.conj().T  # a conjugate copy, dropped once the Gram is formed
+    gram, rhs = a_h @ problem.sensing_matrix, a_h @ y
+    del a_h
 
-    active = np.arange(q_full)
     gamma = np.ones(q_full)
     evidence: list[float] = []
     history: list[float] = [float(np.linalg.norm(y))]
@@ -287,7 +291,7 @@ def sbl_em(
             raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
         mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
         inv_factor = scipy.linalg.solve_triangular(
-            chol_m, np.eye(active.size, dtype=complex, order="F"), lower=True,
+            chol_m, np.eye(q_full, dtype=complex, order="F"), lower=True,
             overwrite_b=True, check_finite=False,
         )
         np.multiply(inv_factor.conj(), inv_factor, out=inv_factor)  # |L^-1|^2
@@ -305,36 +309,32 @@ def sbl_em(
         residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
         history.append(float(np.sqrt(max(residual2, 0.0))))
 
-        if update == "em":
-            gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
-        else:
-            gamma_new = np.abs(mu) ** 2 / np.maximum(1.0 - sigma_diag / gamma, _DENOM_FLOOR)
+        gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
         if not np.all(np.isfinite(gamma_new)) or not np.all(np.isfinite(mu)):
             raise DivergenceError("non-finite SBL iterate", it)
         delta = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, _GAMMA_ABS_FLOOR))
         gamma = np.maximum(gamma_new, _GAMMA_ABS_FLOOR)
-        if prune:
-            keep = gamma >= gamma_floor * gamma.max()
-            if not np.all(keep):
-                active = active[keep]
-                gamma = gamma[keep]
-                gram = gram[np.ix_(keep, keep)]
-                rhs = rhs[keep]
         if delta < tol:
             converged = True
             break
 
-    # final posterior at the exit prior, over the surviving atoms
+    # final posterior at the exit prior
     m = gram / sigma2
     m[np.diag_indices_from(m)] += 1.0 / gamma
     chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
     covariance = scipy.linalg.cho_solve(
-        (chol_m, True), np.eye(active.size, dtype=complex), check_finite=False
+        (chol_m, True), np.eye(q_full, dtype=complex), check_finite=False
     )
     mu = covariance @ rhs / sigma2
-    covariance = 0.5 * (covariance + covariance.conj().T)
+    return _sbl_result(q_full, np.arange(q_full), gamma, mu, covariance, gamma_floor,
+                       iterations, converged, history, evidence)
 
-    keep = gamma >= gamma_floor * gamma.max()
+
+def _sbl_result(q_full, active, gamma, mu, covariance, gamma_floor,
+                iterations, converged, history, evidence):
+    """The exit ``(SparseSolution, SblState)`` of either SBL rule."""
+    covariance = 0.5 * (covariance + covariance.conj().T)
+    keep = gamma >= gamma_floor * gamma.max(initial=0.0)
     mean_full = np.zeros(q_full, dtype=complex)
     mean_full[active] = mu
     gamma_full = np.zeros(q_full)
@@ -350,3 +350,182 @@ def sbl_em(
         residual_history=tuple(history), iterations=iterations, converged=converged,
     )
     return solution, state
+
+
+def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor, track_evidence):
+    """Tipping--Faul sequential SBL; see :func:`sbl_em` for the contract.
+
+    The K model atoms ``Phi`` are held as ``Phi = U T`` with ``U`` (P x K)
+    orthonormal, so every posterior quantity is K-sized: ``Z = U^H A``
+    (K x Q) gains one row ``u^H A`` per atom added, and ``A`` itself is
+    never copied.  With ``F = T Gamma^1/2``, the QR factors of
+    ``R^H R = I + F^H F / sigma^2`` and ``R_b^H R_b = B = sigma^2 I + F F^H``
+    give ``Sigma = Gamma^1/2 R^-1 R^-H Gamma^1/2`` and
+    ``mu = Gamma Phi^H C^-1 y`` with ``Phi^H C^-1 = T^H B^-1 U^H``.  Outside
+    the model ``s_q = ||a_q - U z_q||^2 / sigma^2 + z_q^H B^-1 z_q`` is a sum
+    of two non-negative terms and ``q_q = a_q^H (y - Phi mu) / sigma^2``;
+    inside it the leave-one-out factors ``s_k = S_kk / d_k`` and
+    ``q_k = Q_k / d_k`` take ``d_k = 1 - gamma_k S_kk = Sigma_kk / gamma_k``
+    from the row norms of ``R^-1``, never from that cancelling difference.
+
+    Two safeguards keep the factors well conditioned at any SNR: an atom
+    whose energy outside the model's span is below ``_SPAN_RTOL`` of its
+    own cannot join, and no prior variance exceeds
+    ``_GAMMA_CAP * ||y||^2 / ||a_q||^2``.  When no atom is to be
+    added or deleted, a step first tries a Newton step on the evidence over
+    all model atoms at once (coherent atoms otherwise trade variance one
+    small step at a time); it is kept only if it raises the evidence, and
+    an atom it drives to zero leaves the model.
+    """
+    a = problem.sensing_matrix
+    y = problem.observation
+    p, q_full = a.shape
+    b = (y.conj() @ a).conj()  # A^H y
+    norms2 = problem.column_norms ** 2
+    y_energy = float(np.vdot(y, y).real)
+    gamma_cap = _GAMMA_CAP * y_energy / norms2
+    sigma = np.sqrt(sigma2)
+    model = np.zeros(0, dtype=int)
+    gamma = np.zeros(0)
+    basis = np.zeros((p, 0), dtype=complex)  # U
+    tri = np.zeros((0, 0), dtype=complex)  # T = U^H Phi, upper triangular
+    rows = np.zeros((0, q_full), dtype=complex)  # Z = U^H A
+    coords = np.zeros(0, dtype=complex)  # U^H y
+    evidence: list[float] = []
+    history: list[float] = []
+    converged = False
+    step = 0
+    while True:
+        inv_post, inv_data = _model_factors(tri, gamma, sigma)
+        white = inv_data.conj().T @ rows  # R_b^-H Z
+        white_y = inv_data.conj().T @ coords
+        white_t = inv_data.conj().T @ tri
+        s_model = white_t.conj().T @ white_t  # Phi^H C^-1 Phi
+        q_model = white_t.conj().T @ white_y  # Phi^H C^-1 y
+        mu = gamma * q_model
+        fitted = tri @ mu  # U^H Phi mu
+        outside_y = max(y_energy - float(np.vdot(coords, coords).real), 0.0)
+        history.append(float(np.sqrt(outside_y + np.linalg.norm(coords - fitted) ** 2)))
+        fit_terms = _fit_terms(inv_post, white_y)
+        if track_evidence:
+            evidence.append(float(-p * np.log(np.pi * sigma2) - outside_y / sigma2 + fit_terms))
+
+        outside = norms2 - np.sum(np.abs(rows) ** 2, axis=0)
+        s = np.where(outside > _SPAN_RTOL * norms2, outside / sigma2, np.inf)
+        s += np.sum(np.abs(white) ** 2, axis=0)
+        q = (b - (fitted.conj() @ rows).conj()) / sigma2
+        # leave-one-out: divide by 1 - gamma_k S_kk = Sigma_kk / gamma_k, a row norm of R^-1
+        d = np.sum(np.abs(inv_post) ** 2, axis=1)
+        s[model] = np.real(np.diag(s_model)) / d
+        q[model] = q_model / d
+        q2 = np.abs(q) ** 2
+        if not (np.all(np.isfinite(q2)) and np.all(np.isfinite(s[model]))):
+            raise DivergenceError("non-finite SBL iterate", step)
+
+        # each atom's optimal prior variance, given all the others
+        target = np.minimum(np.maximum(q2 - s, 0.0) / s ** 2, gamma_cap)
+        current = np.zeros(q_full)
+        current[model] = gamma
+        off = np.abs(target - current) > tol * current  # any atom to add or delete is off
+        if not np.any(off):
+            converged = True
+            break
+        if step == max_steps:
+            break
+        step += 1
+        drop = None
+        if model.size > 1 and np.all(target[off] > 0) and np.all(current[off] > 0):
+            joint = _newton_step(tri, gamma, gamma_cap[model], sigma, coords, fit_terms,
+                                 s_model, q_model)
+            if joint is not None:
+                gamma, drop = joint
+                if drop is None:
+                    continue
+        if drop is None:
+            # evidence gain of moving one atom from `current` to `target`
+            cand = np.flatnonzero(off)
+            gain = (_loglik_term(target[cand], s[cand], q2[cand])
+                    - _loglik_term(current[cand], s[cand], q2[cand]))
+            pick = int(cand[np.argmax(gain)])
+            drop = np.flatnonzero(model == pick)[0] if target[pick] == 0.0 else None
+        if drop is not None:  # delete, and turn the basis onto the smaller span
+            keep = np.arange(model.size) != drop
+            model, gamma = model[keep], gamma[keep]
+            turn, tri = np.linalg.qr(tri[:, keep])
+            basis, rows, coords = basis @ turn, turn.conj().T @ rows, turn.conj().T @ coords
+        elif current[pick] > 0:  # re-estimate
+            gamma[model == pick] = target[pick]
+        else:  # add, re-orthogonalizing once
+            z = rows[:, pick]
+            resid = a[:, pick] - basis @ z
+            fix = basis.conj().T @ resid
+            resid -= basis @ fix
+            tau = np.linalg.norm(resid)
+            u = resid / tau
+            basis = np.column_stack([basis, u])
+            rows = np.vstack([rows, u.conj() @ a])
+            coords = np.append(coords, np.vdot(u, y))
+            tri = np.block([[tri, (z + fix)[:, None]], [np.zeros((1, model.size)), tau]])
+            model = np.append(model, pick)
+            gamma = np.append(gamma, target[pick])
+
+    order = np.argsort(model)
+    root = np.sqrt(gamma)
+    cov = root[:, None] * (inv_post @ inv_post.conj().T) * root
+    return _sbl_result(q_full, model[order], gamma[order], mu[order],
+                       cov[np.ix_(order, order)], gamma_floor, step, converged,
+                       history, evidence)
+
+
+def _model_factors(tri, gamma, sigma):
+    """``R^-1`` and ``R_b^-1``: inverse QR factors of ``I + F^H F / sigma^2`` and
+    ``sigma^2 I + F F^H`` with ``F = T Gamma^1/2``, each from a stacked QR."""
+    f = tri * np.sqrt(gamma)
+    eye = np.eye(gamma.size)
+    inv_post = np.linalg.inv(np.linalg.qr(np.vstack([f / sigma, eye]), mode="r"))
+    inv_data = np.linalg.inv(np.linalg.qr(np.vstack([f.conj().T, sigma * eye]), mode="r"))
+    return inv_post, inv_data
+
+
+def _fit_terms(inv_post, white_y) -> float:
+    """The part of the log evidence that depends on the prior variances:
+    ``-log det(I + F^H F / sigma^2) - y^H U B^-1 U^H y``."""
+    return float(2.0 * np.sum(np.log(np.abs(np.diag(inv_post)))) - np.linalg.norm(white_y) ** 2)
+
+
+def _newton_step(tri, gamma, cap, sigma, coords, fit_terms, s_model, q_model):
+    """One Newton step on the log evidence over the model's prior variances.
+
+    ``s_model = Phi^H C^-1 Phi`` and ``q_model = Phi^H C^-1 y`` give the
+    gradient ``|q_k|^2 - S_kk`` and Hessian ``|S_jk|^2 - 2 Re(q_j^* S_jk q_k)``;
+    atoms held at their cap with a rising gradient stay fixed.  A step that
+    would take a variance below zero is cut where the first one reaches it.
+    Returns ``(gamma, index of an atom now at zero or None)``, or ``None``
+    when the Hessian is not negative definite or the step lowers the evidence.
+    """
+    grad = np.abs(q_model) ** 2 - np.real(np.diag(s_model))
+    hess = np.abs(s_model) ** 2 - 2.0 * np.real(q_model.conj()[:, None] * s_model * q_model)
+    free = ~((gamma >= cap) & (grad > 0))
+    if not np.any(free):
+        return None
+    try:
+        np.linalg.cholesky(-hess[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return None
+    delta = np.zeros_like(grad)
+    delta[free] = np.linalg.solve(-hess[np.ix_(free, free)], grad[free])
+    reach = np.where(delta < 0, gamma / np.where(delta < 0, -delta, 1.0), np.inf)
+    drop = int(np.argmin(reach)) if reach.min() < 1.0 else None
+    new = np.minimum(gamma + min(reach.min(), 1.0) * delta, cap)
+    if drop is not None:
+        new[drop] = 0.0
+    new = np.maximum(new, 0.0)
+    inv_post, inv_data = _model_factors(tri, new, sigma)
+    if _fit_terms(inv_post, inv_data.conj().T @ coords) <= fit_terms:
+        return None
+    return new, drop
+
+
+def _loglik_term(gamma, s, q2):
+    """One atom's share of the log evidence at prior variance ``gamma``."""
+    return q2 * gamma / (1.0 + gamma * s) - np.log1p(gamma * s)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nearmimo.channel import _spherical_wave
 from nearmimo.dictionaries import build_location
 from nearmimo.geometry import build_ula, build_upa
+from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -53,3 +54,70 @@ def test_precoded_atoms_equal_the_per_antenna_sum(problem):
     for offset, w_n in zip(d.offsets, w):
         expected += _spherical_wave(bs.positions, d.points + offset, WAVELENGTH, divide=True) * w_n
     np.testing.assert_array_equal(d.matrix, expected)
+
+
+@st.composite
+def sbl_problems(draw):
+    """A planted sparse problem with complex Gaussian atoms at 0-40 dB SNR."""
+    p, q = draw(st.integers(4, 16)), draw(st.integers(2, 30))
+    k = draw(st.integers(1, min(3, q)))
+    snr_db = draw(st.floats(0.0, 40.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))) / np.sqrt(2)
+    x = np.zeros(q, dtype=complex)
+    x[rng.choice(q, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    y = a @ x
+    sigma2 = float(np.vdot(y, y).real) / p * 10 ** (-snr_db / 10)
+    y = y + np.sqrt(sigma2 / 2) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
+    return SparseProblem(a, y), sigma2
+
+
+def _support_is_sound(sol, state, q):
+    support = sol.support
+    assert np.all((support >= 0) & (support < q)) and np.unique(support).size == support.size
+    assert set(support) <= set(state.active)
+    np.testing.assert_array_equal(np.delete(sol.coefficients, support), 0)
+
+
+@CONTRACT
+@given(case=sbl_problems())
+def test_sequential_sbl_converged_meets_its_stop_rule(case):
+    # s, q recomputed from C = sigma^2 I + Phi Gamma Phi^H, formed densely
+    problem, sigma2 = case
+    a, y = problem.sensing_matrix, problem.observation
+    tol = 1e-6
+    sol, state = sbl_em(problem, sigma2=sigma2, tol=tol, update="sequential")
+    _support_is_sound(sol, state, a.shape[1])
+    if not sol.converged:
+        return
+    model, gamma = state.active, state.gamma[state.active]
+    c = sigma2 * np.eye(a.shape[0]) + (a[:, model] * gamma) @ a[:, model].conj().T
+    big_s = np.real(np.sum(a.conj() * np.linalg.solve(c, a), axis=0))
+    big_q = a.conj().T @ np.linalg.solve(c, y)
+    s, q = big_s.copy(), big_q.copy()
+    s[model] = big_s[model] / (1 - gamma * big_s[model])
+    q[model] = big_q[model] / (1 - gamma * big_s[model])
+    cap = _GAMMA_CAP * np.vdot(y, y).real / problem.column_norms ** 2
+    optimum = np.minimum(np.maximum(np.abs(q) ** 2 - s, 0) / s ** 2, cap)
+    np.testing.assert_allclose(optimum[model], gamma, rtol=2 * tol)
+    # every atom outside the model that the model does not span stays out
+    outside = np.setdiff1d(np.arange(a.shape[1]), model)
+    basis = np.linalg.qr(a[:, model])[0]
+    rest = a[:, outside] - basis @ (basis.conj().T @ a[:, outside])
+    joinable = np.sum(np.abs(rest) ** 2, axis=0) > 1e3 * _SPAN_RTOL * problem.column_norms[outside] ** 2
+    assert np.all(np.abs(q[outside][joinable]) ** 2 <= s[outside][joinable] * (1 + 1e-9))
+
+
+@CONTRACT
+@given(case=sbl_problems())
+def test_em_sbl_converged_had_a_last_gamma_change_below_tol(case):
+    problem, sigma2 = case
+    tol = 1e-2  # every example converges within the cap at this tolerance
+    sol, state = sbl_em(problem, sigma2=sigma2, tol=tol, max_iters=300)
+    _support_is_sound(sol, state, problem.shape[1])
+    if not sol.converged:
+        return
+    # the run is deterministic: one iteration fewer gives the previous prior
+    _sol, before = sbl_em(problem, sigma2=sigma2, tol=0.0, max_iters=sol.iterations - 1)
+    change = np.abs(state.gamma - before.gamma) / before.gamma
+    assert change.max() < tol

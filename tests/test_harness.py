@@ -302,3 +302,15 @@ class TestSweep:
         cfg = tiny_config(methods=("stage1-only",), t_slots=3, workers=workers)  # T < M_s
         with pytest.raises(InfeasibleDesignError, match="T >= M_s"):
             run_sweep(cfg)
+
+
+@pytest.mark.parametrize("snr_db", [45.0, float("inf")], ids=["45dB", "noiseless"])
+def test_paper_scene_with_scattered_paths_recovers_at_high_snr(snr_db):
+    # base seed 4242, trial 0: the batch E-step failed to factor on both cells
+    cfg = paper_profile(methods=("proposed-sbl",), snr_db=(snr_db,), trials=1, base_seed=4242)
+    assert cfg.num_nlos == 2
+    seed = derive_seed(cfg.base_seed, "proposed-sbl", snr_db, 0)
+    report = simulate_once(cfg, "proposed-sbl", snr_db, seed)["report"]
+    assert report["status"] == "ok"
+    assert report["detail"]["stage3_converged"]
+    assert np.isfinite(report["nmse_db"])

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (loaded before tracing: sbl_em imports it on first use)
 
 from nearmimo.channel import PathParams, Scene, synthesize
 from nearmimo.dictionaries import (
@@ -295,9 +294,8 @@ class TestStage3:
         assert 10 * np.log10(nmse) < -25
 
     def test_paper_sbl_peak_stays_near_its_operator(self):
-        # the 768 x 363 atoms, the operator and SBL's Gram pass share the
-        # peak; a (M*N) x S vec(H) dictionary (17.8 MB) or E-step copies
-        # would push it past the bound
+        # the 768 x 363 atoms and the operator set the peak; a (M*N) x S
+        # vec(H) dictionary (17.8 MB) or a Q x Q Gram would push it past the bound
         cfg = paper_profile()
         d_h, d_v = cfg.spacings()
         bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,18 +195,21 @@ class TestSblEm:
 
     @pytest.mark.parametrize(
         "p,q,update",
-        [(24, 12, "em"), (12, 48, "em"), (24, 12, "fixed-point"), (12, 48, "fixed-point")],
-        ids=["24-12", "12-48", "24-12-fixed-point", "12-48-fixed-point"],
+        [(24, 12, "em"), (12, 48, "em"), (24, 12, "sequential"), (12, 48, "sequential")],
+        ids=["24-12", "12-48", "24-12-sequential", "12-48-sequential"],
     )
     def test_posterior_mean_linear_system_consistency(self, p, q, update):
+        # over the retained atoms: all of them for EM, the model for the sequential rule
         rng = np.random.default_rng(6)
         problem, _x, _s = _random_problem(rng, p, q, sparsity=3, sigma=0.05)
         sigma2 = 0.05 ** 2
         _sol, state = sbl_em(problem, sigma2=sigma2, update=update)
-        a = problem.sensing_matrix
-        lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / state.gamma)) @ state.mean
+        a = problem.sensing_matrix[:, state.active]
+        gamma = state.gamma[state.active]
+        lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / gamma)) @ state.mean[state.active]
         rhs = a.conj().T @ problem.observation / sigma2
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
+        np.testing.assert_array_equal(np.delete(state.mean, state.active), 0)
 
     @pytest.mark.parametrize("p,q", [(24, 12), (12, 48)])
     def test_evidence_non_decreasing(self, p, q):
@@ -230,26 +235,32 @@ class TestSblEm:
             sbl_em(problem)
 
 
-class TestSblFixedPoint:
+def _log_evidence(a, y, gamma, sigma2):
+    """log CN(y; 0, sigma2 I + A diag(gamma) A^H), formed densely."""
+    c = sigma2 * np.eye(a.shape[0]) + (a * gamma) @ a.conj().T
+    chol = np.linalg.cholesky(c)
+    w = np.linalg.solve(chol, y)
+    return (-a.shape[0] * np.log(np.pi) - 2 * np.sum(np.log(np.abs(np.diag(chol))))
+            - np.linalg.norm(w) ** 2)
+
+
+class TestSblSequential:
     def test_single_atom_closed_form(self):
-        # one unit-norm atom: the fixed point is gamma = |a^H y|^2 - sigma^2
+        # one unit-norm atom: the optimum is gamma = |a^H y|^2 - sigma^2,
+        # which the first step reaches exactly
         a = np.ones((5, 1), dtype=complex) / np.sqrt(5)
         y = 3.0 * a[:, 0]
-        sol, state = sbl_em(SparseProblem(a, y), sigma2=0.5, update="fixed-point")
-        assert sol.converged
-        assert state.gamma[0] == pytest.approx(8.5, rel=1e-6)
-        # first step from gamma = 1: mu = 2 and Sigma = 1/3, so the fixed
-        # point gives 4 / (1 - 1/3) = 6 where EM would give 4 + 1/3
-        _sol, first = sbl_em(SparseProblem(a, y), sigma2=0.5, max_iters=1,
-                             update="fixed-point")
-        assert first.gamma[0] == pytest.approx(6.0, rel=1e-12)
+        sol, state = sbl_em(SparseProblem(a, y), sigma2=0.5, update="sequential")
+        assert sol.converged and sol.iterations == 1
+        assert state.gamma[0] == pytest.approx(8.5, rel=1e-12)
+        # posterior mean gamma / (gamma + sigma^2) * a^H y
+        assert sol.coefficients[0] == pytest.approx(3.0 * 8.5 / 9.0, rel=1e-12)
 
-    def test_pruned_run_converges_sparse_and_consistent(self):
+    def test_converges_sparse_and_consistent(self):
         rng = np.random.default_rng(9)
         problem, _x, planted = _random_problem(rng, 40, 30, sparsity=3, sigma=0.05)
         sigma2 = 0.05 ** 2
-        sol, state = sbl_em(problem, sigma2=sigma2, gamma_floor=1e-4,
-                            prune=True, update="fixed-point")
+        sol, state = sbl_em(problem, sigma2=sigma2, gamma_floor=1e-4, update="sequential")
         assert sol.converged
         assert set(planted) <= set(sol.support)
         assert sol.support.size <= 3 + 2
@@ -259,7 +270,60 @@ class TestSblFixedPoint:
         rhs = a.conj().T @ problem.observation / sigma2
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
 
+    @pytest.mark.parametrize("p,q", [(24, 12), (12, 48)])
+    def test_evidence_non_decreasing_and_exact(self, p, q):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            problem, _x, _s = _random_problem(rng, p, q, sparsity=3, sigma=0.1)
+            _sol, state = sbl_em(problem, sigma2=0.01, update="sequential")
+            ev = np.array(state.evidence)
+            assert ev.size == state.iterations + 1
+            assert np.all(np.diff(ev) >= -1e-9 * np.abs(ev[1:]))
+            dense = _log_evidence(problem.sensing_matrix, problem.observation, state.gamma, 0.01)
+            assert ev[-1] == pytest.approx(dense, rel=1e-10)
+
+    def test_finds_the_em_support_on_a_planted_problem(self):
+        rng = np.random.default_rng(10)
+        problem, _x, planted = _random_problem(rng, 30, 60, sparsity=4, sigma=0.02)
+        seq, _ = sbl_em(problem, sigma2=0.02 ** 2, gamma_floor=1e-3, update="sequential")
+        em, _ = sbl_em(problem, sigma2=0.02 ** 2, gamma_floor=1e-3, max_iters=2000)
+        assert seq.converged
+        assert set(seq.support) == set(em.support) == set(planted)
+        np.testing.assert_allclose(seq.coefficients, em.coefficients, atol=1e-3)
+
+    @pytest.mark.parametrize("sigma2", [1e-12, 1e-30], ids=["120dB", "300dB"])
+    def test_coherent_atoms_without_noise_stay_finite(self, sigma2):
+        # 200 atoms on a 0.01-rad grid of one 16-antenna array: nearly
+        # collinear columns; at 300 dB the batch EM E-step fails to factor
+        angles = np.linspace(-1.0, 1.0, 200)
+        a = np.exp(1j * np.pi * np.outer(np.arange(16), np.sin(angles)))
+        y = a @ (np.exp(1j * np.arange(200)) * (np.abs(angles - 0.3) < 0.02))
+        sol, state = sbl_em(SparseProblem(a, y), sigma2=sigma2, update="sequential")
+        assert np.all(np.isfinite(sol.coefficients))
+        assert sol.residual_history[-1] < 1e-3 * sol.residual_history[0]
+        assert state.covariance.shape == (state.active.size,) * 2
+
+    def test_never_forms_a_q_by_q_matrix(self):
+        # a 3000-atom problem: A is 1.9 MB, a Q x Q complex matrix 144 MB
+        rng = np.random.default_rng(11)
+        problem, _x, _s = _random_problem(rng, 40, 3000, sparsity=2, sigma=0.01)
+        tracemalloc.start()
+        try:
+            sol, _ = sbl_em(problem, sigma2=1e-4, update="sequential")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 5e6, peak / 1e6
+
+    def test_zero_observation_is_the_empty_model(self):
+        sol, state = sbl_em(SparseProblem(np.eye(4, dtype=complex), np.zeros(4)), sigma2=0.1,
+                            update="sequential")
+        assert sol.converged and sol.iterations == 0
+        assert sol.support.size == 0 and state.active.size == 0
+        np.testing.assert_array_equal(sol.coefficients, 0)
+
     def test_rejects_unknown_update(self):
         problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError):
-            sbl_em(problem, sigma2=0.1, update="mackay")
+            sbl_em(problem, sigma2=0.1, update="fixed-point")

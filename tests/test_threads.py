@@ -130,3 +130,20 @@ def test_pooled_cli_sweep_no_slower_than_serial_and_byte_identical(tmp_path):
     assert walls[2] <= POOL_MARGIN * walls[1], walls
     for name in ("sweep_rows.csv", "sweep_aggregate.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+
+def test_serial_sweep_of_every_method_loads_neither_scipy_nor_the_pool():
+    # scipy serves only the EM reference solver, the process pool only workers > 1
+    code = (
+        "import json, sys\n"
+        "from nearmimo.harness import METHODS, desk_profile, run_sweep\n"
+        "table = run_sweep(desk_profile(methods=METHODS, snr_db=(15.0,), trials=1))\n"
+        "print(json.dumps({'statuses': [r.status for r in table.rows], 'loaded': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "    or m.startswith('concurrent.futures.process'))}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=clean_env(), capture_output=True,
+                         text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["statuses"] == ["ok"] * 8
+    assert report["loaded"] == []
