@@ -61,15 +61,8 @@ class ChannelRealization:
     seed: int | None = None
 
 
-def pairwise_distances(a: ArrayGeometry, b: ArrayGeometry) -> np.ndarray:
-    """Euclidean distances between every antenna pair, shape (a.size, b.size)."""
-    diff = a.positions[:, None, :] - b.positions[None, :, :]
-    d0, d1, d2 = diff[..., 0], diff[..., 1], diff[..., 2]
-    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-
-
-def _spherical_wave(antennas, points, wavelength, out=None, divide=False, weights=None):
-    """Fill complex (M, S) ``out`` (or a new array) with ``exp(-j*2*pi*r/λ)`` and return it.
+def _spherical_wave(antennas, points, wavelength, divide=False, weights=None):
+    """Return the complex (M, S) array of ``exp(-j*2*pi*r/λ)``.
 
     Over ``r`` if ``divide``.  Entry (m, s), from ``points[s]`` at ``antennas[m]``, is
     bit-identical to a one-point call; row blocks of 2,048-16,384 entries and one
@@ -78,7 +71,7 @@ def _spherical_wave(antennas, points, wavelength, out=None, divide=False, weight
     of n; a complex scratch holds each later wave.
     """
     sets = [points] if weights is None else points
-    out = np.empty((len(antennas), len(sets[0])), dtype=complex) if out is None else out
+    out = np.empty((len(antennas), len(sets[0])), dtype=complex)
     m, s = out.shape
     rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1) // min(len(sets), 2))
     r_buf = np.empty((min(rows, m), s))
@@ -90,7 +83,7 @@ def _spherical_wave(antennas, points, wavelength, out=None, divide=False, weight
         for n, pts in enumerate(sets):
             w = block if n == 0 else scratch[:len(block)]
             d = w.real  # a square lands there before the wave overwrites it
-            # r summed as in pairwise_distances: (dx^2 + dy^2) + dz^2
+            # r summed as (dx^2 + dy^2) + dz^2, the same order for every block
             np.subtract(near[:, 0, None], pts[:, 0], out=r)
             np.multiply(r, r, out=r)
             for k in (1, 2):

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  verify       run the module invariant suite (exit 0 iff all pass)
-  simulate     one scene + one method; dumps StageOutputs JSON + matrices
+  verify       one desk trial per method at 25 dB (exit 0 iff all pass)
+  simulate     one scene + one method; dumps the trial report JSON + matrices
   sweep        Monte-Carlo sweep from a config file; emits CSV + JSON
   export-dict  dump a dictionary matrix with a text manifest
 
@@ -25,6 +25,7 @@ os.environ.update(single_thread_defaults())
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -37,7 +38,8 @@ from .dictionaries import (  # noqa: E402
 )
 from .errors import NearMimoError  # noqa: E402
 from .harness import (  # noqa: E402
-    ExperimentConfig, desk_profile, paper_profile, run_sweep, simulate_once,
+    METHODS, ExperimentConfig, SweepContext, desk_profile, paper_profile, run_sweep,
+    run_trial, simulate_once,
 )
 from .matfile import save_matrix  # noqa: E402
 
@@ -85,7 +87,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run module invariant suites")
+    sub.add_parser("verify", help="run one desk trial of every method")
 
     p = sub.add_parser("simulate", help="run one scene + one method")
     _add_common(p, with_method=True)
@@ -103,9 +105,25 @@ def build_parser() -> _Parser:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_verification
+    """One desk trial of each method at 25 dB, through the sweep's own path.
 
-    return 0 if run_verification() else 2
+    A method passes when its trial's status is ``ok`` and its NMSE is
+    below 0 dB; one PASS/FAIL line per method.
+    """
+    ctx = SweepContext(desk_profile())
+    failed = 0
+    for method in METHODS:
+        try:
+            row = run_trial(ctx, method, 25.0, 0)
+        except Exception as exc:  # a crashed trial is a failed check
+            print(f"FAIL {method}: {type(exc).__name__}: {exc}")
+            failed += 1
+            continue
+        ok = row.status == "ok" and row.nmse < 1.0
+        failed += not ok
+        nmse_db = f"{10 * math.log10(row.nmse):.1f} dB" if row.nmse > 0 else "nan"
+        print(f"{'PASS' if ok else 'FAIL'} {method}: status {row.status}, NMSE {nmse_db}")
+    return 2 if failed else 0
 
 
 def _cmd_simulate(args) -> int:

@@ -50,9 +50,6 @@ class AngularDictionary:
     def num_atoms(self) -> int:
         return self.matrix.shape[1]
 
-    def column_index(self, z1: int, z2: int) -> int:
-        return z1 * self.z + z2
-
 
 @dataclass(frozen=True)
 class LocationDictionary:

@@ -91,10 +91,6 @@ class SubarrayTiling:
     def num_tiles(self) -> int:
         return self.i_h * self.i_v
 
-    def tile_centers(self) -> np.ndarray:
-        """Stacked tile centers, shape ``(I, 3)``."""
-        return np.stack([t.geometry.center for t in self.tiles])
-
 
 def build_upa(m_h: int, m_v: int, d_h: float, d_v: float, center) -> ArrayGeometry:
     """Build a uniform planar array in the yz-plane.

@@ -90,19 +90,10 @@ class StageOutputs:
     stage1: list[SparseSolution]
     subarray_channels: list[np.ndarray]
     directions: list
-    rays: list[Ray]
     location: LocationEstimate | None
     stage3: SparseSolution | None
     h_hat: np.ndarray
     timings: dict = field(default_factory=dict)
-
-
-def pilot_energy(record: ReceptionRecord) -> float:
-    """Total transmitted pilot energy: each block repeats T slots."""
-    w = record.precoder.w
-    return record.combiner.t_slots * record.power * float(
-        np.sum(np.abs(w) ** 2)
-    )
 
 
 def simulate_reception(
@@ -276,8 +267,7 @@ def stage3(
         sol, _state = sbl_em(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
-            gamma_floor=options.sbl_gamma_floor,
-            track_evidence=False, update="sequential",
+            gamma_floor=options.sbl_gamma_floor, update="sequential",
         )
     elif solver == "omp":
         sol = omp(problem, max_atoms=min(options.stage3_omp_atoms, loc_dict.num_atoms),
@@ -310,7 +300,7 @@ def run_three_stage(
     timings["stage1"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    estimate, directions, rays = stage2(
+    estimate, directions, _rays = stage2(
         channels, combiner.tiling, scene.wavelength, options
     )
     timings["stage2"] = time.perf_counter() - tic
@@ -327,7 +317,7 @@ def run_three_stage(
 
     return StageOutputs(
         stage1=solutions, subarray_channels=channels, directions=directions,
-        rays=rays, location=estimate, stage3=sol3, h_hat=h_hat, timings=timings,
+        location=estimate, stage3=sol3, h_hat=h_hat, timings=timings,
     )
 
 

@@ -107,39 +107,15 @@ class CombinerDesign:
         """The dense (T*M_RF) x M combiner ``V``, for checks only."""
         return self.apply(np.eye(self.num_antennas))
 
-    def verify(self, tol: float = _ORTHO_TOL) -> None:
-        """Check the algebraic guarantees of the designed construction.
-
-        The dense Gram checks (global, per tile, per slot) and then the
-        block checks of ``verify_blocks``, for tests and ``nearmimo
-        verify``; ``design_combiner`` runs only ``verify_blocks``.  Raises
-        ``InfeasibleDesignError`` if any check fails.
-        """
-        def check(gram, target, what):
-            err = np.linalg.norm(gram - target * np.eye(gram.shape[0]))
-            if err > tol:
-                raise InfeasibleDesignError(f"{what} Gram error {err:.2e}")
-
-        gram_target = self.t_slots * self.entry_modulus ** 2
-        v = self.matrix()
-        check(v.conj().T @ v, gram_target, "global combiner")
-        m_i = self.tiling.tiles[0].geometry.size
-        for i in range(self.tiling.num_tiles):
-            slc = self.apply_tile(i, np.eye(m_i))
-            check(slc.conj().T @ slc, gram_target, f"tile {i} combiner")
-        for k, v_t in enumerate(v.reshape(self.t_slots, self.m_rf_total, -1)):
-            check(v_t @ v_t.conj().T, self.noise_scale, f"slot {k} row")
-        self.verify_blocks(tol)
-
     def verify_blocks(self, tol: float = _ORTHO_TOL) -> None:
         """The build-time check: unit-modulus entries and every chain's Gram.
 
         Chains touch disjoint antennas, so ``V^H V`` is block diagonal with
         the chain Grams ``F^H F`` as its blocks, and each ``V_t V_t^H`` is
         diagonal with the blocks' squared row norms, which unit modulus
-        fixes at ``noise_scale``.  These two checks so imply the global,
-        tile and slot checks of ``verify``; the Gram error is the Frobenius
-        norm over all chains, which is the global check's error.  Raises
+        fixes at ``noise_scale``.  These two checks so imply the dense global,
+        tile and slot Gram identities; the Gram error is the Frobenius norm
+        over all chains, which is the global ``V^H V`` error.  Raises
         ``InfeasibleDesignError`` if either fails.
         """
         blocks = self.chain_blocks

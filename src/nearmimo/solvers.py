@@ -30,7 +30,7 @@ variance held fixed, in one of two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,15 +106,6 @@ class SparseSolution:
     iterations: int
     converged: bool
 
-    def diagnostics(self) -> dict:
-        """JSON-serializable convergence record."""
-        return {
-            "support": self.support.tolist(),
-            "residual_history": list(self.residual_history),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class SblState:
@@ -130,16 +121,7 @@ class SblState:
     covariance: np.ndarray
     active: np.ndarray
     iterations: int
-    evidence: tuple[float, ...] = field(default=())
-
-    def diagnostics(self) -> dict:
-        """JSON-serializable prior-variance and evidence record."""
-        return {
-            "gamma": self.gamma.tolist(),
-            "active": self.active.tolist(),
-            "iterations": self.iterations,
-            "evidence": list(self.evidence),
-        }
+    evidence: tuple[float, ...]
 
 
 def omp(
@@ -155,9 +137,9 @@ def omp(
     toward the lowest index, and the coefficients are refit by least
     squares on the accumulated support after every selection.
 
-    Stops after ``max_atoms`` selections or once
+    Stops after ``max_atoms`` selections (``min(P, Q)`` if omitted) or once
     ``||r|| / ||y|| <= residual_tol``; at least one criterion must be
-    given.
+    given.  ``converged`` reports whether that tolerance was met.
 
     Raises
     ------
@@ -189,6 +171,7 @@ def omp(
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
         scores = np.abs(residual.conj() @ a) / problem.column_norms
+        scores[support] = -1.0  # after an exact fit, rounding must not re-pick an atom
         support.append(int(np.argmax(scores)))
         basis = a[:, support]
         coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
@@ -203,8 +186,7 @@ def omp(
     x[support] = coef
     return SparseSolution(
         coefficients=x, support=np.array(support, dtype=int),
-        residual_history=tuple(history), iterations=len(support),
-        converged=converged or max_atoms is None,
+        residual_history=tuple(history), iterations=len(support), converged=converged,
     )
 
 
@@ -214,7 +196,6 @@ def sbl_em(
     max_iters: int = 200,
     tol: float = 1e-6,
     gamma_floor: float = 1e-8,
-    track_evidence: bool = True,
     update: str = "em",
 ) -> tuple[SparseSolution, SblState]:
     """Sparse Bayesian learning with fixed noise variance.
@@ -245,14 +226,14 @@ def sbl_em(
         Relative pruning threshold: atoms whose prior variance falls
         below ``gamma_floor * max(gamma)`` are zeroed in the reported
         coefficients.
-    track_evidence : bool
-        Record the log marginal likelihood at every iteration or step.
     update : {"em", "sequential"}
 
     Returns
     -------
     (SparseSolution, SblState)
-        Coefficients are the posterior mean with pruned atoms zeroed.
+        Coefficients are the posterior mean with pruned atoms zeroed;
+        ``SblState.evidence`` holds the log marginal likelihood at every
+        iteration or step.
 
     Raises
     ------
@@ -265,7 +246,7 @@ def sbl_em(
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
     if update == "sequential":
-        return _sbl_sequential(problem, sigma2, max_iters, tol, gamma_floor, track_evidence)
+        return _sbl_sequential(problem, sigma2, max_iters, tol, gamma_floor)
     import scipy.linalg  # only the EM reference needs it
 
     y = problem.observation
@@ -297,14 +278,12 @@ def sbl_em(
         np.multiply(inv_factor.conj(), inv_factor, out=inv_factor)  # |L^-1|^2
         sigma_diag = np.real(np.sum(inv_factor, axis=0))
         fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
-        if track_evidence:
-            # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
-            logdet_c = (
-                p * np.log(sigma2) + np.sum(np.log(gamma))
-                + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
-            )
-            quad = (y_energy - fit) / sigma2
-            evidence.append(float(-p * np.log(np.pi) - logdet_c - quad))
+        # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
+        logdet_c = (
+            p * np.log(sigma2) + np.sum(np.log(gamma))
+            + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
+        )
+        evidence.append(float(-p * np.log(np.pi) - logdet_c - (y_energy - fit) / sigma2))
         # ||y - A mu||^2 expanded, so no P x Q product is formed
         residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
         history.append(float(np.sqrt(max(residual2, 0.0))))
@@ -352,7 +331,7 @@ def _sbl_result(q_full, active, gamma, mu, covariance, gamma_floor,
     return solution, state
 
 
-def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor, track_evidence):
+def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor):
     """Tipping--Faul sequential SBL; see :func:`sbl_em` for the contract.
 
     The K model atoms ``Phi`` are held as ``Phi = U T`` with ``U`` (P x K)
@@ -407,8 +386,7 @@ def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor, track_evidence
         outside_y = max(y_energy - float(np.vdot(coords, coords).real), 0.0)
         history.append(float(np.sqrt(outside_y + np.linalg.norm(coords - fitted) ** 2)))
         fit_terms = _fit_terms(inv_post, white_y)
-        if track_evidence:
-            evidence.append(float(-p * np.log(np.pi * sigma2) - outside_y / sigma2 + fit_terms))
+        evidence.append(float(-p * np.log(np.pi * sigma2) - outside_y / sigma2 + fit_terms))
 
         outside = norms2 - np.sum(np.abs(rows) ** 2, axis=0)
         s = np.where(outside > _SPAN_RTOL * norms2, outside / sigma2, np.inf)

@@ -168,7 +168,7 @@ def test_acceptance_5_ls_localization():
     assert worst < 1e-6
 
     geom = build_upa(16, 48, HALF, HALF, (0, 0, 0))
-    centers = partition(geom, 2, 4).tile_centers()
+    centers = [t.geometry.center for t in partition(geom, 2, 4).tiles]
     target = np.array([8.0, 1.0, -1.0])
     rays = [
         Ray(origin=c, direction=(target - c) / np.linalg.norm(target - c))

@@ -8,13 +8,11 @@ from nearmimo.channel import (
     far_field_steering,
     los_channel,
     near_field_steering,
-    pairwise_distances,
     planar_far_field_steering,
     synthesize,
 )
 from nearmimo.errors import SingularGeometryError
 from nearmimo.geometry import build_ula, build_upa, wave_vector
-from nearmimo.harness import desk_profile, paper_profile
 from nearmimo.matfile import load_matrix, save_matrix
 
 WAVELENGTH = 299792458.0 / 6.8e9
@@ -55,18 +53,6 @@ class TestLosChannel:
     def test_coincident_antennas_rejected(self):
         with pytest.raises(SingularGeometryError):
             los_channel(_single((0, 0, 0)), _single((0, 0, 0)), WAVELENGTH)
-
-
-@pytest.mark.parametrize("profile", [desk_profile, paper_profile])
-def test_pairwise_distances_match_norm_form(profile):
-    cfg = profile()
-    d_h, d_v = cfg.spacings()
-    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0.0, 0.0, 0.0))
-    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (3.1, 0.4, -1.0))
-    diff = bs.positions[:, None, :] - ue.positions[None, :, :]
-    np.testing.assert_array_equal(
-        pairwise_distances(bs, ue), np.linalg.norm(diff, axis=-1)
-    )
 
 
 class TestNearFieldSteering:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from test_dictionaries import location_reference
 
+from nearmimo import harness, pipeline
 from nearmimo.cli import main
+from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa
-from nearmimo.harness import DESK_STAGES, desk_profile
+from nearmimo.harness import DESK_STAGES, METHODS, desk_profile
 from nearmimo.matfile import load_matrix
 
 
@@ -174,5 +176,21 @@ def test_export_dict_location(tmp_path, tiny_config_file):
         center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, ue))
 
 
-def test_verify_exits_zero():
+def test_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {m}" for m in METHODS]
+
+
+def test_verify_fails_the_methods_a_broken_stage_breaks(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise StageFailure("stage2", "broken for the test")
+
+    # run_three_stage looks stage2 up in pipeline, the eigen-dictionary runner in harness
+    monkeypatch.setattr(pipeline, "stage2", broken)
+    monkeypatch.setattr(harness, "stage2", broken)
+    assert main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = dict(reversed(line.split(":")[0].split()) for line in lines)
+    failing = {"proposed-sbl", "proposed-omp3", "eigen-dictionary", "random-combiner"}
+    assert verdicts == {m: "FAIL" if m in failing else "PASS" for m in METHODS}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nearmimo.channel import _spherical_wave
 from nearmimo.dictionaries import build_location
 from nearmimo.geometry import build_ula, build_upa
-from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, sbl_em
+from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -121,3 +121,34 @@ def test_em_sbl_converged_had_a_last_gamma_change_below_tol(case):
     _sol, before = sbl_em(problem, sigma2=sigma2, tol=0.0, max_iters=sol.iterations - 1)
     change = np.abs(state.gamma - before.gamma) / before.gamma
     assert change.max() < tol
+
+
+@st.composite
+def omp_problems(draw):
+    """A planted sparse problem, tall or wide, with one or both stopping rules."""
+    p, q = draw(st.integers(2, 16)), draw(st.integers(1, 16))
+    max_atoms = draw(st.sampled_from([None, 1, min(p, q)]) | st.integers(1, min(p, q)))
+    tols = st.sampled_from([1e-8, 1e-3, 0.1, 0.5, 1.0])
+    residual_tol = draw(tols if max_atoms is None else st.none() | tols)
+    k = draw(st.integers(1, min(p, q)))
+    noise = draw(st.sampled_from([1.0, 0.1, 1e-3, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))) / np.sqrt(2)
+    x = np.zeros(q, dtype=complex)
+    x[rng.choice(q, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    y = a @ x + noise * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
+    return SparseProblem(a, y), max_atoms, residual_tol
+
+
+@CONTRACT
+@given(case=omp_problems())
+def test_omp_converged_iff_tolerance_met_and_support_is_sound(case):
+    problem, max_atoms, residual_tol = case
+    p, q = problem.shape
+    sol = omp(problem, max_atoms=max_atoms, residual_tol=residual_tol)
+    history = sol.residual_history
+    assert sol.converged == (residual_tol is not None and history[-1] / history[0] <= residual_tol)
+    support = sol.support
+    assert np.unique(support).size == support.size <= (max_atoms or min(p, q))
+    assert sol.iterations == support.size and len(history) == support.size + 1
+    np.testing.assert_array_equal(np.delete(sol.coefficients, support), 0)

@@ -37,7 +37,7 @@ def minimize_misfit_numerically(rays, start):
 
 def paper_tile_centers():
     geom = build_upa(16, 48, HALF, HALF, (0, 0, 0))
-    return partition(geom, 2, 4).tile_centers()
+    return np.stack([t.geometry.center for t in partition(geom, 2, 4).tiles])
 
 
 class TestLsIntersect:

@@ -143,6 +143,15 @@ class TestOmp:
         assert sol.converged
         assert sol.residual_history[-1] / sol.residual_history[0] <= 1e-8
 
+    def test_unmet_tolerance_is_not_converged(self):
+        # three atoms span 3 of 10 dimensions: a generic y keeps most of its norm
+        rng = np.random.default_rng(0)
+        problem = SparseProblem(rng.standard_normal((10, 3)), rng.standard_normal(10))
+        sol = omp(problem, residual_tol=1e-3)
+        assert sol.iterations == 3
+        assert sol.residual_history[-1] / sol.residual_history[0] > 1e-3
+        assert not sol.converged
+
     def test_zero_observation(self):
         problem = SparseProblem(np.eye(3, dtype=complex), np.zeros(3))
         sol = omp(problem, max_atoms=2)
