@@ -15,8 +15,12 @@ from nearmimo import (
     build_upa,
     design_combiner,
     partition,
-    run_three_stage,
+    simulate_reception,
+    stage1,
+    stage2,
+    stage3,
     synthesize,
+    uniform_precoder,
 )
 
 WAVELENGTH = 299792458.0 / 6.8e9
@@ -33,15 +37,16 @@ ue = build_ula(4, HALF, user_center)
 scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
 realization = synthesize(scene, rng_seed=0)
 
-out = run_three_stage(scene, realization, combiner, dictionary, seed=1)
+record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
+solutions, channels = stage1(record, dictionary)
+estimate, _directions = stage2(channels, tiling, WAVELENGTH)
+solution, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH)
 
-print("stage 1: per-subarray supports",
-      [sol.support.size for sol in out.stage1])
-print("stage 2: estimated center", np.round(out.location.point, 4))
+print("stage 1: per-subarray supports", [sol.support.size for sol in solutions])
+print("stage 2: estimated center", np.round(estimate.point, 4))
 print("         true center     ", user_center)
-print(f"         error           {np.linalg.norm(out.location.point - user_center):.4f} m")
-err = np.linalg.norm(out.h_hat - realization.h) ** 2
+print(f"         error           {np.linalg.norm(estimate.point - user_center):.4f} m")
+err = np.linalg.norm(h_hat - realization.h) ** 2
 nmse_db = 10 * np.log10(err / np.linalg.norm(realization.h) ** 2)
 print(f"stage 3: channel NMSE    {nmse_db:.1f} dB "
-      f"({out.stage3.support.size} retained atoms)")
-print("timings [s]:", {k: round(v, 3) for k, v in out.timings.items()})
+      f"({solution.support.size} retained atoms)")

@@ -36,8 +36,8 @@ _EXPORTS = {
     "localization": ("LocationEstimate", "Ray", "ls_intersect"),
     "matfile": ("load_matrix", "save_matrix"),
     "pipeline": (
-        "ReceptionRecord", "StageOptions", "StageOutputs", "run_three_stage",
-        "simulate_reception", "stage1", "stage2", "stage3",
+        "ReceptionRecord", "StageOptions", "simulate_reception", "stage1", "stage2",
+        "stage3",
     ),
     "sensing": (
         "CombinerDesign", "PrecoderDesign", "design_combiner", "design_precoder_dft",

@@ -7,12 +7,16 @@ synthesizes the channel, sets the noise variance from the SNR
 definition ``SNR = p * ||H||_F^2 / (M * N * sigma^2)``, runs the
 method, and records NMSE / localization error.  Failures become rows
 with a status string instead of aborting the sweep.
+
+The method runners are the one place that simulates reception and
+composes the pipeline's stages, each timed into the trial's ``timings``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -31,14 +35,13 @@ from .pipeline import (
     StageOptions,
     baseline_antenna_wise,
     baseline_eigen_dictionary,
-    run_three_stage,
     simulate_reception,
     stage1,
     stage1_only_estimate,
     stage2,
-    uniform_precoder,
+    stage3,
 )
-from .sensing import design_combiner, design_precoder_dft, random_combiner
+from .sensing import design_combiner, design_precoder_dft, random_combiner, uniform_precoder
 from .threads import single_thread_children
 
 
@@ -65,57 +68,74 @@ class _Draw(NamedTuple):
     extra_seed: int
 
 
-def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
-    out = run_three_stage(
-        draw.scene, draw.realization, combiner, ctx.tile_dictionary, draw.noise_seed,
-        ctx.config.stages, stage3_solver=stage3_solver,
-    )
-    detail = {
-        "location": {
-            "point": out.location.point.tolist(),
-            "residual": out.location.residual,
-            "condition": out.location.condition,
-        },
-        "directions": [None if d is None else d.tolist() for d in out.directions],
-        "stage1_supports": [s.support.tolist() for s in out.stage1],
-        "stage3_support_size": int(out.stage3.support.size),
-        "stage3_iterations": out.stage3.iterations,
-        "stage3_converged": bool(out.stage3.converged),
-    }
-    return TrialResult(out.h_hat, out.location.point, out.timings, detail)
+def _timed(timings, key, stage, *args, **kwargs):
+    """``stage(*args, **kwargs)``, with its wall time stored in ``timings[key]``."""
+    tic = time.perf_counter()
+    out = stage(*args, **kwargs)
+    timings[key] = time.perf_counter() - tic
+    return out
 
 
-def _stage1(ctx, draw):
-    """The single-block uniform-precoder record, and stage 1's solutions and channels."""
+def _stage1(ctx, draw, combiner, timings):
+    """The trial's single-block uniform-precoder record, and stage 1's solutions and channels."""
     record = simulate_reception(
-        draw.scene, draw.realization, ctx.combiner, uniform_precoder(ctx.config.n_ue),
+        draw.scene, draw.realization, combiner, uniform_precoder(ctx.config.n_ue),
         draw.noise_seed,
     )
-    return (record, *stage1(record, ctx.tile_dictionary, ctx.config.stages))
+    return (record, *_timed(timings, "stage1", stage1, record, ctx.tile_dictionary,
+                            ctx.config.stages))
+
+
+def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
+    timings = {}
+    scene, options = draw.scene, ctx.config.stages
+    record, sols, channels = _stage1(ctx, draw, combiner, timings)
+    estimate, directions = _timed(timings, "stage2", stage2, channels, ctx.tiling,
+                                  scene.wavelength, options)
+    sol3, h_hat = _timed(timings, "stage3", stage3, record, estimate.point, scene.bs,
+                         scene.ue, scene.wavelength, options, solver=stage3_solver)
+    detail = {
+        "location": {
+            "point": estimate.point.tolist(),
+            "residual": estimate.residual,
+            "condition": estimate.condition,
+        },
+        "directions": [None if d is None else d.tolist() for d in directions],
+        "stage1_supports": [s.support.tolist() for s in sols],
+        "stage3_support_size": int(sol3.support.size),
+        "stage3_iterations": sol3.iterations,
+        "stage3_converged": bool(sol3.converged),
+    }
+    return TrialResult(h_hat, estimate.point, timings, detail)
 
 
 def _stage1_only(ctx, draw) -> TrialResult:
-    _record, sols, channels = _stage1(ctx, draw)
+    timings = {}
+    _record, sols, channels = _stage1(ctx, draw, ctx.combiner, timings)
     h_hat = stage1_only_estimate(channels, ctx.tiling, ctx.config.n_ue)
-    return TrialResult(h_hat, detail={"stage1_supports": [s.support.tolist() for s in sols]})
+    return TrialResult(h_hat, timings=timings,
+                       detail={"stage1_supports": [s.support.tolist() for s in sols]})
 
 
 def _antenna_wise(ctx, draw, dictionary, per_subarray=False) -> TrialResult:
+    """The N-block DFT-precoded record at ``p/N`` per block, and the baseline on it."""
+    scene = draw.scene
+    record = simulate_reception(scene, draw.realization, ctx.combiner, ctx.dft_precoder(),
+                                draw.noise_seed, power=scene.power / ctx.config.n_ue)
     return TrialResult(baseline_antenna_wise(
-        draw.scene, draw.realization, ctx.combiner, dictionary, ctx.dft_precoder(),
-        draw.noise_seed, l_assumed=ctx.config.stages.l_assumed, per_subarray=per_subarray,
+        record, dictionary, l_assumed=ctx.config.stages.l_assumed, per_subarray=per_subarray,
     ))
 
 
 def _eigen_dictionary(ctx, draw) -> TrialResult:
-    record, _sols, channels = _stage1(ctx, draw)
+    timings = {}
     scene = draw.scene
-    estimate, _dirs, _rays = stage2(channels, ctx.tiling, scene.wavelength, ctx.config.stages)
-    h_hat = baseline_eigen_dictionary(
-        record, estimate.point, scene.bs, scene.ue, scene.wavelength,
-        rank=ctx.config.eigen_rank,
-    )
-    return TrialResult(h_hat, estimate.point,
+    record, _sols, channels = _stage1(ctx, draw, ctx.combiner, timings)
+    estimate, _dirs = _timed(timings, "stage2", stage2, channels, ctx.tiling,
+                             scene.wavelength, ctx.config.stages)
+    h_hat = _timed(timings, "stage3", baseline_eigen_dictionary, record, estimate.point,
+                   scene.bs, scene.ue, scene.wavelength, rank=ctx.config.eigen_rank)
+    return TrialResult(h_hat, estimate.point, timings,
                        detail={"location": {"point": estimate.point.tolist()}})
 
 

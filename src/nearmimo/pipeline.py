@@ -1,5 +1,7 @@
-"""End-to-end reception simulation, the three-stage estimator and baselines.
+"""Reception simulation, the three estimator stages and the baselines.
 
+Only ``simulate_reception`` sees the true channel; the stages and the
+baselines work from its record, and ``harness`` composes them.
 Stage 1 slices the single-block observation per subarray and recovers
 each subarray channel over the angular dictionary.  Stage 2 turns those
 reconstructions into refined LoS direction cosines (MUSIC on the
@@ -16,15 +18,13 @@ schemes.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, Scene, los_channel
 from .dictionaries import (
     AngularDictionary,
-    LocationDictionary,
     SphericalDictionary,
     build_location,
 )
@@ -33,12 +33,11 @@ from .errors import (
     DegenerateGeometryError,
     DegenerateInputError,
     InvalidDirectionError,
-    NearMimoError,
     StageFailure,
 )
 from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
-from .sensing import CombinerDesign, PrecoderDesign, uniform_precoder
+from .sensing import CombinerDesign, PrecoderDesign
 from .solvers import SparseProblem, SparseSolution, omp, sbl_em
 
 # noise-variance floor used when solving noiseless problems with SBL,
@@ -81,19 +80,6 @@ class StageOptions:
     sbl_max_iters: int = 200
     sbl_tol: float = 1e-6
     sbl_gamma_floor: float = 1e-4
-
-
-@dataclass
-class StageOutputs:
-    """Everything the three-stage run produced, with per-stage timings."""
-
-    stage1: list[SparseSolution]
-    subarray_channels: list[np.ndarray]
-    directions: list
-    location: LocationEstimate | None
-    stage3: SparseSolution | None
-    h_hat: np.ndarray
-    timings: dict = field(default_factory=dict)
 
 
 def simulate_reception(
@@ -192,11 +178,12 @@ def stage2(
     tiling: SubarrayTiling,
     wavelength: float,
     options: StageOptions = StageOptions(),
-) -> tuple[LocationEstimate, list, list[Ray]]:
+) -> tuple[LocationEstimate, list]:
     """Refine per-subarray LoS directions and triangulate the user center.
 
-    Tiles whose covariance degenerates or whose cosines leave the unit
-    disk are dropped; at least two usable rays are required.
+    Returns the estimate and each tile's direction cosines, ``None`` for
+    a tile whose covariance degenerates or whose cosines leave the unit
+    disk; at least two usable rays are required.
     """
     directions = []
     rays = []
@@ -225,7 +212,7 @@ def stage2(
         estimate = ls_intersect(rays)
     except DegenerateGeometryError as exc:
         raise StageFailure("stage2", str(exc)) from exc
-    return estimate, directions, rays
+    return estimate, directions
 
 
 def location_operator(record: ReceptionRecord, atoms: np.ndarray) -> np.ndarray:
@@ -245,7 +232,7 @@ def stage3(
     wavelength: float,
     options: StageOptions = StageOptions(),
     solver: str = "sbl",
-) -> tuple[SparseSolution, np.ndarray, LocationDictionary]:
+) -> tuple[SparseSolution, np.ndarray]:
     """Location-aided recovery of the full MIMO channel.
 
     Builds the received-channel atoms ``H(p_s) w`` of the location grid
@@ -275,50 +262,7 @@ def stage3(
     else:
         raise ValueError(f"unknown stage-3 solver {solver!r}")
     h_hat = loc_dict.channels(sol.support) @ sol.coefficients[sol.support]
-    return sol, h_hat.reshape(bs.size, ue_template.size, order="F"), loc_dict
-
-
-def run_three_stage(
-    scene: Scene,
-    channel: ChannelRealization,
-    combiner: CombinerDesign,
-    dictionary: AngularDictionary,
-    seed: int,
-    options: StageOptions = StageOptions(),
-    stage3_solver: str = "sbl",
-) -> StageOutputs:
-    """Simulate one single-block reception and run all three stages."""
-    precoder = uniform_precoder(scene.ue.size)
-    record = simulate_reception(scene, channel, combiner, precoder, seed)
-    timings = {}
-
-    tic = time.perf_counter()
-    try:
-        solutions, channels = stage1(record, dictionary, options)
-    except NearMimoError as exc:
-        raise StageFailure("stage1", str(exc)) from exc
-    timings["stage1"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    estimate, directions, _rays = stage2(
-        channels, combiner.tiling, scene.wavelength, options
-    )
-    timings["stage2"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    try:
-        sol3, h_hat, _loc_dict = stage3(
-            record, estimate.point, scene.bs, scene.ue, scene.wavelength, options,
-            solver=stage3_solver,
-        )
-    except NearMimoError as exc:
-        raise StageFailure("stage3", str(exc)) from exc
-    timings["stage3"] = time.perf_counter() - tic
-
-    return StageOutputs(
-        stage1=solutions, subarray_channels=channels, directions=directions,
-        location=estimate, stage3=sol3, h_hat=h_hat, timings=timings,
-    )
+    return sol, h_hat.reshape(bs.size, ue_template.size, order="F")
 
 
 def stage1_only_estimate(
@@ -338,19 +282,15 @@ def stage1_only_estimate(
 
 
 def baseline_antenna_wise(
-    scene: Scene,
-    channel: ChannelRealization,
-    combiner: CombinerDesign,
+    record: ReceptionRecord,
     dictionary: AngularDictionary | SphericalDictionary,
-    precoder: PrecoderDesign,
-    seed: int,
     l_assumed: int = 2,
     per_subarray: bool = False,
 ) -> np.ndarray:
     """Antenna-wise SIMO estimation over a full-array dictionary.
 
-    Uses B = N pilot blocks with the DFT precoder; per-block power is
-    ``p/N`` so the total pilot energy matches the single-block schemes.
+    Expects the B = N block record of the DFT precoder at per-block power
+    ``p/N``, so the total pilot energy matches the single-block schemes.
     Right-multiplying by W^H separates the user antennas; each SIMO
     channel is recovered independently with OMP and the estimate is
     assembled column by column from the atoms on its support.  The
@@ -359,17 +299,14 @@ def baseline_antenna_wise(
     formed ``sqrt(p) V D``.  With ``per_subarray=True`` OMP runs tile by
     tile; tiles with equal chain blocks share one operator.
     """
-    n = scene.ue.size
+    combiner, precoder = record.combiner, record.precoder
+    n = precoder.w.shape[0]
     if precoder.kind != "dft" or precoder.num_blocks != n:
         raise ValueError("antenna-wise baseline needs the N-block DFT precoder")
-    record = simulate_reception(
-        scene, channel, combiner, precoder, seed, power=scene.power / n
-    )
     per_antenna = record.observations @ precoder.w.conj().T  # (T*M_RF, N)
     scale = np.sqrt(record.power)
     max_atoms = l_assumed + 1
-    m = scene.bs.size
-    h_hat = np.zeros((m, n), dtype=complex)
+    h_hat = np.zeros((combiner.num_antennas, n), dtype=complex)
     d = dictionary.matrix
     if per_subarray:
         for i, a_bar, norms in _tile_operators(combiner, d, scale):

@@ -19,8 +19,8 @@ from nearmimo.doa import extract_axis_factors, music_1d
 from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import desk_profile, run_sweep
 from nearmimo.localization import Ray, ls_intersect, ray_misfit
-from nearmimo.pipeline import run_three_stage
-from nearmimo.sensing import design_combiner, empirical_noise_covariance
+from nearmimo.pipeline import simulate_reception, stage1, stage2, stage3
+from nearmimo.sensing import design_combiner, empirical_noise_covariance, uniform_precoder
 from nearmimo.solvers import SparseProblem, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
@@ -191,10 +191,13 @@ def test_acceptance_6_end_to_end_noiseless(paper_setup):
     ue = build_ula(4, HALF, center)
     scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
     realization = synthesize(scene, rng_seed=0)
-    out = run_three_stage(scene, realization, combiner, dictionary, seed=1)
-    loc_error = float(np.linalg.norm(out.location.point - center))
+    record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
+    _sols, channels = stage1(record, dictionary)
+    estimate, _dirs = stage2(channels, tiling, WAVELENGTH)
+    _sol, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH)
+    loc_error = float(np.linalg.norm(estimate.point - center))
     nmse_db = 10 * np.log10(
-        np.linalg.norm(out.h_hat - realization.h) ** 2
+        np.linalg.norm(h_hat - realization.h) ** 2
         / np.linalg.norm(realization.h) ** 2
     )
     assert nmse_db < -40.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_dictionaries import location_reference
 
-from nearmimo import harness, pipeline
+from nearmimo import harness
 from nearmimo.cli import main
 from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa
@@ -186,8 +186,7 @@ def test_verify_fails_the_methods_a_broken_stage_breaks(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise StageFailure("stage2", "broken for the test")
 
-    # run_three_stage looks stage2 up in pipeline, the eigen-dictionary runner in harness
-    monkeypatch.setattr(pipeline, "stage2", broken)
+    # every locating runner looks stage2 up in harness when it runs
     monkeypatch.setattr(harness, "stage2", broken)
     assert main(["verify"]) == 2
     lines = capsys.readouterr().out.splitlines()

@@ -4,15 +4,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearmimo import errors
 from nearmimo.channel import _spherical_wave
 from nearmimo.dictionaries import build_location
 from nearmimo.geometry import build_ula, build_upa
+from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
 from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
 
 CONTRACT = settings(derandomize=True, max_examples=30, deadline=None)
+# each example runs every method at every SNR point of its config
+TRIAL_CONTRACT = settings(derandomize=True, max_examples=10, deadline=None)
 
 
 def _scatter(seed, m, s):
@@ -152,3 +156,39 @@ def test_omp_converged_iff_tolerance_met_and_support_is_sound(case):
     assert np.unique(support).size == support.size <= (max_atoms or min(p, q))
     assert sol.iterations == support.size and len(history) == support.size + 1
     np.testing.assert_array_equal(np.delete(sol.coefficients, support), 0)
+
+
+@st.composite
+def desk_configs(draw):
+    """A small desk config that ``SweepContext`` accepts."""
+    tiles_h, tiles_v = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    tile_h, tile_v = draw(st.sampled_from((2, 4))), draw(st.sampled_from((3, 4, 6)))
+    m_i = tile_h * tile_v
+    m_s = draw(st.sampled_from([d for d in range(1, m_i + 1) if m_i % d == 0]))
+    return desk_profile(
+        bs_m_h=tiles_h * tile_h, bs_m_v=tiles_v * tile_v, tiles_h=tiles_h, tiles_v=tiles_v,
+        m_s=m_s, t_slots=draw(st.integers(m_s, m_s + 2)), n_ue=draw(st.integers(1, 3)),
+        num_nlos=draw(st.integers(0, 2)),
+        spacing=draw(st.sampled_from(("half_wavelength", "aperture"))),
+        snr_db=(-10.0, 5.0, 25.0, 50.0, float("inf")), trials=1,
+    )
+
+
+@TRIAL_CONTRACT
+@given(cfg=desk_configs())
+def test_config_survives_a_json_round_trip(cfg):
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+@TRIAL_CONTRACT
+@given(cfg=desk_configs())
+def test_run_trial_returns_a_row_for_every_method(cfg):
+    # a row is ok with a finite NMSE, or names the library error that stopped it
+    ctx = SweepContext(cfg)
+    for method in METHODS:
+        for snr_db in cfg.snr_db:
+            row = run_trial(ctx, method, snr_db, 0)
+            if row.status == "ok":
+                assert np.isfinite(row.nmse), (method, snr_db)
+            else:
+                assert issubclass(getattr(errors, row.status), errors.NearMimoError), row

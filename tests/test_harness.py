@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nearmimo.errors import InfeasibleDesignError
+from nearmimo import harness
+from nearmimo.errors import DivergenceError, InfeasibleDesignError
 from nearmimo.harness import (
     CSV_COLUMNS,
     DESK_STAGES,
@@ -252,6 +253,16 @@ class TestSweep:
         ctx = SweepContext(cfg)
         row = run_trial(ctx, "proposed-omp3", 10.0, 0)
         assert row.seed == derive_seed(cfg.base_seed, "proposed-omp3", 10.0, 0)
+
+    def test_a_stage_error_class_is_the_row_status(self, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise DivergenceError("diverged for the test")
+
+        # the runners look stage3 up in harness when they run
+        monkeypatch.setattr(harness, "stage3", diverged)
+        row = run_trial(SweepContext(tiny_config()), "proposed-sbl", 10.0, 0)
+        assert row.status == "DivergenceError"
+        assert np.isnan(row.nmse) and np.isnan(row.loc_error_m)
 
     def test_simulate_once_report(self):
         cfg = tiny_config()

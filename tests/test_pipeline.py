@@ -19,7 +19,6 @@ from nearmimo.pipeline import (
     baseline_antenna_wise,
     baseline_eigen_dictionary,
     location_operator,
-    run_three_stage,
     simulate_reception,
     stage1,
     stage1_only_estimate,
@@ -53,6 +52,13 @@ def desk():
         "bs": bs, "tiling": tiling, "combiner": combiner,
         "dictionary": dictionary, "ue": ue, "scene": scene, "real": real,
     }
+
+
+def dft_record(scene, real, comb, seed):
+    """The antenna-wise baselines' record: N DFT-precoded blocks at ``p/N`` each."""
+    n = scene.ue.size
+    return simulate_reception(scene, real, comb, design_precoder_dft(n), seed,
+                              power=scene.power / n)
 
 
 class TestSimulateReception:
@@ -209,15 +215,13 @@ class TestSharedTileOperator:
     def test_per_subarray_baseline_forms_one_operator_per_block_set(self, case, monkeypatch):
         comb, expected, scene, real, d = case
         n = scene.ue.size
-        precoder = design_precoder_dft(n)
+        rec = dft_record(scene, real, comb, seed=7)
         formed = self.count_operators(monkeypatch, d.matrix)
-        h_hat = baseline_antenna_wise(scene, real, comb, d, precoder, seed=7,
-                                      per_subarray=True)
+        h_hat = baseline_antenna_wise(rec, d, per_subarray=True)
         assert len(formed) == expected
         monkeypatch.undo()
 
-        rec = simulate_reception(scene, real, comb, precoder, seed=7, power=scene.power / n)
-        per_antenna = rec.observations @ precoder.w.conj().T
+        per_antenna = rec.observations @ rec.precoder.w.conj().T
         ref = np.zeros_like(h_hat)
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = np.sqrt(rec.power) * comb.apply_tile(i, d.matrix)
@@ -245,8 +249,8 @@ class TestStage2:
             desk["scene"], desk["real"], desk["combiner"], uniform_precoder(2), seed=1
         )
         _sols, chans = stage1(rec, desk["dictionary"])
-        est, dirs, rays = stage2(chans, desk["tiling"], WAVELENGTH)
-        assert len(rays) == 4
+        est, dirs = stage2(chans, desk["tiling"], WAVELENGTH)
+        assert sum(d is not None for d in dirs) == 4
         assert np.linalg.norm(est.point - [2.5, 0.5, -1.0]) < 0.25
 
     def test_all_zero_channels_fail_cleanly(self, desk):
@@ -276,7 +280,7 @@ class TestStage3:
         rec = simulate_reception(
             scene, real, desk["combiner"], uniform_precoder(2), seed=3
         )
-        sol, h_hat, _d = stage3(
+        sol, h_hat = stage3(
             rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
             StageOptions(grid_counts=(3, 3, 3), grid_half_widths=(0.05, 0.05, 0.01)),
         )
@@ -290,9 +294,9 @@ class TestStage3:
             scene.with_noise_var(noise_var), real, desk["combiner"], uniform_precoder(2),
             seed=3,
         )
-        sol, h_hat, loc_dict = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH)
+        sol, h_hat = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH)
         assert sol.converged
-        assert sol.support.size < loc_dict.num_atoms / 4
+        assert sol.support.size < np.prod(StageOptions().grid_counts) / 4
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -25
 
@@ -311,12 +315,11 @@ class TestStage3:
         p_hat = scene.ue.center + np.array([0.03, -0.02, 0.0])
         tracemalloc.start()
         try:
-            sol, h_hat, loc_dict = stage3(rec, p_hat, bs, scene.ue, cfg.wavelength, cfg.stages)
+            sol, h_hat = stage3(rec, p_hat, bs, scene.ue, cfg.wavelength, cfg.stages)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24e6, peak / 1e6
-        assert loc_dict.matrix.shape == (bs.size, 363)
         assert sol.converged
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -15
@@ -326,7 +329,7 @@ class TestStage3:
         rec = simulate_reception(
             scene, real, desk["combiner"], uniform_precoder(2), seed=3
         )
-        sol, h_hat, _d = stage3(
+        sol, h_hat = stage3(
             rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
             StageOptions(grid_counts=(1, 1, 1), grid_half_widths=(0, 0, 0)),
         )
@@ -336,48 +339,49 @@ class TestStage3:
         assert nmse < 1e-10
 
 
+def run_stages(scene, real, comb, dictionary, seed):
+    """Stages 1-3 on one single-block reception, in the order the harness runs them."""
+    rec = simulate_reception(scene, real, comb, uniform_precoder(scene.ue.size), seed)
+    _sols, channels = stage1(rec, dictionary)
+    estimate, _dirs = stage2(channels, comb.tiling, scene.wavelength)
+    _sol, h_hat = stage3(rec, estimate.point, scene.bs, scene.ue, scene.wavelength)
+    return channels, estimate, h_hat
+
+
 class TestThreeStage:
     def test_deterministic(self, desk):
         scene = desk["scene"].with_noise_var(1e-6)
-        a = run_three_stage(
-            scene, desk["real"], desk["combiner"], desk["dictionary"], seed=9
-        )
-        b = run_three_stage(
-            scene, desk["real"], desk["combiner"], desk["dictionary"], seed=9
-        )
-        np.testing.assert_array_equal(a.h_hat, b.h_hat)
-        np.testing.assert_array_equal(a.location.point, b.location.point)
+        args = (scene, desk["real"], desk["combiner"], desk["dictionary"], 9)
+        _ch_a, est_a, h_a = run_stages(*args)
+        _ch_b, est_b, h_b = run_stages(*args)
+        np.testing.assert_array_equal(h_a, h_b)
+        np.testing.assert_array_equal(est_a.point, est_b.point)
 
     def test_noiseless_los_only_high_accuracy(self, desk):
-        out = run_three_stage(
-            desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], seed=9
+        _channels, estimate, h_hat = run_stages(
+            desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], 9
         )
-        nmse = (
-            np.linalg.norm(out.h_hat - desk["real"].h) ** 2
-            / np.linalg.norm(desk["real"].h) ** 2
-        )
+        nmse = np.linalg.norm(h_hat - desk["real"].h) ** 2 / np.linalg.norm(desk["real"].h) ** 2
         assert 10 * np.log10(nmse) < -40
-        assert np.linalg.norm(out.location.point - [2.5, 0.5, -1.0]) < 0.05
+        assert np.linalg.norm(estimate.point - [2.5, 0.5, -1.0]) < 0.05
 
     def test_beats_stage1_only_assembly(self, desk):
-        out = run_three_stage(
-            desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], seed=9
+        channels, _estimate, h_hat = run_stages(
+            desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], 9
         )
-        h1 = stage1_only_estimate(out.subarray_channels, desk["tiling"], 2)
+        h1 = stage1_only_estimate(channels, desk["tiling"], 2)
         h = desk["real"].h
-        nmse3 = np.linalg.norm(out.h_hat - h) ** 2 / np.linalg.norm(h) ** 2
+        nmse3 = np.linalg.norm(h_hat - h) ** 2 / np.linalg.norm(h) ** 2
         nmse1 = np.linalg.norm(h1 - h) ** 2 / np.linalg.norm(h) ** 2
         assert nmse3 < nmse1
 
 
-def explicit_operator_baseline(scene, real, comb, dictionary, precoder, seed, l_assumed=2):
+def explicit_operator_baseline(rec, dictionary, l_assumed=2):
     """The full-array antenna-wise baseline on the formed operator ``sqrt(p) V D``."""
-    n = scene.ue.size
-    rec = simulate_reception(scene, real, comb, precoder, seed, power=scene.power / n)
-    per_antenna = rec.observations @ precoder.w.conj().T
-    a_bar = np.sqrt(rec.power) * comb.apply(dictionary.matrix)
-    h_hat = np.zeros((scene.bs.size, n), dtype=complex)
-    for col in range(n):
+    per_antenna = rec.observations @ rec.precoder.w.conj().T
+    a_bar = np.sqrt(rec.power) * rec.combiner.apply(dictionary.matrix)
+    h_hat = np.zeros((rec.combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
+    for col in range(h_hat.shape[1]):
         sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
                   max_atoms=l_assumed + 1, residual_tol=1e-3)
         h_hat[:, col] = dictionary.matrix @ sol.coefficients
@@ -399,23 +403,21 @@ class TestFullArrayAntennaWise:
     @pytest.mark.parametrize("kind", ["dft", "spherical"])
     def test_matches_explicit_operator_with_noise(self, desk, dictionaries, kind):
         scene = desk["scene"].with_noise_var(0.05)
-        precoder = design_precoder_dft(scene.ue.size)
         d = dictionaries[kind]
         for seed in (3, 4):
-            h_hat = baseline_antenna_wise(scene, desk["real"], desk["combiner"], d,
-                                          precoder, seed)
-            ref = explicit_operator_baseline(scene, desk["real"], desk["combiner"], d,
-                                             precoder, seed)
+            rec = dft_record(scene, desk["real"], desk["combiner"], seed)
+            h_hat = baseline_antenna_wise(rec, d)
+            ref = explicit_operator_baseline(rec, d)
             assert np.linalg.norm(h_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ["dft", "spherical"])
     def test_tall_combiner_noiseless(self, desk, dictionaries, kind):
         comb = design_combiner(6, desk["tiling"], m_rf_per_tile=8)
         assert comb.t_slots > comb.m_s
-        precoder = design_precoder_dft(desk["scene"].ue.size)
         d = dictionaries[kind]
-        h_hat = baseline_antenna_wise(desk["scene"], desk["real"], comb, d, precoder, 0)
-        ref = explicit_operator_baseline(desk["scene"], desk["real"], comb, d, precoder, 0)
+        rec = dft_record(desk["scene"], desk["real"], comb, 0)
+        h_hat = baseline_antenna_wise(rec, d)
+        ref = explicit_operator_baseline(rec, d)
         assert np.linalg.norm(h_hat - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ["dft", "spherical"])
@@ -426,17 +428,23 @@ class TestFullArrayAntennaWise:
         d = dictionaries[kind]
         real = replace(desk["real"], h=d.matrix[:, [37, 301]] * np.array([1.0, 0.8j]))
         scene = desk["scene"].with_noise_var(6e-7)
-        precoder = design_precoder_dft(scene.ue.size)
         for seed in (0, 1, 2):
-            h_hat = baseline_antenna_wise(scene, real, comb, d, precoder, seed)
-            ref = explicit_operator_baseline(scene, real, comb, d, precoder, seed)
+            rec = dft_record(scene, real, comb, seed)
+            h_hat = baseline_antenna_wise(rec, d)
+            ref = explicit_operator_baseline(rec, d)
             assert np.linalg.norm(h_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_random_combiner_rejected(self, desk, dictionaries):
         comb = random_combiner(4, desk["tiling"], m_rf_per_tile=8, seed=1)
+        rec = dft_record(desk["scene"], desk["real"], comb, 0)
         with pytest.raises(ValueError):
-            baseline_antenna_wise(desk["scene"], desk["real"], comb, dictionaries["dft"],
-                                  design_precoder_dft(2), seed=0)
+            baseline_antenna_wise(rec, dictionaries["dft"])
+
+    def test_single_block_record_rejected(self, desk, dictionaries):
+        rec = simulate_reception(desk["scene"], desk["real"], desk["combiner"],
+                                 uniform_precoder(2), seed=0)
+        with pytest.raises(ValueError):
+            baseline_antenna_wise(rec, dictionaries["dft"])
 
 
 class TestBaselines:
@@ -467,9 +475,7 @@ class TestBaselines:
         ue = build_ula(2, HALF, center)
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
-        h_hat = baseline_antenna_wise(
-            scene, real, comb, full, design_precoder_dft(2), seed=0, l_assumed=0
-        )
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full, l_assumed=0)
         for col in range(2):
             err = np.linalg.norm(h_hat[:, col] - real.h[:, col]) / np.linalg.norm(real.h[:, col])
             assert err < 1e-5
@@ -485,9 +491,7 @@ class TestBaselines:
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
         full = build_angular(16, 48, HALF, HALF, WAVELENGTH, 64)
-        h_hat = baseline_antenna_wise(
-            scene, real, comb, full, design_precoder_dft(4), seed=0, l_assumed=2
-        )
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full, l_assumed=2)
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) > -10
 
