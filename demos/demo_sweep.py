@@ -4,15 +4,12 @@ Equivalent to `nearmimo sweep` with a reduced config; the CSV/JSON
 outputs are byte-reproducible for a fixed config and seed.
 """
 
-from dataclasses import replace
-
-from nearmimo.harness import DESK_STAGES, desk_profile, run_sweep
+from nearmimo.harness import desk_profile, run_sweep
 
 cfg = desk_profile(
     methods=("proposed-sbl", "proposed-omp3", "stage1-only"),
     snr_db=(5.0, 15.0),
     trials=5,
-    stages=replace(DESK_STAGES, sbl_max_iters=40, sbl_tol=1e-5),
 )
 
 table = run_sweep(cfg, progress=lambda i, n: print(f"  {i}/{n}"))

@@ -14,6 +14,7 @@ from nearmimo import (
     build_ula,
     build_upa,
     design_combiner,
+    paper_profile,
     partition,
     simulate_reception,
     stage1,
@@ -40,7 +41,8 @@ realization = synthesize(scene, rng_seed=0)
 record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
 solutions, channels = stage1(record, dictionary)
 estimate, _directions = stage2(channels, tiling, WAVELENGTH)
-solution, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH)
+# stage 3 on the paper's location grid and SBL run
+solution, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH, paper_profile().stages)
 
 print("stage 1: per-subarray supports", [sol.support.size for sol in solutions])
 print("stage 2: estimated center", np.round(estimate.point, 4))

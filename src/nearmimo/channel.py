@@ -30,7 +30,6 @@ class PathParams:
     position: np.ndarray
     aod: float
     gain: complex | None = None
-    index: int = 1
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,11 @@ class Scene:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A synthesized channel with its ground truth."""
+    """A synthesized channel with its LoS and scattered parts."""
 
     h: np.ndarray
     h_los: np.ndarray
     h_nlos: np.ndarray
-    scene: Scene
-    paths: tuple[PathParams, ...]
-    seed: int | None = None
 
 
 def _spherical_wave(antennas, points, wavelength, divide=False, weights=None):
@@ -150,7 +146,6 @@ def synthesize(scene: Scene, rng_seed: int) -> ChannelRealization:
     m, n = h_los.shape
     h_nlos = np.zeros_like(h_los)
     num_paths = len(scene.paths)
-    resolved = []
     if num_paths:
         los_power = np.linalg.norm(h_los, "fro") ** 2
         rho = los_power * 10.0 ** (-scene.los_nlos_ratio_db / 10.0) / (num_paths * m * n)
@@ -164,8 +159,4 @@ def synthesize(scene: Scene, rng_seed: int) -> ChannelRealization:
                 scene.ue.m_h, scene.ue.d_h, np.sin(path.aod), scene.wavelength
             )
             h_nlos = h_nlos + gain * np.outer(bs_vec, ue_vec.conj())
-            resolved.append(replace(path, gain=gain))
-    return ChannelRealization(
-        h=h_los + h_nlos, h_los=h_los, h_nlos=h_nlos,
-        scene=scene, paths=tuple(resolved), seed=rng_seed,
-    )
+    return ChannelRealization(h=h_los + h_nlos, h_los=h_los, h_nlos=h_nlos)

@@ -30,12 +30,7 @@ import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from .dictionaries import (  # noqa: E402
-    build_angular,
-    build_location,
-    build_spherical_baseline,
-    reciprocal_distance_rings,
-)
+from .dictionaries import build_location  # noqa: E402
 from .errors import NearMimoError  # noqa: E402
 from .harness import (  # noqa: E402
     METHODS, ExperimentConfig, SweepContext, desk_profile, paper_profile, run_sweep,
@@ -165,39 +160,35 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_dict(args) -> int:
     cfg = _load_config(args)
-    from .geometry import build_ula, build_upa, partition
+    from .geometry import build_ula
 
-    d_h, d_v = cfg.spacings()
-    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))
+    ctx = SweepContext(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "angular":
-        tile = partition(bs, cfg.tiles_h, cfg.tiles_v).tiles[0].geometry
-        d = build_angular(tile.m_h, tile.m_v, tile.d_h, tile.d_v,
-                          cfg.wavelength, cfg.z_grid)
+        tile = ctx.tiling.tiles[0].geometry
+        d = ctx.tile_dictionary
         manifest = (
             f"kind angular\nsubarray {tile.m_h}x{tile.m_v}\nz {d.z}\n"
             f"cosine_grid {' '.join(format(c, '.10g') for c in d.cosines)}\n"
         )
     elif args.kind == "spherical":
-        r0, r1, count = cfg.spherical_rings
-        rings = reciprocal_distance_rings(r0, r1, int(count))
-        d = build_spherical_baseline(bs, cfg.spherical_angle_grid, rings, cfg.wavelength)
+        d = ctx.spherical_dictionary()
         manifest = (
             f"kind spherical\narray {cfg.bs_m_h}x{cfg.bs_m_v}\n"
             f"angle_grid {cfg.spherical_angle_grid}\n"
-            f"rings {' '.join(format(r, '.10g') for r in rings)}\n"
+            f"rings {' '.join(format(r, '.10g') for r in d.distances)}\n"
         )
     else:
         if args.center:
             center = tuple(float(v) for v in args.center.split(","))
         else:
-            box = cfg.user_box
-            center = tuple((lo + hi) / 2 for lo, hi in box)
+            center = tuple((lo + hi) / 2 for lo, hi in cfg.user_box)
         ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
         dx, dy, dz = cfg.stages.grid_half_widths
         sx, sy, sz = cfg.stages.grid_counts
-        d = build_location(center, dx, dy, dz, sx, sy, sz, bs, ue, cfg.wavelength, [1] * cfg.n_ue)
+        d = build_location(center, dx, dy, dz, sx, sy, sz, ctx.bs, ue, cfg.wavelength,
+                           [1] * cfg.n_ue)
         manifest = (
             f"kind location\ncenter {center[0]:.10g} {center[1]:.10g} {center[2]:.10g}\n"
             f"half_widths {dx} {dy} {dz}\ncounts {sx} {sy} {sz}\n"

@@ -40,11 +40,6 @@ class AngularDictionary:
     column_norms: np.ndarray
     cosines: np.ndarray
     z: int
-    m_ih: int
-    m_iv: int
-    d_h: float
-    d_v: float
-    wavelength: float
 
     @property
     def num_atoms(self) -> int:
@@ -100,10 +95,8 @@ def build_angular(
     g = cosine_grid(z)
     a_h = np.column_stack([far_field_steering(m_ih, d_h, c, wavelength) for c in g])
     a_v = np.column_stack([far_field_steering(m_iv, d_v, c, wavelength) for c in g])
-    return AngularDictionary(
-        matrix=np.kron(a_h, a_v), column_norms=np.full(z * z, np.sqrt(m_ih * m_iv)),
-        cosines=g, z=z, m_ih=m_ih, m_iv=m_iv, d_h=d_h, d_v=d_v, wavelength=wavelength,
-    )
+    return AngularDictionary(matrix=np.kron(a_h, a_v), cosines=g, z=z,
+                             column_norms=np.full(z * z, np.sqrt(m_ih * m_iv)))
 
 
 def _axis_grid(center: float, half_width: float, count: int, label: str) -> np.ndarray:

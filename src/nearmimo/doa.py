@@ -15,18 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import far_field_steering
 from .errors import DegenerateInputError
 
 _SPECTRUM_EPS = 1e-300
-
-
-@dataclass(frozen=True)
-class AxisCovariance:
-    """Unit-diagonal Hermitian factor of one array axis."""
-
-    matrix: np.ndarray
-    axis: str  # "horizontal" | "vertical"
 
 
 @dataclass(frozen=True)
@@ -55,15 +46,16 @@ def _unit_diagonal(c: np.ndarray) -> np.ndarray:
 
 def extract_axis_factors(
     c: np.ndarray, m_ih: int, m_iv: int
-) -> tuple[AxisCovariance, AxisCovariance]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Split a subarray covariance into horizontal and vertical factors.
 
     The vertical factor is the average of the M_ih diagonal
     M_iv x M_iv blocks; the horizontal factor averages, for each block
-    pair (p, q), the diagonal of block (p, q).  Both are rescaled to a
-    unit diagonal.  Averaging rather than reading a single block
-    suppresses leakage from non-Kronecker components; for an exact
-    rank-one Kronecker input every block gives the same answer.
+    pair (p, q), the diagonal of block (p, q).  Both are returned,
+    horizontal first, rescaled to a unit diagonal.  Averaging rather than
+    reading a single block suppresses leakage from non-Kronecker
+    components; for an exact rank-one Kronecker input every block gives
+    the same answer.
     """
     c = np.asarray(c)
     if c.shape != (m_ih * m_iv, m_ih * m_iv):
@@ -72,10 +64,7 @@ def extract_axis_factors(
     c_v = np.mean([blocks[p, :, p, :] for p in range(m_ih)], axis=0)
     # diagonal of each (p, q) block: einsum over the within-block index
     c_h = np.einsum("pmqm->pq", blocks) / m_iv
-    return (
-        AxisCovariance(matrix=_unit_diagonal(c_h), axis="horizontal"),
-        AxisCovariance(matrix=_unit_diagonal(c_v), axis="vertical"),
-    )
+    return _unit_diagonal(c_h), _unit_diagonal(c_v)
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,7 +88,7 @@ def _steering(
 
 
 def music_1d(
-    cov: AxisCovariance | np.ndarray,
+    cov: np.ndarray,
     m_e: int,
     d_e: float,
     wavelength: float,
@@ -114,7 +103,7 @@ def music_1d(
     once per ``(m_e, d_e, wavelength, grid_points)`` and shared read-only,
     so the returned ``grid`` must not be written to.
     """
-    c = cov.matrix if isinstance(cov, AxisCovariance) else np.asarray(cov)
+    c = np.asarray(cov)
     if c.shape != (m_e, m_e):
         raise ValueError(f"covariance shape {c.shape} != ({m_e}, {m_e})")
     if not (1 <= n_sources < m_e):

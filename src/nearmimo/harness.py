@@ -8,8 +8,9 @@ definition ``SNR = p * ||H||_F^2 / (M * N * sigma^2)``, runs the
 method, and records NMSE / localization error.  Failures become rows
 with a status string instead of aborting the sweep.
 
-The method runners are the one place that simulates reception and
-composes the pipeline's stages, each timed into the trial's ``timings``.
+A config's defaults are the desk profile's, stage knobs included.  The
+method runners are the one place that simulates reception and composes
+the pipeline's stages, each timed into the trial's ``timings``.
 """
 
 from __future__ import annotations
@@ -82,18 +83,17 @@ def _stage1(ctx, draw, combiner, timings):
         draw.scene, draw.realization, combiner, uniform_precoder(ctx.config.n_ue),
         draw.noise_seed,
     )
-    return (record, *_timed(timings, "stage1", stage1, record, ctx.tile_dictionary,
-                            ctx.config.stages))
+    return (record, *_timed(timings, "stage1", stage1, record, ctx.tile_dictionary))
 
 
 def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
     timings = {}
-    scene, options = draw.scene, ctx.config.stages
+    scene = draw.scene
     record, sols, channels = _stage1(ctx, draw, combiner, timings)
     estimate, directions = _timed(timings, "stage2", stage2, channels, ctx.tiling,
-                                  scene.wavelength, options)
+                                  scene.wavelength)
     sol3, h_hat = _timed(timings, "stage3", stage3, record, estimate.point, scene.bs,
-                         scene.ue, scene.wavelength, options, solver=stage3_solver)
+                         scene.ue, scene.wavelength, ctx.config.stages, solver=stage3_solver)
     detail = {
         "location": {
             "point": estimate.point.tolist(),
@@ -122,19 +122,16 @@ def _antenna_wise(ctx, draw, dictionary, per_subarray=False) -> TrialResult:
     scene = draw.scene
     record = simulate_reception(scene, draw.realization, ctx.combiner, ctx.dft_precoder(),
                                 draw.noise_seed, power=scene.power / ctx.config.n_ue)
-    return TrialResult(baseline_antenna_wise(
-        record, dictionary, l_assumed=ctx.config.stages.l_assumed, per_subarray=per_subarray,
-    ))
+    return TrialResult(baseline_antenna_wise(record, dictionary, per_subarray=per_subarray))
 
 
 def _eigen_dictionary(ctx, draw) -> TrialResult:
     timings = {}
     scene = draw.scene
     record, _sols, channels = _stage1(ctx, draw, ctx.combiner, timings)
-    estimate, _dirs = _timed(timings, "stage2", stage2, channels, ctx.tiling,
-                             scene.wavelength, ctx.config.stages)
+    estimate, _dirs = _timed(timings, "stage2", stage2, channels, ctx.tiling, scene.wavelength)
     h_hat = _timed(timings, "stage3", baseline_eigen_dictionary, record, estimate.point,
-                   scene.bs, scene.ue, scene.wavelength, rank=ctx.config.eigen_rank)
+                   scene.bs, scene.ue, scene.wavelength)
     return TrialResult(h_hat, estimate.point, timings,
                        detail={"location": {"point": estimate.point.tolist()}})
 
@@ -169,29 +166,20 @@ AGGREGATE_COLUMNS = (
     "nmse_mean", "nmse_mean_db", "nmse_std", "rmse_m",
 )
 
-# the desk profile's stage knobs: a coarser stage-3 grid and a shorter SBL
-# run than the paper's, which StageOptions() keeps
-DESK_STAGES = StageOptions(
-    grid_half_widths=(0.4, 0.4, 0.05), grid_counts=(5, 5, 3),
-    sbl_max_iters=40, sbl_tol=1e-5,
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: geometry, scene statistics, solvers, sweep grid.
 
-    Its JSON layout is version ``schema``: the pipeline's knobs sit in
-    one ``stages`` object, whose missing keys take ``DESK_STAGES``.
+    Its JSON layout is version ``schema``: stage 3's knobs sit in one
+    ``stages`` object.  Every default, stage knobs included, is the desk
+    profile's; ``profile`` is only a label.
     """
 
-    schema = 2  # a class constant, not a field
+    schema = 3  # a class constant, not a field
     profile: str = "desk"
     carrier_freq_hz: float = 6.8e9
     bs_m_h: int = 12
     bs_m_v: int = 24
-    spacing: str = "half_wavelength"  # or "aperture"
-    aperture_m: tuple[float, float] = (0.5, 1.5)
     tiles_h: int = 2
     tiles_v: int = 2
     t_slots: int = 6
@@ -204,11 +192,10 @@ class ExperimentConfig:
     user_box: tuple[tuple[float, float], ...] = ((2.0, 5.0), (-2.0, 2.0), (-1.0, -1.0))
     scatter_box: tuple[tuple[float, float], ...] = ((0.8, 4.0), (-2.5, 2.5), (-2.0, 0.0))
     z_grid: int = 32
-    stages: StageOptions = DESK_STAGES
+    stages: StageOptions = StageOptions()
     baseline_z_grid: int = 32
     spherical_angle_grid: int = 32
     spherical_rings: tuple[float, float, int] = (2.0, 10.0, 4)
-    eigen_rank: int | None = None
     methods: tuple[str, ...] = METHODS
     snr_db: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0)
     trials: int = 50
@@ -218,8 +205,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.spacing not in ("half_wavelength", "aperture"):
-            raise ValueError(f"unknown spacing mode {self.spacing!r}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be at least 0, got {self.trials}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -237,14 +224,6 @@ class ExperimentConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    def spacings(self) -> tuple[float, float]:
-        if self.spacing == "aperture":
-            return (
-                self.aperture_m[0] / max(self.bs_m_h - 1, 1),
-                self.aperture_m[1] / max(self.bs_m_v - 1, 1),
-            )
-        return self.wavelength / 2, self.wavelength / 2
-
     def to_dict(self) -> dict:
         return {"schema": self.schema, **asdict(self)}
 
@@ -257,10 +236,10 @@ class ExperimentConfig:
         if schema != cls.schema:
             raise ValueError(
                 f"config schema {schema!r} is not {cls.schema}; schema {cls.schema} "
-                f"keeps the stage knobs in a 'stages' object"
+                f"keeps stage 3's four knobs in a 'stages' object"
             )
         stages = _known_keys(StageOptions, data.pop("stages", {}), "stages")
-        return cls(**_known_keys(cls, data, "config"), stages=replace(DESK_STAGES, **stages))
+        return cls(**_known_keys(cls, data, "config"), stages=StageOptions(**stages))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -298,7 +277,8 @@ def paper_profile(**overrides) -> ExperimentConfig:
         user_box=((5.0, 15.0), (-5.0, 5.0), (-1.0, -1.0)),
         scatter_box=((2.0, 12.0), (-5.0, 5.0), (-2.0, 0.0)),
         los_nlos_ratio_db=20.0,
-        stages=StageOptions(),
+        stages=StageOptions(grid_half_widths=(0.2, 0.2, 0.02), grid_counts=(11, 11, 3),
+                            sbl_max_iters=200, sbl_tol=1e-6),
         spherical_rings=(5.0, 25.0, 4),
         trials=200,
     )
@@ -469,8 +449,8 @@ class SweepContext:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        d_h, d_v = config.spacings()
-        self.bs = build_upa(config.bs_m_h, config.bs_m_v, d_h, d_v, (0.0, 0.0, 0.0))
+        half = config.wavelength / 2
+        self.bs = build_upa(config.bs_m_h, config.bs_m_v, half, half, (0.0, 0.0, 0.0))
         self.tiling = partition(self.bs, config.tiles_h, config.tiles_v)
         self.m_rf_per_tile = self.tiling.tiles[0].geometry.size // config.m_s
         self.combiner = design_combiner(config.t_slots, self.tiling, self.m_rf_per_tile)
@@ -513,13 +493,12 @@ def draw_scene(config: ExperimentConfig, bs: ArrayGeometry, seed: int) -> Scene:
     ])
     ue = build_ula(config.n_ue, config.wavelength / 2, center, config.ue_orientation)
     paths = []
-    for l in range(config.num_nlos):
+    for _ in range(config.num_nlos):
         (sx0, sx1), (sy0, sy1), (sz0, sz1) = config.scatter_box
         pos = np.array([
             rng.uniform(sx0, sx1), rng.uniform(sy0, sy1), rng.uniform(sz0, sz1),
         ])
-        paths.append(PathParams(position=pos, aod=rng.uniform(-np.pi / 2, np.pi / 2),
-                                index=l + 1))
+        paths.append(PathParams(position=pos, aod=rng.uniform(-np.pi / 2, np.pi / 2)))
     return Scene(
         bs=bs, ue=ue, wavelength=config.wavelength, paths=tuple(paths),
         power=config.power, noise_var=0.0,

@@ -8,6 +8,7 @@ reconstructions into refined LoS direction cosines (MUSIC on the
 Kronecker covariance factors) and triangulates the user center by
 least squares.  Stage 3 builds a location-aided dictionary around the
 estimate and recovers the full MIMO channel, by SBL by default.
+``StageOptions`` holds stage 3's grid and SBL knobs; the rest are constants.
 
 Baselines: antenna-wise SIMO estimation over full-array dictionaries
 (B = N pilot blocks, DFT precoder), its per-subarray variant, a
@@ -60,26 +61,37 @@ class ReceptionRecord:
         return self.observations.shape[1]
 
 
+# OMP stops at this residual share of ||y||: stage 1, stage-3 OMP and the antenna-wise baselines
+OMP_TOL = 1e-3
+# stage-1 atoms per tile: the spherical wavefront leaks LoS energy across
+# plane-wave atoms, and stage 2's direction refinement needs that fidelity
+STAGE1_MAX_ATOMS = 6
+BASELINE_MAX_ATOMS = 3  # antenna-wise atoms per SIMO channel: L + 1 for L = 2 paths
+STAGE3_OMP_ATOMS = 1  # the LoS-only location model is 1-sparse
+SBL_GAMMA_FLOOR = 1e-4  # stage-3 SBL prunes prior variances below this share of the largest
+
+
 @dataclass(frozen=True)
 class StageOptions:
-    """Tunable knobs of the three-stage pipeline.
+    """Stage 3's knobs: the location grid and the SBL stopping controls.
 
-    ``stage1_max_atoms`` exceeds ``l_assumed + 1`` by default: the
-    spherical wavefront leaks LoS energy across several plane-wave
-    atoms, and the stage-2 direction refinement needs that extra
-    reconstruction fidelity.
+    The defaults are the desk profile's, a coarser grid and a shorter SBL
+    run than the paper's (see ``harness.paper_profile``).
     """
 
-    l_assumed: int = 2
-    stage1_max_atoms: int = 6
-    stage3_omp_atoms: int = 1  # the LoS-only dictionary model is 1-sparse
-    omp_residual_tol: float = 1e-3
-    music_grid_points: int = 4096
-    grid_half_widths: tuple[float, float, float] = (0.2, 0.2, 0.02)
-    grid_counts: tuple[int, int, int] = (11, 11, 3)
-    sbl_max_iters: int = 200
-    sbl_tol: float = 1e-6
-    sbl_gamma_floor: float = 1e-4
+    grid_half_widths: tuple[float, float, float] = (0.4, 0.4, 0.05)
+    grid_counts: tuple[int, int, int] = (5, 5, 3)
+    sbl_max_iters: int = 40
+    sbl_tol: float = 1e-5
+
+    def __post_init__(self):
+        if np.shape(self.grid_half_widths) != (3,) or np.shape(self.grid_counts) != (3,) \
+                or min(self.grid_counts) < 1 or min(self.grid_half_widths) < 0:
+            raise ValueError(f"need 3 grid_counts >= 1 and 3 grid_half_widths >= 0, got "
+                             f"{self.grid_counts} and {self.grid_half_widths}")
+        if self.sbl_max_iters < 1 or self.sbl_tol < 0:
+            raise ValueError(f"need sbl_max_iters >= 1 and sbl_tol >= 0, got "
+                             f"{self.sbl_max_iters} and {self.sbl_tol}")
 
 
 def simulate_reception(
@@ -144,9 +156,7 @@ def _tile_operators(combiner: CombinerDesign, matrix: np.ndarray, scale: float):
 
 
 def stage1(
-    record: ReceptionRecord,
-    dictionary: AngularDictionary,
-    options: StageOptions = StageOptions(),
+    record: ReceptionRecord, dictionary: AngularDictionary,
 ) -> tuple[list[SparseSolution], list[np.ndarray]]:
     """Per-subarray OMP over the angular dictionary.
 
@@ -160,12 +170,11 @@ def stage1(
     n_ue = record.precoder.w.shape[0]
     scale = np.sqrt(record.power / n_ue)
     y = record.observations[:, 0]
-    max_atoms = max(options.stage1_max_atoms, options.l_assumed + 1)
     solutions = []
     channels = []
     for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
         problem = SparseProblem(a_bar, y[combiner.tile_rows(i)], column_norms=norms)
-        sol = omp(problem, max_atoms=max_atoms, residual_tol=options.omp_residual_tol)
+        sol = omp(problem, max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
         solutions.append(sol)
         # the dense product, not the support-only one: stage 2's MUSIC and
         # stage-3 SBL amplify its rounding into visibly different rows
@@ -174,10 +183,7 @@ def stage1(
 
 
 def stage2(
-    subarray_channels,
-    tiling: SubarrayTiling,
-    wavelength: float,
-    options: StageOptions = StageOptions(),
+    subarray_channels, tiling: SubarrayTiling, wavelength: float,
 ) -> tuple[LocationEstimate, list]:
     """Refine per-subarray LoS directions and triangulate the user center.
 
@@ -192,14 +198,8 @@ def stage2(
         try:
             cov = subarray_covariance(h_i)
             c_h, c_v = extract_axis_factors(cov, geom.m_h, geom.m_v)
-            k_y = music_1d(
-                c_h, geom.m_h, geom.d_h, wavelength,
-                grid_points=options.music_grid_points, n_sources=1,
-            ).peak
-            k_z = music_1d(
-                c_v, geom.m_v, geom.d_v, wavelength,
-                grid_points=options.music_grid_points, n_sources=1,
-            ).peak
+            k_y = music_1d(c_h, geom.m_h, geom.d_h, wavelength).peak
+            k_z = music_1d(c_v, geom.m_v, geom.d_v, wavelength).peak
             k = recover_kx(k_y, k_z)
         except (DegenerateInputError, InvalidDirectionError):
             directions.append(None)
@@ -230,17 +230,17 @@ def stage3(
     bs: ArrayGeometry,
     ue_template: ArrayGeometry,
     wavelength: float,
-    options: StageOptions = StageOptions(),
+    options: StageOptions,
     solver: str = "sbl",
 ) -> tuple[SparseSolution, np.ndarray]:
     """Location-aided recovery of the full MIMO channel.
 
-    Builds the received-channel atoms ``H(p_s) w`` of the location grid
-    around ``p_hat``, maps them through the combiner into the sensing
-    matrix of the single-block record, and solves with ``solver``
-    (``"sbl"``, or ``"omp"`` for the ablation).  The channel estimate
-    ``unvec(A_L x_hat)`` is rebuilt from the vec(H) columns of the
-    support alone.
+    Builds the received-channel atoms ``H(p_s) w`` of the ``options``
+    location grid around ``p_hat``, maps them through the combiner into
+    the sensing matrix of the single-block record, and solves with
+    ``solver`` (``"sbl"`` with the ``options`` stopping controls, or
+    ``"omp"`` for the ablation).  The channel estimate ``unvec(A_L x_hat)``
+    is rebuilt from the vec(H) columns of the support alone.
     """
     if record.num_blocks != 1:
         raise ValueError("stage 3 consumes the single-block record")
@@ -254,11 +254,10 @@ def stage3(
         sol, _state = sbl_em(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
-            gamma_floor=options.sbl_gamma_floor, update="sequential",
+            gamma_floor=SBL_GAMMA_FLOOR, update="sequential",
         )
     elif solver == "omp":
-        sol = omp(problem, max_atoms=min(options.stage3_omp_atoms, loc_dict.num_atoms),
-                  residual_tol=options.omp_residual_tol)
+        sol = omp(problem, max_atoms=STAGE3_OMP_ATOMS, residual_tol=OMP_TOL)
     else:
         raise ValueError(f"unknown stage-3 solver {solver!r}")
     h_hat = loc_dict.channels(sol.support) @ sol.coefficients[sol.support]
@@ -284,7 +283,6 @@ def stage1_only_estimate(
 def baseline_antenna_wise(
     record: ReceptionRecord,
     dictionary: AngularDictionary | SphericalDictionary,
-    l_assumed: int = 2,
     per_subarray: bool = False,
 ) -> np.ndarray:
     """Antenna-wise SIMO estimation over a full-array dictionary.
@@ -305,7 +303,6 @@ def baseline_antenna_wise(
         raise ValueError("antenna-wise baseline needs the N-block DFT precoder")
     per_antenna = record.observations @ precoder.w.conj().T  # (T*M_RF, N)
     scale = np.sqrt(record.power)
-    max_atoms = l_assumed + 1
     h_hat = np.zeros((combiner.num_antennas, n), dtype=complex)
     d = dictionary.matrix
     if per_subarray:
@@ -314,7 +311,7 @@ def baseline_antenna_wise(
             rows = combiner.tile_rows(i)
             for col in range(n):
                 sol = omp(SparseProblem(a_bar, per_antenna[rows, col], column_norms=norms),
-                          max_atoms=max_atoms, residual_tol=1e-3)
+                          max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
                 h_hat[antennas, col] = d[:, sol.support] @ sol.coefficients[sol.support]
     else:
         combiner.verify_blocks()  # InfeasibleDesignError is a ValueError
@@ -323,10 +320,10 @@ def baseline_antenna_wise(
         # keeps the energy outside V's range, which a tall V (T > M_s) leaves
         y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
         outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
-        tols = np.sqrt(np.maximum((1e-3 * y_norm) ** 2 - outside ** 2, 0)) / z_norm
+        tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
         for col in range(n):
             sol = omp(SparseProblem(d, z[:, col] / scale, column_norms=dictionary.column_norms),
-                      max_atoms=max_atoms, residual_tol=tols[col])
+                      max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
             h_hat[:, col] = d[:, sol.support] @ sol.coefficients[sol.support]
     return h_hat
 
@@ -337,21 +334,18 @@ def baseline_eigen_dictionary(
     bs: ArrayGeometry,
     ue_template: ArrayGeometry,
     wavelength: float,
-    rank: int | None = None,
 ) -> np.ndarray:
     """LS fit over the eigenbasis of the LoS channel at one location.
 
-    Builds ``H_los(p_hat)``, keeps its top ``rank`` singular triplets
-    ``u_k s_k v_k^H``, and fits the single-block observation over their
-    received images ``u_k (v_k^H w)``; the estimate is
-    ``sum_k c_k u_k v_k^H``, so no vec(H) basis is formed.
+    Builds ``H_los(p_hat)`` with all its singular triplets ``u_k s_k v_k^H``
+    and fits the single-block observation over their received images
+    ``u_k (v_k^H w)``; the estimate is ``sum_k c_k u_k v_k^H``, so no
+    vec(H) basis is formed.
     """
     p_hat = np.asarray(p_hat, dtype=float).reshape(3)
     ue = build_ula(ue_template.m_h, ue_template.d_h, p_hat, ue_template.axis)
     h0 = los_channel(bs, ue, wavelength)
-    u, s, vh = np.linalg.svd(h0, full_matrices=False)
-    r = min(rank or s.size, s.size)
-    u_r, vh_r = u[:, :r], vh[:r]
-    g = location_operator(record, u_r * (vh_r @ record.precoder.w[:, 0]))
+    u, _s, vh = np.linalg.svd(h0, full_matrices=False)
+    g = location_operator(record, u * (vh @ record.precoder.w[:, 0]))
     coef, *_ = np.linalg.lstsq(g, record.observations[:, 0], rcond=None)
-    return (u_r * coef) @ vh_r
+    return (u * coef) @ vh

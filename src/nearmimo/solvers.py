@@ -245,6 +245,8 @@ def sbl_em(
         raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'sequential'")
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if update == "sequential":
         return _sbl_sequential(problem, sigma2, max_iters, tol, gamma_floor)
     import scipy.linalg  # only the EM reference needs it

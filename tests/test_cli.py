@@ -1,18 +1,18 @@
 import csv
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from test_dictionaries import location_reference
 
-from nearmimo import harness
+from nearmimo import harness, pipeline
 from nearmimo.cli import main
 from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa
-from nearmimo.harness import DESK_STAGES, METHODS, desk_profile
+from nearmimo.harness import METHODS, desk_profile
 from nearmimo.matfile import load_matrix
+from nearmimo.pipeline import StageOptions
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def tiny_config_file(tmp_path):
         methods=("proposed-omp3", "stage1-only"),
         snr_db=(10.0,),
         trials=2,
-        stages=replace(DESK_STAGES, sbl_max_iters=20, sbl_tol=1e-4),
+        stages=StageOptions(sbl_max_iters=20, sbl_tol=1e-4),
     )
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json())
@@ -57,28 +57,37 @@ def test_sweep_rejects_zero_workers(tmp_path, tiny_config_file, capsys):
     assert "workers must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("layout", ["flat-schema-1", "unknown-stages-key"])
+_BAD_CONFIGS = {
+    # layout -> (edit of the config's JSON object, expected error)
+    "flat-schema-1": (lambda d: d.update(d.pop("stages"), schema=1), "config schema 1 is not 3"),
+    "unknown-stages-key": (lambda d: d["stages"].update(flux_capacitor=1), "unknown stages keys"),
+    "two-grid-counts": (lambda d: d["stages"].update(grid_counts=[5, 5]), "3 grid_counts"),
+    "negative-sbl-max-iters": (lambda d: d["stages"].update(sbl_max_iters=-1),
+                               "sbl_max_iters >= 1"),
+    "negative-trials": (lambda d: d.update(trials=-3), "trials must be at least 0"),
+}
+
+
+@pytest.mark.parametrize("layout", list(_BAD_CONFIGS))
 def test_config_layout_errors_exit_one(tmp_path, tiny_config_file, capsys, layout):
+    # rejected when the config loads, before any trial runs or any file is written
+    edit, message = _BAD_CONFIGS[layout]
     data = json.loads(tiny_config_file.read_text())
-    if layout == "flat-schema-1":
-        data.update(data.pop("stages"), schema=1)
-    else:
-        data["stages"]["flux_capacitor"] = 1
+    edit(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
-    assert ("config schema 1 is not 2" if layout == "flat-schema-1"
-            else "unknown stages keys") in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_sweep_records_rows_when_omp_tolerance_is_met_at_once(tmp_path, tiny_config_file, capsys):
-    # omp_residual_tol = 1 makes every stage-1 OMP return the zero solution:
+def test_sweep_records_rows_when_omp_tolerance_is_met_at_once(
+        tmp_path, tiny_config_file, capsys, monkeypatch):
+    # an OMP tolerance of 1 makes every stage-1 OMP return the zero solution:
     # stage 2 then has no rays, and stage1-only estimates the zero channel
-    data = json.loads(tiny_config_file.read_text())
-    data["stages"]["omp_residual_tol"] = 1.0
-    path = tmp_path / "tol_one.json"
-    path.write_text(json.dumps(data))
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(pipeline, "OMP_TOL", 1.0)
+    assert main(["sweep", "--config", str(tiny_config_file), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "sweep_rows.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
@@ -169,7 +178,8 @@ def test_export_dict_location(tmp_path, tiny_config_file):
     assert matrix.shape == (12 * 24 * 2, 5 * 5 * 3)
     # the vec(H) atoms, bit for bit, as one LoS channel per grid point
     cfg = desk_profile()
-    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, *cfg.spacings(), (0, 0, 0))
+    half = cfg.wavelength / 2
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
     center = (2.5, 0.5, -1.0)
     ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
     np.testing.assert_array_equal(matrix, location_reference(

@@ -169,7 +169,6 @@ def desk_configs(draw):
         bs_m_h=tiles_h * tile_h, bs_m_v=tiles_v * tile_v, tiles_h=tiles_h, tiles_v=tiles_v,
         m_s=m_s, t_slots=draw(st.integers(m_s, m_s + 2)), n_ue=draw(st.integers(1, 3)),
         num_nlos=draw(st.integers(0, 2)),
-        spacing=draw(st.sampled_from(("half_wavelength", "aperture"))),
         snr_db=(-10.0, 5.0, 25.0, 50.0, float("inf")), trials=1,
     )
 

@@ -290,8 +290,8 @@ def traced_peak(build):
 def test_desk_builds_peak_near_their_output():
     # the temporaries are bounded blocks, not a copy of the whole grid
     cfg = desk_profile()
-    d_h, d_v = cfg.spacings()
-    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))
+    half = cfg.wavelength / 2
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
     ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (4.0, 0.5, -1.0), cfg.ue_orientation)
     r_min, r_max, count = cfg.spherical_rings
     builds = {

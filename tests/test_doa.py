@@ -48,8 +48,8 @@ class TestSubarrayCovariance:
 class TestExtractAxisFactors:
     def test_identity_input(self):
         c_h, c_v = extract_axis_factors(np.eye(12, dtype=complex), 3, 4)
-        np.testing.assert_allclose(c_h.matrix, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(c_v.matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(c_h, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(c_v, np.eye(4), atol=1e-14)
 
     def test_construct_then_extract_roundtrip(self):
         a_h = far_field_steering(3, HALF, 0.45, WAVELENGTH)
@@ -57,8 +57,8 @@ class TestExtractAxisFactors:
         c_h0 = np.outer(a_h, a_h.conj())
         c_v0 = np.outer(a_v, a_v.conj())
         c_h, c_v = extract_axis_factors(np.kron(c_h0, c_v0), 3, 5)
-        np.testing.assert_allclose(c_h.matrix, c_h0, atol=1e-12)
-        np.testing.assert_allclose(c_v.matrix, c_v0, atol=1e-12)
+        np.testing.assert_allclose(c_h, c_h0, atol=1e-12)
+        np.testing.assert_allclose(c_v, c_v0, atol=1e-12)
 
     def test_extraction_from_planar_steering(self):
         cos_h, cos_v = 0.3, -0.2
@@ -66,15 +66,15 @@ class TestExtractAxisFactors:
         c_h, c_v = extract_axis_factors(subarray_covariance(vec), 4, 6)
         ah = far_field_steering(4, HALF, cos_h, WAVELENGTH)
         av = far_field_steering(6, HALF, cos_v, WAVELENGTH)
-        np.testing.assert_allclose(c_h.matrix, np.outer(ah, ah.conj()), atol=1e-12)
-        np.testing.assert_allclose(c_v.matrix, np.outer(av, av.conj()), atol=1e-12)
+        np.testing.assert_allclose(c_h, np.outer(ah, ah.conj()), atol=1e-12)
+        np.testing.assert_allclose(c_v, np.outer(av, av.conj()), atol=1e-12)
 
     def test_unit_diagonal_after_normalization(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         c_h, c_v = extract_axis_factors(subarray_covariance(h), 3, 4)
-        np.testing.assert_allclose(np.diag(c_h.matrix).real, 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.diag(c_v.matrix).real, 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(c_h).real, 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(c_v).real, 1.0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestSteeringMemo:
         for cov, m_e, d_e in ((c_h, m_h, d_h), (c_v, m_v, d_v)):
             spec = music_1d(cov, m_e, d_e, WAVELENGTH, grid_points=128)
             np.testing.assert_array_equal(
-                spec.values, self.fresh_spectrum(cov.matrix, m_e, d_e, 128)[1])
+                spec.values, self.fresh_spectrum(cov, m_e, d_e, 128)[1])
         assert _steering.cache_info().currsize == 2
         hor = _steering(m_h, d_h, WAVELENGTH, 128)[1]
         ver = _steering(m_v, d_v, WAVELENGTH, 128)[1]

@@ -33,7 +33,7 @@ def test_paper_scale_aperture_with_half_wavelength_spacing():
     geom = build_upa(16, 48, d, d, (0, 0, 0))
     ap_h, ap_v = geom.aperture()
     # half-wavelength spacing at 6.8 GHz gives ~0.33 m x 1.04 m, not the
-    # 0.5 m x 1.5 m quoted elsewhere; both spacings stay configurable.
+    # 0.5 m x 1.5 m quoted elsewhere; the sweep config always uses λ/2.
     assert ap_h == pytest.approx(0.3307, abs=5e-4)
     assert ap_v == pytest.approx(1.0360, abs=5e-4)
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,6 @@ from nearmimo import harness
 from nearmimo.errors import DivergenceError, InfeasibleDesignError
 from nearmimo.harness import (
     CSV_COLUMNS,
-    DESK_STAGES,
     METHODS,
     ExperimentConfig,
     ResultTable,
@@ -35,7 +33,7 @@ def tiny_config(**overrides):
         methods=("proposed-omp3", "stage1-only"),
         snr_db=(10.0,),
         trials=2,
-        stages=replace(DESK_STAGES, sbl_max_iters=20, sbl_tol=1e-4),
+        stages=StageOptions(sbl_max_iters=20, sbl_tol=1e-4),
     )
     base.update(overrides)
     return desk_profile(**base)
@@ -85,16 +83,16 @@ class TestConfig:
     def test_paper_profile_roundtrip(self):
         cfg = paper_profile()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
-        assert cfg.stages == StageOptions()
-        assert json.loads(cfg.to_json())["schema"] == 2
+        assert cfg.stages == StageOptions((0.2, 0.2, 0.02), (11, 11, 3), 200, 1e-6)
+        assert json.loads(cfg.to_json())["schema"] == 3
 
     def test_partial_stages_take_desk_defaults(self):
         data = paper_profile().to_dict()
         data["stages"] = {"sbl_max_iters": 7, "grid_counts": [3, 3, 1]}
         cfg = ExperimentConfig.from_dict(data)
-        assert cfg.stages == replace(DESK_STAGES, sbl_max_iters=7, grid_counts=(3, 3, 1))
+        assert cfg.stages == StageOptions(sbl_max_iters=7, grid_counts=(3, 3, 1))
         del data["stages"]
-        assert ExperimentConfig.from_dict(data).stages == DESK_STAGES
+        assert ExperimentConfig.from_dict(data).stages == StageOptions()
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -112,12 +110,13 @@ class TestConfig:
             desk_profile(workers=workers)
 
     def test_example_config_loads(self):
+        # the file is this expression's output, byte for byte, so it names every
+        # field at the current schema; regenerate it when the schema changes
         path = Path(__file__).resolve().parents[1] / "demos" / "example_config.json"
-        data = json.loads(path.read_text())
-        assert ExperimentConfig.from_dict(data).workers == 1
-        # it names every field, and only fields, so it cannot go stale
-        assert set(data) == {"schema", *ExperimentConfig.__dataclass_fields__}
-        assert set(data["stages"]) == set(StageOptions.__dataclass_fields__)
+        cfg = desk_profile(methods=("proposed-sbl", "proposed-omp3", "stage1-only"),
+                           snr_db=(5.0, 15.0, 25.0), trials=10)
+        assert path.read_text() == cfg.to_json() + "\n"
+        assert ExperimentConfig.from_json(path.read_text()) == cfg
 
     def test_rejects_unknown_keys(self):
         data = desk_profile().to_dict()
@@ -132,6 +131,13 @@ class TestConfig:
         (5, "stages must be a JSON object"),
         (None, "stages must be a JSON object"),
         ({"stage1_solver": "omp"}, "unknown stages keys"),
+        ({"grid_counts": [5, 5]}, "3 grid_counts"),
+        ({"grid_half_widths": [0.4, 0.4, 0.05, 0.1]}, "3 grid_counts"),
+        ({"grid_counts": [5, 0, 3]}, "3 grid_counts"),
+        ({"grid_half_widths": [0.4, -0.1, 0.05]}, "3 grid_counts"),
+        ({"sbl_max_iters": -1}, "sbl_max_iters >= 1"),
+        ({"sbl_max_iters": 0}, "sbl_max_iters >= 1"),
+        ({"sbl_tol": -1e-5}, "sbl_tol >= 0"),
     ])
     def test_rejects_bad_stages(self, stages, message):
         data = desk_profile().to_dict()
@@ -139,21 +145,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
 
-    @pytest.mark.parametrize("schema", [1, None, 3])
+    @pytest.mark.parametrize("schema", [1, 2, None, 4])
     def test_rejects_other_schemas(self, schema):
         # schema 1 is the flat layout: the stage knobs and m_rf at top level
         data = desk_profile().to_dict()
         data.update(data.pop("stages"), m_rf=None, schema=schema)
         if schema is None:
             del data["schema"]
-        with pytest.raises(ValueError, match=f"config schema {schema!r} is not 2"):
+        with pytest.raises(ValueError, match=f"config schema {schema!r} is not 3"):
             ExperimentConfig.from_dict(data)
-
-    def test_aperture_spacing_mode(self):
-        cfg = paper_profile(spacing="aperture")
-        d_h, d_v = cfg.spacings()
-        assert d_h == pytest.approx(0.5 / 15)
-        assert d_v == pytest.approx(1.5 / 47)
 
     def test_noise_var_from_snr(self):
         cfg = desk_profile()

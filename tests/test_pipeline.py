@@ -15,7 +15,9 @@ from nearmimo.geometry import build_ula, build_upa, partition, wave_vector
 from nearmimo.harness import draw_scene, noise_var_for_snr, paper_profile
 from nearmimo.localization import Ray, ls_intersect
 from nearmimo.pipeline import (
-    StageOptions,
+    BASELINE_MAX_ATOMS,
+    OMP_TOL,
+    STAGE1_MAX_ATOMS,
     baseline_antenna_wise,
     baseline_eigen_dictionary,
     location_operator,
@@ -36,6 +38,7 @@ from nearmimo.solvers import SparseProblem, omp
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
+PAPER_STAGES = paper_profile().stages
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +138,7 @@ class TestStage1:
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=0)
-        sols, _ = stage1(rec, d, StageOptions(stage1_max_atoms=1))
+        sols, _ = stage1(rec, d)
         for sol in sols:
             assert sol.support[0] == z1 * d.z + z2
 
@@ -196,9 +199,8 @@ class TestSharedTileOperator:
     def test_stage1_forms_one_operator_per_block_set(self, case, monkeypatch):
         comb, expected, scene, real, d = case
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=7)
-        options = StageOptions()
         formed = self.count_operators(monkeypatch, d.matrix)
-        sols, channels = stage1(rec, d, options)
+        sols, channels = stage1(rec, d)
         assert len(formed) == expected
         monkeypatch.undo()
 
@@ -207,8 +209,7 @@ class TestSharedTileOperator:
         for i in range(comb.tiling.num_tiles):
             a_bar = scale * comb.apply_tile(i, d.matrix)
             ref = omp(SparseProblem(a_bar, y[comb.tile_rows(i)]),
-                      max_atoms=options.stage1_max_atoms,
-                      residual_tol=options.omp_residual_tol)
+                      max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
             np.testing.assert_array_equal(sols[i].coefficients, ref.coefficients)
             np.testing.assert_array_equal(channels[i], d.matrix @ ref.coefficients)
 
@@ -227,7 +228,7 @@ class TestSharedTileOperator:
             a_bar = np.sqrt(rec.power) * comb.apply_tile(i, d.matrix)
             for col in range(n):
                 sol = omp(SparseProblem(a_bar, per_antenna[comb.tile_rows(i), col]),
-                          max_atoms=3, residual_tol=1e-3)
+                          max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
                 ref[tile.antenna_indices, col] = \
                     d.matrix[:, sol.support] @ sol.coefficients[sol.support]
         np.testing.assert_array_equal(h_hat, ref)
@@ -282,7 +283,7 @@ class TestStage3:
         )
         sol, h_hat = stage3(
             rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
-            StageOptions(grid_counts=(3, 3, 3), grid_half_widths=(0.05, 0.05, 0.01)),
+            replace(PAPER_STAGES, grid_counts=(3, 3, 3), grid_half_widths=(0.05, 0.05, 0.01)),
         )
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -80
@@ -294,9 +295,9 @@ class TestStage3:
             scene.with_noise_var(noise_var), real, desk["combiner"], uniform_precoder(2),
             seed=3,
         )
-        sol, h_hat = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH)
+        sol, h_hat = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH, PAPER_STAGES)
         assert sol.converged
-        assert sol.support.size < np.prod(StageOptions().grid_counts) / 4
+        assert sol.support.size < np.prod(PAPER_STAGES.grid_counts) / 4
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) < -25
 
@@ -304,8 +305,7 @@ class TestStage3:
         # the 768 x 363 atoms and the operator set the peak; a (M*N) x S
         # vec(H) dictionary (17.8 MB) or a Q x Q Gram would push it past the bound
         cfg = paper_profile()
-        d_h, d_v = cfg.spacings()
-        bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, d_h, d_v, (0, 0, 0))
+        bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, HALF, HALF, (0, 0, 0))
         tiling = partition(bs, cfg.tiles_h, cfg.tiles_v)
         comb = design_combiner(cfg.t_slots, tiling, tiling.tiles[0].geometry.size // cfg.m_s)
         scene = draw_scene(cfg, bs, seed=7)
@@ -331,7 +331,7 @@ class TestStage3:
         )
         sol, h_hat = stage3(
             rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
-            StageOptions(grid_counts=(1, 1, 1), grid_half_widths=(0, 0, 0)),
+            replace(PAPER_STAGES, grid_counts=(1, 1, 1), grid_half_widths=(0, 0, 0)),
         )
         assert sol.coefficients.size == 1
         assert abs(sol.coefficients[0] - 1.0) < 1e-3
@@ -344,7 +344,8 @@ def run_stages(scene, real, comb, dictionary, seed):
     rec = simulate_reception(scene, real, comb, uniform_precoder(scene.ue.size), seed)
     _sols, channels = stage1(rec, dictionary)
     estimate, _dirs = stage2(channels, comb.tiling, scene.wavelength)
-    _sol, h_hat = stage3(rec, estimate.point, scene.bs, scene.ue, scene.wavelength)
+    _sol, h_hat = stage3(rec, estimate.point, scene.bs, scene.ue, scene.wavelength,
+                         PAPER_STAGES)
     return channels, estimate, h_hat
 
 
@@ -376,14 +377,14 @@ class TestThreeStage:
         assert nmse3 < nmse1
 
 
-def explicit_operator_baseline(rec, dictionary, l_assumed=2):
+def explicit_operator_baseline(rec, dictionary):
     """The full-array antenna-wise baseline on the formed operator ``sqrt(p) V D``."""
     per_antenna = rec.observations @ rec.precoder.w.conj().T
     a_bar = np.sqrt(rec.power) * rec.combiner.apply(dictionary.matrix)
     h_hat = np.zeros((rec.combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
     for col in range(h_hat.shape[1]):
         sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
-                  max_atoms=l_assumed + 1, residual_tol=1e-3)
+                  max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
         h_hat[:, col] = dictionary.matrix @ sol.coefficients
     return h_hat
 
@@ -475,7 +476,7 @@ class TestBaselines:
         ue = build_ula(2, HALF, center)
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full, l_assumed=0)
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
         for col in range(2):
             err = np.linalg.norm(h_hat[:, col] - real.h[:, col]) / np.linalg.norm(real.h[:, col])
             assert err < 1e-5
@@ -491,7 +492,7 @@ class TestBaselines:
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
         full = build_angular(16, 48, HALF, HALF, WAVELENGTH, 64)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full, l_assumed=2)
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) > -10
 

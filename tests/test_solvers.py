@@ -336,3 +336,7 @@ class TestSblSequential:
         problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError):
             sbl_em(problem, sigma2=0.1, update="fixed-point")
+        # a negative cap would lift the sequential rule's step limit
+        for update in ("em", "sequential"):
+            with pytest.raises(ValueError, match="max_iters"):
+                sbl_em(problem, sigma2=0.1, max_iters=-1, update=update)
