@@ -210,6 +210,22 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        # a repeated value would run its cells twice on the same seeds
+        for name in ("methods", "snr_db"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
+        # the baseline dictionaries are built on their method's first cell; check them here
+        if self.baseline_z_grid < 2 or self.spherical_angle_grid < 1:
+            raise ValueError(
+                f"need baseline_z_grid >= 2 and spherical_angle_grid >= 1, got "
+                f"{self.baseline_z_grid} and {self.spherical_angle_grid}"
+            )
+        try:
+            r_min, r_max, count = self.spherical_rings
+            reciprocal_distance_rings(r_min, r_max, int(count))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"spherical_rings {self.spherical_rings}: {exc}") from None
         if min(self.tiles_h, self.tiles_v) < 1 or self.bs_m_h % self.tiles_h \
                 or self.bs_m_v % self.tiles_v:
             raise ValueError(

@@ -254,7 +254,7 @@ def stage3(
         sol, _state = sbl_em(
             problem, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
-            gamma_floor=SBL_GAMMA_FLOOR, update="sequential",
+            gamma_floor=SBL_GAMMA_FLOOR,
         )
     elif solver == "omp":
         sol = omp(problem, max_atoms=STAGE3_OMP_ATOMS, residual_tol=OMP_TOL)

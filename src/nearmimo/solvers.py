@@ -8,24 +8,14 @@ atoms by normalized correlation with the residual, dividing by those
 stored norms, and refits by least squares.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
-variance held fixed, in one of two ways:
-
-* ``"em"`` (Wipf & Rao, IEEE TSP 2004), the reference: every iteration
-  runs the batch E-step over all Q atoms,
-
-      Sigma = (A^H A / sigma^2 + Gamma^-1)^-1,  mu = Sigma A^H y / sigma^2,
-
-  and sets gamma_q = |mu_q|^2 + Sigma_qq, which never lowers the
-  evidence.  It factors a Q x Q matrix per iteration, with scipy.
-
-* ``"sequential"`` (Tipping & Faul, AISTATS 2003): starting from an
-  empty model, every step adds, re-estimates or deletes the one atom
-  whose single-atom optimum gamma_q = (|q_q|^2 - s_q) / s_q^2 (zero when
-  |q_q|^2 <= s_q) raises the evidence most, or re-estimates all model
-  atoms by one Newton step.  The sparsity and quality factors s_q, q_q
-  come from the K atoms in the model alone: one row of cross-Gram
-  ``u^H A`` per atom added and K x K factors, in numpy.  No Q x Q
-  matrix is formed.
+variance held fixed, by the sequential rule of Tipping & Faul (AISTATS
+2003): starting from an empty model, every step adds, re-estimates or
+deletes the one atom whose single-atom optimum gamma_q = (|q_q|^2 - s_q)
+/ s_q^2 (zero when |q_q|^2 <= s_q) raises the evidence most, or
+re-estimates all model atoms by one Newton step.  The sparsity and
+quality factors s_q, q_q come from the K atoms in the model alone: one
+row of cross-Gram ``u^H A`` per atom added and K x K factors.  No Q x Q
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -36,7 +26,6 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalRankError
 
-_GAMMA_ABS_FLOOR = 1e-100
 # sequential SBL: an atom whose energy outside the model's span is below
 # this fraction of its own cannot join the model
 _SPAN_RTOL = 1e-12
@@ -111,9 +100,9 @@ class SparseSolution:
 class SblState:
     """Posterior and prior state of the SBL solver at exit.
 
-    ``covariance`` spans the retained atoms in ``active``, in increasing
-    order: all atoms for EM, the model atoms for the sequential rule;
-    ``gamma`` and ``mean`` are full length with zeros at discarded atoms.
+    ``covariance`` spans the model atoms in ``active``, in increasing
+    order; ``gamma`` and ``mean`` are full length with zeros outside the
+    model.
     """
 
     gamma: np.ndarray
@@ -196,145 +185,12 @@ def sbl_em(
     max_iters: int = 200,
     tol: float = 1e-6,
     gamma_floor: float = 1e-8,
-    update: str = "em",
 ) -> tuple[SparseSolution, SblState]:
-    """Sparse Bayesian learning with fixed noise variance.
+    """Sparse Bayesian learning with fixed noise variance, by the sequential
+    Tipping--Faul steps the module describes.
 
-    ``update="em"`` iterates the batch EM rule over all atoms: ``A^H A``
-    and ``A^H y`` are formed once, and every iteration factors the Q x Q
-    matrix ``A^H A / sigma^2 + Gamma^-1``, solves the factor onto the
-    identity and squares that inverse, each in place.  It is exact for
-    any shape; with Q > P each iteration costs Q^3.
-
-    ``update="sequential"`` takes one Tipping--Faul step at a time (see
-    :func:`_sbl_sequential`); each step costs O(K Q) for K atoms in the
-    model, plus one P x Q product when an atom joins it.
-
-    Parameters
-    ----------
-    problem : SparseProblem
-    sigma2 : float
-        Noise variance; required (``None`` raises ``ValueError``).
-    max_iters, tol : stopping controls.  EM declares convergence once the
-        largest relative change of any prior variance drops below
-        ``tol``; the sequential rule once every atom in the model sits
-        within relative ``tol`` of its (capped) single-atom optimum and
-        no atom outside it that it does not already span has
-        ``|q|^2 > s``.  ``max_iters`` caps EM iterations or sequential
-        steps.
-    gamma_floor : float
-        Relative pruning threshold: atoms whose prior variance falls
-        below ``gamma_floor * max(gamma)`` are zeroed in the reported
-        coefficients.
-    update : {"em", "sequential"}
-
-    Returns
-    -------
-    (SparseSolution, SblState)
-        Coefficients are the posterior mean with pruned atoms zeroed;
-        ``SblState.evidence`` holds the log marginal likelihood at every
-        iteration or step.
-
-    Raises
-    ------
-    DivergenceError
-        If an iterate turns non-finite or a factorization fails; carries
-        the iteration index.
-    """
-    if update not in ("em", "sequential"):
-        raise ValueError(f"unknown SBL update {update!r}; use 'em' or 'sequential'")
-    if sigma2 is None or sigma2 <= 0:
-        raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if update == "sequential":
-        return _sbl_sequential(problem, sigma2, max_iters, tol, gamma_floor)
-    import scipy.linalg  # only the EM reference needs it
-
-    y = problem.observation
-    p, q_full = problem.shape
-    a_h = problem.sensing_matrix.conj().T  # a conjugate copy, dropped once the Gram is formed
-    gram, rhs = a_h @ problem.sensing_matrix, a_h @ y
-    del a_h
-
-    gamma = np.ones(q_full)
-    evidence: list[float] = []
-    history: list[float] = [float(np.linalg.norm(y))]
-    y_energy = float(np.linalg.norm(y) ** 2)
-    iterations = 0
-    converged = False
-
-    for it in range(max_iters):
-        iterations = it + 1
-        m = np.divide(gram, sigma2, order="F")  # column-major, so LAPACK factors it in place
-        m[np.diag_indices_from(m)] += 1.0 / gamma
-        try:
-            chol_m = scipy.linalg.cholesky(m, lower=True, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise DivergenceError(f"E-step factorization failed: {exc}", it) from exc
-        mu = scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False) / sigma2
-        inv_factor = scipy.linalg.solve_triangular(
-            chol_m, np.eye(q_full, dtype=complex, order="F"), lower=True,
-            overwrite_b=True, check_finite=False,
-        )
-        np.multiply(inv_factor.conj(), inv_factor, out=inv_factor)  # |L^-1|^2
-        sigma_diag = np.real(np.sum(inv_factor, axis=0))
-        fit = np.real(np.vdot(rhs, mu))  # Re(y^H A mu)
-        # det(sigma2 I + A G A^H) = sigma2^P det(G) det(M)
-        logdet_c = (
-            p * np.log(sigma2) + np.sum(np.log(gamma))
-            + 2.0 * np.sum(np.log(np.real(np.diag(chol_m))))
-        )
-        evidence.append(float(-p * np.log(np.pi) - logdet_c - (y_energy - fit) / sigma2))
-        # ||y - A mu||^2 expanded, so no P x Q product is formed
-        residual2 = y_energy - 2.0 * fit + np.real(np.vdot(mu, gram @ mu))
-        history.append(float(np.sqrt(max(residual2, 0.0))))
-
-        gamma_new = np.abs(mu) ** 2 + np.maximum(sigma_diag, 0.0)
-        if not np.all(np.isfinite(gamma_new)) or not np.all(np.isfinite(mu)):
-            raise DivergenceError("non-finite SBL iterate", it)
-        delta = np.max(np.abs(gamma_new - gamma) / np.maximum(gamma, _GAMMA_ABS_FLOOR))
-        gamma = np.maximum(gamma_new, _GAMMA_ABS_FLOOR)
-        if delta < tol:
-            converged = True
-            break
-
-    # final posterior at the exit prior
-    m = gram / sigma2
-    m[np.diag_indices_from(m)] += 1.0 / gamma
-    chol_m = scipy.linalg.cholesky(m, lower=True, check_finite=False)
-    covariance = scipy.linalg.cho_solve(
-        (chol_m, True), np.eye(q_full, dtype=complex), check_finite=False
-    )
-    mu = covariance @ rhs / sigma2
-    return _sbl_result(q_full, np.arange(q_full), gamma, mu, covariance, gamma_floor,
-                       iterations, converged, history, evidence)
-
-
-def _sbl_result(q_full, active, gamma, mu, covariance, gamma_floor,
-                iterations, converged, history, evidence):
-    """The exit ``(SparseSolution, SblState)`` of either SBL rule."""
-    covariance = 0.5 * (covariance + covariance.conj().T)
-    keep = gamma >= gamma_floor * gamma.max(initial=0.0)
-    mean_full = np.zeros(q_full, dtype=complex)
-    mean_full[active] = mu
-    gamma_full = np.zeros(q_full)
-    gamma_full[active] = gamma
-    coefficients = np.zeros(q_full, dtype=complex)
-    coefficients[active[keep]] = mu[keep]
-    state = SblState(
-        gamma=gamma_full, mean=mean_full, covariance=covariance, active=active,
-        iterations=iterations, evidence=tuple(evidence),
-    )
-    solution = SparseSolution(
-        coefficients=coefficients, support=active[keep],
-        residual_history=tuple(history), iterations=iterations, converged=converged,
-    )
-    return solution, state
-
-
-def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor):
-    """Tipping--Faul sequential SBL; see :func:`sbl_em` for the contract.
+    Each step costs O(K Q) for K atoms in the model, plus one P x Q
+    product when an atom joins it.
 
     The K model atoms ``Phi`` are held as ``Phi = U T`` with ``U`` (P x K)
     orthonormal, so every posterior quantity is K-sized: ``Z = U^H A``
@@ -357,7 +213,37 @@ def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor):
     all model atoms at once (coherent atoms otherwise trade variance one
     small step at a time); it is kept only if it raises the evidence, and
     an atom it drives to zero leaves the model.
+
+    Parameters
+    ----------
+    problem : SparseProblem
+    sigma2 : float
+        Noise variance; required (``None`` raises ``ValueError``).
+    max_iters, tol : stopping controls.  The rule converges once every
+        atom in the model sits within relative ``tol`` of its (capped)
+        single-atom optimum and no atom outside it that it does not
+        already span has ``|q|^2 > s``; ``max_iters`` caps the steps.
+    gamma_floor : float
+        Relative pruning threshold: atoms whose prior variance falls
+        below ``gamma_floor * max(gamma)`` are zeroed in the reported
+        coefficients.
+
+    Returns
+    -------
+    (SparseSolution, SblState)
+        Coefficients are the posterior mean with pruned atoms zeroed;
+        ``SblState.evidence`` holds the log marginal likelihood before
+        the first step and after every step.
+
+    Raises
+    ------
+    DivergenceError
+        If an iterate turns non-finite; carries the step index.
     """
+    if sigma2 is None or sigma2 <= 0:
+        raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     a = problem.sensing_matrix
     y = problem.observation
     p, q_full = a.shape
@@ -410,7 +296,7 @@ def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor):
         if not np.any(off):
             converged = True
             break
-        if step == max_steps:
+        if step == max_iters:
             break
         step += 1
         drop = None
@@ -450,11 +336,26 @@ def _sbl_sequential(problem, sigma2, max_steps, tol, gamma_floor):
             gamma = np.append(gamma, target[pick])
 
     order = np.argsort(model)
+    active, gamma, mu = model[order], gamma[order], mu[order]
     root = np.sqrt(gamma)
-    cov = root[:, None] * (inv_post @ inv_post.conj().T) * root
-    return _sbl_result(q_full, model[order], gamma[order], mu[order],
-                       cov[np.ix_(order, order)], gamma_floor, step, converged,
-                       history, evidence)
+    covariance = root[:, None] * (inv_post @ inv_post.conj().T)[np.ix_(order, order)] * root
+    covariance = 0.5 * (covariance + covariance.conj().T)
+    keep = gamma >= gamma_floor * gamma.max(initial=0.0)
+    gamma_full = np.zeros(q_full)
+    gamma_full[active] = gamma
+    mean_full = np.zeros(q_full, dtype=complex)
+    mean_full[active] = mu
+    coefficients = np.zeros(q_full, dtype=complex)
+    coefficients[active[keep]] = mu[keep]
+    state = SblState(
+        gamma=gamma_full, mean=mean_full, covariance=covariance, active=active,
+        iterations=step, evidence=tuple(evidence),
+    )
+    solution = SparseSolution(
+        coefficients=coefficients, support=active[keep],
+        residual_history=tuple(history), iterations=step, converged=converged,
+    )
+    return solution, state
 
 
 def _model_factors(tri, gamma, sigma):

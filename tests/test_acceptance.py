@@ -110,8 +110,9 @@ def test_acceptance_3_solver_oracles():
         sigma = 0.05
         y = a @ x + sigma * (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2)
         _sol, state = sbl_em(SparseProblem(a, y), sigma2=sigma ** 2)
-        lhs = (a.conj().T @ a / sigma ** 2 + np.diag(1.0 / state.gamma)) @ state.mean
-        rhs = a.conj().T @ y / sigma ** 2
+        m, gamma = a[:, state.active], state.gamma[state.active]
+        lhs = (m.conj().T @ m / sigma ** 2 + np.diag(1.0 / gamma)) @ state.mean[state.active]
+        rhs = m.conj().T @ y / sigma ** 2
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
         ev = np.array(state.evidence)
         assert np.all(np.diff(ev) >= -1e-9)

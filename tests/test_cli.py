@@ -65,6 +65,17 @@ _BAD_CONFIGS = {
     "negative-sbl-max-iters": (lambda d: d["stages"].update(sbl_max_iters=-1),
                                "sbl_max_iters >= 1"),
     "negative-trials": (lambda d: d.update(trials=-3), "trials must be at least 0"),
+    # these would load, then fail or run cells twice only once the sweep ran
+    "one-point-dft-grid": (lambda d: d.update(baseline_z_grid=1), "baseline_z_grid >= 2"),
+    "no-spherical-angles": (lambda d: d.update(spherical_angle_grid=0),
+                            "spherical_angle_grid >= 1"),
+    "reversed-spherical-rings": (lambda d: d.update(spherical_rings=[10.0, 2.0, 4]),
+                                 "spherical_rings"),
+    "no-spherical-rings": (lambda d: d.update(spherical_rings=[2.0, 10.0, 0]),
+                           "spherical_rings"),
+    "repeated-snr": (lambda d: d.update(snr_db=[10.0, 10.0]), "snr_db repeats a value"),
+    "repeated-method": (lambda d: d.update(methods=["stage1-only", "stage1-only"]),
+                        "methods repeats a value"),
 }
 
 

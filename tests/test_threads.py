@@ -133,11 +133,14 @@ def test_pooled_cli_sweep_no_slower_than_serial_and_byte_identical(tmp_path):
 
 
 def test_serial_sweep_of_every_method_loads_neither_scipy_nor_the_pool():
-    # scipy serves only the EM reference solver, the process pool only workers > 1
+    # the program runs on numpy alone; the process pool serves only workers > 1
     code = (
         "import json, sys\n"
+        "import numpy as np\n"
         "from nearmimo.harness import METHODS, desk_profile, run_sweep\n"
+        "from nearmimo.solvers import SparseProblem, sbl_em\n"
         "table = run_sweep(desk_profile(methods=METHODS, snr_db=(15.0,), trials=1))\n"
+        "sbl_em(SparseProblem(np.eye(4, dtype=complex), np.ones(4)), sigma2=0.1)\n"
         "print(json.dumps({'statuses': [r.status for r in table.rows], 'loaded': sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
         "    or m.startswith('concurrent.futures.process'))}))\n"
