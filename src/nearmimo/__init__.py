@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "harness": (
         "ExperimentConfig", "ResultTable", "desk_profile", "nmse", "paper_profile",
-        "rmse", "run_sweep",
+        "run_sweep",
     ),
     "localization": ("LocationEstimate", "Ray", "ls_intersect"),
     "matfile": ("load_matrix", "save_matrix"),

@@ -16,10 +16,12 @@ the pipeline's stages, each timed into the trial's ``timings``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
+from collections import Counter
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from .pipeline import (
     stage3,
 )
 from .sensing import design_combiner, design_precoder_dft, random_combiner, uniform_precoder
+from .solvers import _is_integer
 from .threads import single_thread_children
 
 
@@ -118,11 +121,14 @@ def _stage1_only(ctx, draw) -> TrialResult:
 
 
 def _antenna_wise(ctx, draw, dictionary, per_subarray=False) -> TrialResult:
-    """The N-block DFT-precoded record at ``p/N`` per block, and the baseline on it."""
+    """The N-block DFT-precoded record at ``p/N`` per block, and the baseline on it as stage 1."""
+    timings = {}
     scene = draw.scene
-    record = simulate_reception(scene, draw.realization, ctx.combiner, ctx.dft_precoder(),
+    record = simulate_reception(scene, draw.realization, ctx.combiner, ctx.dft_precoder,
                                 draw.noise_seed, power=scene.power / ctx.config.n_ue)
-    return TrialResult(baseline_antenna_wise(record, dictionary, per_subarray=per_subarray))
+    h_hat = _timed(timings, "stage1", baseline_antenna_wise, record, dictionary,
+                   per_subarray=per_subarray)
+    return TrialResult(h_hat, timings=timings)
 
 
 def _eigen_dictionary(ctx, draw) -> TrialResult:
@@ -203,6 +209,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a float or bool count would load, then be truncated or fail in a trial
+        for f in fields(self):  # (the annotations are strings here)
+            if f.type == "int" and not _is_integer(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        for snr_db in self.snr_db:
+            _check_snr(snr_db)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.trials < 0:
@@ -217,21 +229,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats a value: {values}")
         # the baseline dictionaries are built on their method's first cell; check them here
         if self.baseline_z_grid < 2 or self.spherical_angle_grid < 1:
-            raise ValueError(
-                f"need baseline_z_grid >= 2 and spherical_angle_grid >= 1, got "
-                f"{self.baseline_z_grid} and {self.spherical_angle_grid}"
-            )
+            raise ValueError(f"need baseline_z_grid >= 2 and spherical_angle_grid >= 1, got "
+                             f"{self.baseline_z_grid} and {self.spherical_angle_grid}")
         try:
             r_min, r_max, count = self.spherical_rings
-            reciprocal_distance_rings(r_min, r_max, int(count))
+            if not _is_integer(count):
+                raise ValueError("the ring count must be an integer")
+            reciprocal_distance_rings(r_min, r_max, count)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spherical_rings {self.spherical_rings}: {exc}") from None
         if min(self.tiles_h, self.tiles_v) < 1 or self.bs_m_h % self.tiles_h \
                 or self.bs_m_v % self.tiles_v:
-            raise ValueError(
-                f"{self.tiles_h}x{self.tiles_v} tiles must divide the "
-                f"{self.bs_m_h}x{self.bs_m_v} array"
-            )
+            raise ValueError(f"{self.tiles_h}x{self.tiles_v} tiles must divide the "
+                             f"{self.bs_m_h}x{self.bs_m_v} array")
         m_i = (self.bs_m_h // self.tiles_h) * (self.bs_m_v // self.tiles_v)
         if self.m_s < 1 or m_i % self.m_s:
             raise ValueError(f"M_s={self.m_s} must divide the tile size {m_i}")
@@ -258,7 +268,7 @@ class ExperimentConfig:
         return cls(**_known_keys(cls, data, "config"), stages=StageOptions(**stages))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=_json_default)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -303,8 +313,7 @@ def paper_profile(**overrides) -> ExperimentConfig:
 
 def nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
     """Normalized channel error ``||H_hat - H||_F^2 / ||H||_F^2``."""
-    h_hat = np.asarray(h_hat)
-    h = np.asarray(h)
+    h_hat, h = np.asarray(h_hat), np.asarray(h)
     if h_hat.shape != h.shape:
         raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
     denom = np.linalg.norm(h) ** 2
@@ -313,13 +322,9 @@ def nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(h_hat - h) ** 2 / denom)
 
 
-def rmse(points_hat, points) -> float:
-    """Root-mean-square localization error in meters."""
-    points_hat = np.atleast_2d(np.asarray(points_hat, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points_hat.shape != points.shape or points_hat.size == 0:
-        raise ValueError("need equal-length non-empty point lists")
-    return float(np.sqrt(np.mean(np.sum((points_hat - points) ** 2, axis=1))))
+def _db(x: float) -> float:
+    """``10 log10(x)``; NaN unless ``x`` is finite and positive."""
+    return float(10 * np.log10(x)) if np.isfinite(x) and x > 0 else float("nan")
 
 
 def derive_seed(base_seed: int, method: str, snr_db: float, trial: int) -> int:
@@ -345,97 +350,65 @@ class TrialRow:
 
 @dataclass
 class ResultTable:
-    """Per-trial rows plus aggregates recomputable from them."""
+    """Per-trial rows in cell order, plus aggregates recomputable from them.
+
+    The rows are put in the config's (method, SNR, trial) order when the
+    table is built, so every writer takes them as they are.
+    """
 
     config: ExperimentConfig
     rows: list[TrialRow] = field(default_factory=list)
 
-    def sorted_rows(self) -> list[TrialRow]:
-        method_order = {m: i for i, m in enumerate(self.config.methods)}
-        snr_order = {s: i for i, s in enumerate(self.config.snr_db)}
-        return sorted(
-            self.rows,
-            key=lambda r: (method_order[r.method], snr_order[r.snr_db], r.trial),
-        )
+    def __post_init__(self):
+        methods, snrs = self.config.methods, self.config.snr_db
+        self.rows = sorted(
+            self.rows, key=lambda r: (methods.index(r.method), snrs.index(r.snr_db), r.trial))
 
     def aggregates(self) -> list[dict]:
-        out = []
-        for method in self.config.methods:
-            for snr in self.config.snr_db:
-                cell = [r for r in self.rows if r.method == method and r.snr_db == snr]
-                ok = [r for r in cell if r.status == "ok"]
-                nmses = np.array([r.nmse for r in ok if np.isfinite(r.nmse)])
-                locs = np.array([r.loc_error_m for r in ok if np.isfinite(r.loc_error_m)])
-                agg = {
-                    "method": method,
-                    "snr_db": snr,
-                    "n_trials": len(cell),
-                    "n_ok": len(ok),
-                    "nmse_mean": float(nmses.mean()) if nmses.size else float("nan"),
-                    "nmse_mean_db": (
-                        float(10 * np.log10(nmses.mean())) if nmses.size and nmses.mean() > 0
-                        else float("nan")
-                    ),
-                    "nmse_std": float(nmses.std()) if nmses.size else float("nan"),
-                    "rmse_m": (
-                        float(np.sqrt(np.mean(locs ** 2))) if locs.size else float("nan")
-                    ),
-                }
-                out.append(agg)
+        cells = {(m, s): [] for m in self.config.methods for s in self.config.snr_db}
+        for r in self.rows:
+            cells[r.method, r.snr_db].append(r)
+        out, nan = [], float("nan")
+        for (method, snr), cell in cells.items():
+            ok = [r for r in cell if r.status == "ok"]
+            nmses = np.array([r.nmse for r in ok if np.isfinite(r.nmse)])
+            locs = np.array([r.loc_error_m for r in ok if np.isfinite(r.loc_error_m)])
+            nmse_mean = float(nmses.mean()) if nmses.size else nan
+            out.append(dict(zip(AGGREGATE_COLUMNS, (
+                method, snr, len(cell), len(ok), nmse_mean, _db(nmse_mean),
+                float(nmses.std()) if nmses.size else nan,
+                float(np.sqrt(np.mean(locs ** 2))) if locs.size else nan,
+            ))))
         return out
 
     def failure_summary(self) -> dict:
-        failed = [r for r in self.rows if r.status != "ok"]
-        return {
-            "total": len(self.rows),
-            "failed": len(failed),
-            "by_status": {
-                s: sum(1 for r in failed if r.status == s)
-                for s in sorted({r.status for r in failed})
-            },
-        }
+        by_status = Counter(r.status for r in self.rows if r.status != "ok")
+        return {"total": len(self.rows), "failed": sum(by_status.values()),
+                "by_status": dict(sorted(by_status.items()))}
+
+    def _stored_rows(self, include_timings: bool) -> list[TrialRow]:
+        """The rows as files store them: stage times zeroed unless ``include_timings``."""
+        if include_timings:
+            return self.rows
+        return [replace(r, t_stage1_ms=0.0, t_stage2_ms=0.0, t_stage3_ms=0.0)
+                for r in self.rows]
 
     def to_csv(self, path, include_timings: bool = False) -> None:
-        """Write per-trial rows.
-
-        Timing columns exist always but are zeroed unless
-        ``include_timings`` is set: wall-clock values vary run to run
-        and would break byte-for-byte reproducibility of the artifact.
-        """
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.sorted_rows():
-            nmse_db = 10 * np.log10(r.nmse) if np.isfinite(r.nmse) and r.nmse > 0 else float("nan")
-            t1, t2, t3 = (
-                (r.t_stage1_ms, r.t_stage2_ms, r.t_stage3_ms)
-                if include_timings else (0.0, 0.0, 0.0)
-            )
-            lines.append(",".join([
-                r.method, _fmt(r.snr_db), str(r.trial), str(r.seed),
-                _fmt(nmse_db), _fmt(r.loc_error_m),
-                _fmt(t1), _fmt(t2), _fmt(t3), r.status,
-            ]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write per-trial rows; wall-clock timings, which vary run to run, only if asked."""
+        _write_csv(path, CSV_COLUMNS, (
+            (r.method, r.snr_db, r.trial, r.seed, _db(r.nmse), r.loc_error_m,
+             r.t_stage1_ms, r.t_stage2_ms, r.t_stage3_ms, r.status)
+            for r in self._stored_rows(include_timings)
+        ))
 
     def aggregates_to_csv(self, path) -> None:
-        lines = [",".join(AGGREGATE_COLUMNS)]
-        for agg in self.aggregates():
-            lines.append(",".join(_fmt(agg[c]) if not isinstance(agg[c], str) else agg[c]
-                                   for c in AGGREGATE_COLUMNS))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, AGGREGATE_COLUMNS, (agg.values() for agg in self.aggregates()))
 
     def to_json(self, path, include_timings: bool = False) -> None:
-        rows = []
-        for r in self.sorted_rows():
-            d = asdict(r)
-            if not include_timings:
-                d["t_stage1_ms"] = d["t_stage2_ms"] = d["t_stage3_ms"] = 0.0
-            rows.append(d)
         payload = {
             "schema": self.config.schema,
             "config": self.config.to_dict(),
-            "rows": rows,
+            "rows": [asdict(r) for r in self._stored_rows(include_timings)],
             "aggregates": self.aggregates(),
             "failures": self.failure_summary(),
         }
@@ -444,24 +417,31 @@ class ResultTable:
             fh.write("\n")
 
 
+def _write_csv(path, columns, records) -> None:
+    """A header line, then one line per record with each value written by ``_fmt``."""
+    lines = [",".join(columns), *(",".join(map(_fmt, record)) for record in records)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "nan"
-    return format(float(x), ".10g")
+    if isinstance(x, (str, int, np.integer)):
+        return str(x)
+    return format(float(x), ".10g") if np.isfinite(x) else "nan"
 
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 class SweepContext:
-    """Immutable per-config assets shared by every trial."""
+    """Immutable per-config assets shared by every trial.
+
+    The two baseline dictionaries are built on first use, once per
+    process: a pool worker builds its own from the context it receives.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -471,17 +451,15 @@ class SweepContext:
         self.m_rf_per_tile = self.tiling.tiles[0].geometry.size // config.m_s
         self.combiner = design_combiner(config.t_slots, self.tiling, self.m_rf_per_tile)
         tile = self.tiling.tiles[0].geometry
-        self.tile_dictionary = build_angular(
-            tile.m_h, tile.m_v, tile.d_h, tile.d_v, config.wavelength, config.z_grid
-        )
+        self.tile_dictionary = build_angular(tile.m_h, tile.m_v, tile.d_h, tile.d_v,
+                                             config.wavelength, config.z_grid)
+        self.dft_precoder = design_precoder_dft(config.n_ue)
         self._lazy = {}
 
     def full_array_dictionary(self):
         if "dft" not in self._lazy:
-            self._lazy["dft"] = build_angular(
-                self.bs.m_h, self.bs.m_v, self.bs.d_h, self.bs.d_v,
-                self.config.wavelength, self.config.baseline_z_grid,
-            )
+            self._lazy["dft"] = build_angular(self.bs.m_h, self.bs.m_v, self.bs.d_h, self.bs.d_v,
+                                              self.config.wavelength, self.config.baseline_z_grid)
         return self._lazy["dft"]
 
     def spherical_dictionary(self):
@@ -489,42 +467,38 @@ class SweepContext:
             r_min, r_max, count = self.config.spherical_rings
             self._lazy["spherical"] = build_spherical_baseline(
                 self.bs, self.config.spherical_angle_grid,
-                reciprocal_distance_rings(r_min, r_max, int(count)),
+                reciprocal_distance_rings(r_min, r_max, count),
                 self.config.wavelength,
             )
         return self._lazy["spherical"]
-
-    def dft_precoder(self):
-        if "dft_precoder" not in self._lazy:
-            self._lazy["dft_precoder"] = design_precoder_dft(self.config.n_ue)
-        return self._lazy["dft_precoder"]
 
 
 def draw_scene(config: ExperimentConfig, bs: ArrayGeometry, seed: int) -> Scene:
     """Draw user center, orientation-fixed ULA, and scatterer paths."""
     rng = np.random.default_rng(seed)
     (x0, x1), (y0, y1), (z0, z1) = config.user_box
-    center = np.array([
-        rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(z0, z1),
-    ])
+    center = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(z0, z1)])
     ue = build_ula(config.n_ue, config.wavelength / 2, center, config.ue_orientation)
+    (sx0, sx1), (sy0, sy1), (sz0, sz1) = config.scatter_box
     paths = []
     for _ in range(config.num_nlos):
-        (sx0, sx1), (sy0, sy1), (sz0, sz1) = config.scatter_box
-        pos = np.array([
-            rng.uniform(sx0, sx1), rng.uniform(sy0, sy1), rng.uniform(sz0, sz1),
-        ])
+        pos = np.array([rng.uniform(sx0, sx1), rng.uniform(sy0, sy1), rng.uniform(sz0, sz1)])
         paths.append(PathParams(position=pos, aod=rng.uniform(-np.pi / 2, np.pi / 2)))
-    return Scene(
-        bs=bs, ue=ue, wavelength=config.wavelength, paths=tuple(paths),
-        power=config.power, noise_var=0.0,
-        los_nlos_ratio_db=config.los_nlos_ratio_db,
-    )
+    return Scene(bs=bs, ue=ue, wavelength=config.wavelength, paths=tuple(paths),
+                 power=config.power, noise_var=0.0, los_nlos_ratio_db=config.los_nlos_ratio_db)
+
+
+def _check_snr(snr_db: float) -> None:
+    """``ValueError`` unless a number or inf: a NaN or -inf SNR would run noiseless unnoticed."""
+    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer, np.floating)) \
+            or np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"SNR must be a number of dB or inf (noiseless), got {snr_db!r}")
 
 
 def noise_var_for_snr(config: ExperimentConfig, h: np.ndarray, snr_db: float) -> float:
     """Invert ``SNR = p ||H||_F^2 / (M N sigma^2)``; inf SNR gives 0."""
-    if np.isinf(snr_db):
+    _check_snr(snr_db)
+    if snr_db == np.inf:
         return 0.0
     snr = 10.0 ** (snr_db / 10.0)
     m, n = h.shape
@@ -574,14 +548,13 @@ def simulate_once(
 ) -> dict:
     """Run one scene + one method; returns a JSON-able report and matrices."""
     draw, result, value, loc_error, status = _trial(SweepContext(config), method, snr_db, seed)
+    nmse_db = _db(value)
     report = {
         "method": method,
         "seed": seed,
         "snr_db": snr_db if np.isfinite(snr_db) else "inf",
         "status": status,
-        "nmse_db": (
-            float(10 * np.log10(value)) if np.isfinite(value) and value > 0 else None
-        ),
+        "nmse_db": nmse_db if np.isfinite(nmse_db) else None,
         "loc_error_m": loc_error if np.isfinite(loc_error) else None,
         "true_center": draw.scene.ue.center.tolist(),
         "timings_ms": {
@@ -596,18 +569,16 @@ def simulate_once(
 def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
     """Run the full (method x SNR x trial) grid; deterministic per config.
 
-    With ``workers > 1`` the cells go to a pool of ``spawn``ed processes,
-    each of which builds one ``SweepContext`` when it starts; the pool
-    starts them with BLAS at one thread unless a thread variable is set
-    (see ``threads``).  ``progress(done, total)`` is called every 25 trials.
+    The caller builds the sweep's one ``SweepContext``.  With ``workers >
+    1`` the cells go to a pool of ``spawn``ed processes, which receive that
+    context when they start but build the lazy baseline dictionaries once
+    each; the pool starts them with BLAS at one thread unless a thread
+    variable is set (see ``threads``).  ``progress(done, total)`` is
+    called every 25 trials.
     """
-    cells = [
-        (method, snr, trial)
-        for method in config.methods
-        for snr in config.snr_db
-        for trial in range(config.trials)
-    ]
-    table = ResultTable(config=config)
+    cells = list(itertools.product(config.methods, config.snr_db, range(config.trials)))
+    ctx = SweepContext(config)
+    rows = []
     with ExitStack() as stack:
         if config.workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads them
@@ -616,33 +587,26 @@ def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
             stack.enter_context(single_thread_children())
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, mp_context=get_context("spawn"),
-                initializer=_init_worker, initargs=(config,),
+                initializer=_init_worker, initargs=(ctx,),
             ))
-            rows = pool.map(_run_cell, cells, chunksize=4)
+            results = pool.map(_run_cell, cells, chunksize=4)
         else:
-            ctx = SweepContext(config)
-            rows = (run_trial(ctx, *cell) for cell in cells)
-        for i, row in enumerate(rows, 1):
-            table.rows.append(row)
-            if progress is not None and i % 25 == 0:
-                progress(i, len(cells))
-    table.rows = table.sorted_rows()
-    return table
+            results = (run_trial(ctx, *cell) for cell in cells)
+        for row in results:
+            rows.append(row)
+            if progress is not None and len(rows) % 25 == 0:
+                progress(len(rows), len(cells))
+    return ResultTable(config, rows)
 
 
-_worker_ctx: SweepContext | Exception | None = None
+_worker_ctx: SweepContext | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
-    """Build the pool worker's context; a failure is raised by its first cell."""
+def _init_worker(ctx: SweepContext) -> None:
+    """Keep the caller's context for the pool worker's cells."""
     global _worker_ctx
-    try:
-        _worker_ctx = SweepContext(config)
-    except Exception as exc:  # an initializer that raises only breaks the pool
-        _worker_ctx = exc
+    _worker_ctx = ctx
 
 
 def _run_cell(cell) -> TrialRow:
-    if isinstance(_worker_ctx, Exception):
-        raise _worker_ctx
     return run_trial(_worker_ctx, *cell)

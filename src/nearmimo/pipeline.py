@@ -39,7 +39,7 @@ from .errors import (
 from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
 from .sensing import CombinerDesign, PrecoderDesign
-from .solvers import SparseProblem, SparseSolution, omp, sbl_em
+from .solvers import SparseProblem, SparseSolution, _is_integer, omp, sbl_em
 
 # noise-variance floor used when solving noiseless problems with SBL,
 # relative to the per-sample observation energy
@@ -92,6 +92,9 @@ class StageOptions:
         if self.sbl_max_iters < 1 or self.sbl_tol < 0:
             raise ValueError(f"need sbl_max_iters >= 1 and sbl_tol >= 0, got "
                              f"{self.sbl_max_iters} and {self.sbl_tol}")
+        if not all(_is_integer(n) for n in (*self.grid_counts, self.sbl_max_iters)):
+            raise ValueError(f"grid_counts and sbl_max_iters must be integers, got "
+                             f"{self.grid_counts} and {self.sbl_max_iters!r}")
 
 
 def simulate_reception(

@@ -36,6 +36,11 @@ _SPAN_RTOL = 1e-12
 _GAMMA_CAP = 10.0
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; not a bool, nor a float of integral value."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SparseProblem:
     """A linear observation ``y = A x + n`` with x presumed sparse.
@@ -242,8 +247,8 @@ def sbl_em(
     """
     if sigma2 is None or sigma2 <= 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not _is_integer(max_iters) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     a = problem.sensing_matrix
     y = problem.observation
     p, q_full = a.shape

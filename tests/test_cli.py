@@ -76,6 +76,21 @@ _BAD_CONFIGS = {
     "repeated-snr": (lambda d: d.update(snr_db=[10.0, 10.0]), "snr_db repeats a value"),
     "repeated-method": (lambda d: d.update(methods=["stage1-only", "stage1-only"]),
                         "methods repeats a value"),
+    # a count that is a float or a bool would be truncated, lift a cap, or fail in a trial
+    "fractional-sbl-max-iters": (lambda d: d["stages"].update(sbl_max_iters=40.5),
+                                 "sbl_max_iters must be integers"),
+    "float-grid-counts": (lambda d: d["stages"].update(grid_counts=[5.0, 5, 3]),
+                          "grid_counts and sbl_max_iters must be integers"),
+    "float-trials": (lambda d: d.update(trials=2.0), "trials must be an integer"),
+    "boolean-trials": (lambda d: d.update(trials=True), "trials must be an integer"),
+    "float-n-ue": (lambda d: d.update(n_ue=2.0), "n_ue must be an integer"),
+    "fractional-base-seed": (lambda d: d.update(base_seed=1.5), "base_seed must be an integer"),
+    "fractional-ring-count": (lambda d: d.update(spherical_rings=[2.0, 10.0, 4.5]),
+                              "spherical_rings"),
+    # a NaN or -inf SNR would run noiseless rows marked ok
+    "nan-snr": (lambda d: d.update(snr_db=[float("nan")]), "SNR must be"),
+    "minus-inf-snr": (lambda d: d.update(snr_db=[10.0, float("-inf")]), "SNR must be"),
+    "string-snr": (lambda d: d.update(snr_db=["10"]), "SNR must be"),
 }
 
 
@@ -141,6 +156,16 @@ def test_simulate_accepts_proposed_alias(tmp_path, tiny_config_file):
     assert report["method"] == "proposed-sbl"
     h_hat, wl = load_matrix(tmp_path / "alias" / "simulate_proposed-sbl_seed3_h_hat.cmx")
     assert h_hat.shape == (12 * 24, 2)
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_simulate_rejects_nan_and_minus_inf_snr(tmp_path, tiny_config_file, capsys, snr):
+    out = tmp_path / "s"
+    code = main(["simulate", "--config", str(tiny_config_file), "--method", "stage1-only",
+                 f"--snr-db={snr}", "--out", str(out)])
+    assert code == 1
+    assert "SNR must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_unknown_method_exits_one(tmp_path, tiny_config_file):

@@ -18,7 +18,6 @@ from nearmimo.harness import (
     nmse,
     noise_var_for_snr,
     paper_profile,
-    rmse,
     run_sweep,
     run_trial,
     simulate_once,
@@ -55,22 +54,6 @@ class TestMetrics:
     def test_nmse_rejects_zero_reference(self):
         with pytest.raises(ValueError):
             nmse(np.ones((2, 2)), np.zeros((2, 2)))
-
-    def test_rmse_exact(self):
-        pts = [[1.0, 2.0, 3.0]]
-        assert rmse(pts, pts) == 0.0
-
-    def test_rmse_three_four_five(self):
-        assert rmse([[0.03, 0.04, 0.0]], [[0.0, 0.0, 0.0]]) == pytest.approx(0.05)
-
-    def test_rmse_two_pairs(self):
-        hat = [[0.1, 0, 0], [0.2, 0, 0]]
-        ref = [[0, 0, 0], [0, 0, 0]]
-        assert rmse(hat, ref) == pytest.approx(np.sqrt(0.025), rel=1e-12)
-
-    def test_rmse_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rmse([], [])
 
 
 class TestConfig:
@@ -162,6 +145,17 @@ class TestConfig:
         assert sigma2 == pytest.approx(cfg.power * 8 / 8)
         assert noise_var_for_snr(cfg, h, np.inf) == 0.0
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+    def test_noise_var_rejects_nan_and_minus_inf(self, snr_db):
+        # either would run the trial noiseless and mark it ok
+        with pytest.raises(ValueError, match="SNR must be"):
+            noise_var_for_snr(desk_profile(), np.ones((4, 2)), snr_db)
+
+    def test_numpy_integer_counts_load_and_round_trip(self):
+        cfg = desk_profile(trials=np.int64(3), stages=StageOptions(sbl_max_iters=np.int32(7)))
+        assert (cfg.trials, cfg.stages.sbl_max_iters) == (3, 7)
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
 
 class TestSeeds:
     def test_derive_seed_stable(self):
@@ -201,6 +195,18 @@ class TestResultTable:
         failed = agg[("stage1-only", 10.0)]
         assert failed["n_ok"] == 1
         assert failed["nmse_mean"] == pytest.approx(0.5)
+
+    def test_rows_take_cell_order_when_built(self, tmp_path):
+        table = self._table()
+        shuffled = ResultTable(config=table.config,
+                               rows=[table.rows[i] for i in (3, 0, 2, 1)])
+        assert shuffled.rows == table.rows
+        for name, include_timings in (("a", False), ("b", True)):
+            for write in ("to_csv", "to_json"):
+                paths = tmp_path / f"{name}.{write}", tmp_path / f"{name}.{write}.shuffled"
+                getattr(table, write)(paths[0], include_timings=include_timings)
+                getattr(shuffled, write)(paths[1], include_timings=include_timings)
+                assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_failure_summary(self):
         summary = self._table().failure_summary()
@@ -253,6 +259,13 @@ class TestSweep:
         ctx = SweepContext(cfg)
         row = run_trial(ctx, "proposed-omp3", 10.0, 0)
         assert row.seed == derive_seed(cfg.base_seed, "proposed-omp3", 10.0, 0)
+
+    @pytest.mark.parametrize(
+        "method", ["antenna-wise-dft", "antenna-wise-spherical", "antenna-wise-subarray-dft"])
+    def test_antenna_wise_rows_time_their_one_stage(self, method):
+        row = run_trial(SweepContext(tiny_config()), method, 10.0, 0)
+        assert row.status == "ok"
+        assert row.t_stage1_ms > 0 and row.t_stage2_ms == row.t_stage3_ms == 0.0
 
     def test_a_stage_error_class_is_the_row_status(self, monkeypatch):
         def diverged(*args, **kwargs):
@@ -307,6 +320,21 @@ class TestSweep:
         cfg = tiny_config(methods=("stage1-only",), trials=51, workers=workers)
         run_sweep(cfg, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(25, 51), (50, 51)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_context_is_built_in_the_caller(self, monkeypatch, workers):
+        # pool workers receive the caller's context instead of building their own
+        built = []
+        init = SweepContext.__init__
+
+        def counting_init(ctx, config):
+            built.append(config)
+            init(ctx, config)
+
+        monkeypatch.setattr(SweepContext, "__init__", counting_init)
+        cfg = tiny_config(methods=("stage1-only",), workers=workers)
+        assert len(run_sweep(cfg).rows) == cfg.trials
+        assert built == [cfg]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_context_failure_reaches_the_caller(self, workers):

@@ -231,11 +231,12 @@ class TestSblEm:
         with pytest.raises(ValueError):
             sbl_em(problem)
 
-    def test_rejects_negative_max_iters(self):
-        # a negative cap would lift the step limit
+    @pytest.mark.parametrize("max_iters", [-1, 2.5])
+    def test_rejects_negative_max_iters(self, max_iters):
+        # a negative cap, or a fractional one the step count never equals, would lift the limit
         problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError, match="max_iters"):
-            sbl_em(problem, sigma2=0.1, max_iters=-1)
+            sbl_em(problem, sigma2=0.1, max_iters=max_iters)
 
 
 def _log_evidence(a, y, gamma, sigma2):
