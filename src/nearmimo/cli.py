@@ -32,9 +32,10 @@ from pathlib import Path  # noqa: E402
 
 from .dictionaries import build_location  # noqa: E402
 from .errors import NearMimoError  # noqa: E402
+from .geometry import build_ula  # noqa: E402
 from .harness import (  # noqa: E402
-    METHODS, ExperimentConfig, SweepContext, desk_profile, paper_profile, run_sweep,
-    run_trial, simulate_once,
+    METHODS, SPHERICAL_ANGLE_GRID, ExperimentConfig, SweepContext, desk_profile,
+    paper_profile, run_sweep, run_trial, simulate_once,
 )
 from .matfile import save_matrix  # noqa: E402
 
@@ -47,18 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        cfg = ExperimentConfig.from_json(path.read_text())
-    elif getattr(args, "profile", "desk") == "paper":
-        cfg = paper_profile()
+    if args.config:
+        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
-        cfg = desk_profile()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    return cfg
+        cfg = paper_profile() if args.profile == "paper" else desk_profile()
+    return cfg if args.seed is None else replace(cfg, base_seed=args.seed)
 
 
 def _add_common(p, with_method=False):
@@ -77,6 +71,14 @@ def _add_common(p, with_method=False):
                        help="SNR in dB ('inf' for noiseless)")
 
 
+def finite_xyz(text: str) -> tuple[float, float, float]:
+    """Three finite numbers ``x,y,z``; argparse names the flag of any other value."""
+    point = tuple(map(float, text.split(",")))
+    if len(point) != 3 or not all(map(math.isfinite, point)):
+        raise ValueError(text)
+    return point
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nearmimo", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -93,7 +95,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-dict", help="dump a dictionary matrix")
     p.add_argument("--kind", choices=("angular", "location", "spherical"),
                    default="angular")
-    p.add_argument("--center", default=None,
+    p.add_argument("--center", type=finite_xyz, default=None,
                    help="location-grid center 'x,y,z' (location kind)")
     _add_common(p)
     return parser
@@ -124,12 +126,10 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     method = {"proposed": "proposed-sbl"}.get(args.method, args.method)
-    seed = args.seed if args.seed is not None else cfg.base_seed
-    result = simulate_once(cfg, method, args.snr_db, seed,
-                           include_timings=args.timings)
+    result = simulate_once(cfg, method, args.snr_db, cfg.base_seed, include_timings=args.timings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = out / f"simulate_{method}_seed{seed}"
+    stem = out / f"simulate_{method}_seed{cfg.base_seed}"  # --seed is the base seed
     with open(f"{stem}.json", "w") as fh:
         json.dump(result["report"], fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -144,9 +144,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    table = run_sweep(cfg, progress=lambda i, n: print(f"  {i}/{n} trials", file=sys.stderr))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = run_sweep(cfg, progress=lambda i, n: print(f"  {i}/{n} trials", file=sys.stderr))
     table.to_csv(out / "sweep_rows.csv", include_timings=args.timings)
     table.aggregates_to_csv(out / "sweep_aggregate.csv")
     table.to_json(out / "sweep.json", include_timings=args.timings)
@@ -160,11 +160,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_dict(args) -> int:
     cfg = _load_config(args)
-    from .geometry import build_ula
-
     ctx = SweepContext(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "angular":
         tile = ctx.tiling.tiles[0].geometry
         d = ctx.tile_dictionary
@@ -176,15 +172,12 @@ def _cmd_export_dict(args) -> int:
         d = ctx.spherical_dictionary()
         manifest = (
             f"kind spherical\narray {cfg.bs_m_h}x{cfg.bs_m_v}\n"
-            f"angle_grid {cfg.spherical_angle_grid}\n"
+            f"angle_grid {SPHERICAL_ANGLE_GRID}\n"
             f"rings {' '.join(format(r, '.10g') for r in d.distances)}\n"
         )
     else:
-        if args.center:
-            center = tuple(float(v) for v in args.center.split(","))
-        else:
-            center = tuple((lo + hi) / 2 for lo, hi in cfg.user_box)
-        ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
+        center = args.center or tuple((lo + hi) / 2 for lo, hi in cfg.user_box)
+        ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center)
         dx, dy, dz = cfg.stages.grid_half_widths
         sx, sy, sz = cfg.stages.grid_counts
         d = build_location(center, dx, dy, dz, sx, sy, sz, ctx.bs, ue, cfg.wavelength,
@@ -195,6 +188,8 @@ def _cmd_export_dict(args) -> int:
             f"atoms {d.num_atoms}\n"
         )
     matrix = d.channels(slice(None)) if args.kind == "location" else d.matrix  # vec(H) atoms
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     stem = out / f"dictionary_{args.kind}"
     save_matrix(f"{stem}.cmx", matrix, cfg.wavelength)
     Path(f"{stem}.manifest.txt").write_text(manifest)

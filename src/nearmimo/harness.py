@@ -21,7 +21,7 @@ import json
 import time
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +172,16 @@ AGGREGATE_COLUMNS = (
     "nmse_mean", "nmse_mean_db", "nmse_std", "rmse_m",
 )
 
+# directions per axis of the spherical baseline: 32 x 32 directions on each
+# of 4 rings make 4,096 atoms, the size of the paper's 64 x 64 DFT dictionary
+SPHERICAL_ANGLE_GRID = 32
+
+# the least value of every count: below it a config would fail partway through a
+# sweep or run a scene it does not describe (derive_seed takes any base seed)
+_LEAST_VALUE = dict(bs_m_h=1, bs_m_v=1, tiles_h=1, tiles_v=1, t_slots=1, m_s=1, n_ue=1,
+                    num_nlos=0, z_grid=2, trials=0, base_seed=-np.inf, workers=1)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: geometry, scene statistics, solvers, sweep grid.
@@ -181,7 +191,7 @@ class ExperimentConfig:
     profile's; ``profile`` is only a label.
     """
 
-    schema = 3  # a class constant, not a field
+    schema = 4  # a class constant, not a field
     profile: str = "desk"
     carrier_freq_hz: float = 6.8e9
     bs_m_h: int = 12
@@ -191,16 +201,12 @@ class ExperimentConfig:
     t_slots: int = 6
     m_s: int = 6
     n_ue: int = 2
-    ue_orientation: tuple[float, float, float] = (0.0, 1.0, 0.0)
     num_nlos: int = 2
     los_nlos_ratio_db: float = 30.0
-    power: float = 1.0
     user_box: tuple[tuple[float, float], ...] = ((2.0, 5.0), (-2.0, 2.0), (-1.0, -1.0))
     scatter_box: tuple[tuple[float, float], ...] = ((0.8, 4.0), (-2.5, 2.5), (-2.0, 0.0))
     z_grid: int = 32
     stages: StageOptions = StageOptions()
-    baseline_z_grid: int = 32
-    spherical_angle_grid: int = 32
     spherical_rings: tuple[float, float, int] = (2.0, 10.0, 4)
     methods: tuple[str, ...] = METHODS
     snr_db: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0)
@@ -209,16 +215,23 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # a float or bool count would load, then be truncated or fail in a trial
-        for f in fields(self):  # (the annotations are strings here)
-            if f.type == "int" and not _is_integer(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        # a float or bool count, or one below its least value, would fail or mislead later
+        for name, least in _LEAST_VALUE.items():
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not 0 < self.carrier_freq_hz < np.inf:
+            raise ValueError(f"carrier_freq_hz must be finite and > 0, got {self.carrier_freq_hz}")
+        _check_db("los_nlos_ratio_db", self.los_nlos_ratio_db)
         for snr_db in self.snr_db:
-            _check_snr(snr_db)
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.trials < 0:
-            raise ValueError(f"trials must be at least 0, got {self.trials}")
+            _check_db("SNR", snr_db)
+        for name, box in (("user_box", self.user_box), ("scatter_box", self.scatter_box)):
+            if np.shape(box) != (3, 2) or not all(-np.inf < lo <= hi < np.inf for lo, hi in box):
+                raise ValueError(f"{name} must be 3 finite (low, high) pairs, low <= high: {box}")
+        if self.user_box[0][0] <= 0:  # behind the array a user has its mirror image's channel
+            raise ValueError(f"user_box must lie in front of the array, x > 0: {self.user_box}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -227,10 +240,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
-        # the baseline dictionaries are built on their method's first cell; check them here
-        if self.baseline_z_grid < 2 or self.spherical_angle_grid < 1:
-            raise ValueError(f"need baseline_z_grid >= 2 and spherical_angle_grid >= 1, got "
-                             f"{self.baseline_z_grid} and {self.spherical_angle_grid}")
         try:
             r_min, r_max, count = self.spherical_rings
             if not _is_integer(count):
@@ -238,12 +247,11 @@ class ExperimentConfig:
             reciprocal_distance_rings(r_min, r_max, count)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spherical_rings {self.spherical_rings}: {exc}") from None
-        if min(self.tiles_h, self.tiles_v) < 1 or self.bs_m_h % self.tiles_h \
-                or self.bs_m_v % self.tiles_v:
+        if self.bs_m_h % self.tiles_h or self.bs_m_v % self.tiles_v:
             raise ValueError(f"{self.tiles_h}x{self.tiles_v} tiles must divide the "
                              f"{self.bs_m_h}x{self.bs_m_v} array")
         m_i = (self.bs_m_h // self.tiles_h) * (self.bs_m_v // self.tiles_v)
-        if self.m_s < 1 or m_i % self.m_s:
+        if m_i % self.m_s:
             raise ValueError(f"M_s={self.m_s} must divide the tile size {m_i}")
 
     @property
@@ -261,8 +269,8 @@ class ExperimentConfig:
         schema = data.pop("schema", None)
         if schema != cls.schema:
             raise ValueError(
-                f"config schema {schema!r} is not {cls.schema}; schema {cls.schema} "
-                f"keeps stage 3's four knobs in a 'stages' object"
+                f"config schema {schema!r} is not {cls.schema}; schema {cls.schema} has no power, "
+                f"ue_orientation, baseline_z_grid or spherical_angle_grid (now constants)"
             )
         stages = _known_keys(StageOptions, data.pop("stages", {}), "stages")
         return cls(**_known_keys(cls, data, "config"), stages=StageOptions(**stages))
@@ -299,7 +307,6 @@ def paper_profile(**overrides) -> ExperimentConfig:
         profile="paper",
         bs_m_h=16, bs_m_v=48, tiles_h=2, tiles_v=4,
         t_slots=6, m_s=6, n_ue=4, z_grid=64,
-        baseline_z_grid=64,
         user_box=((5.0, 15.0), (-5.0, 5.0), (-1.0, -1.0)),
         scatter_box=((2.0, 12.0), (-5.0, 5.0), (-2.0, 0.0)),
         los_nlos_ratio_db=20.0,
@@ -459,50 +466,48 @@ class SweepContext:
     def full_array_dictionary(self):
         if "dft" not in self._lazy:
             self._lazy["dft"] = build_angular(self.bs.m_h, self.bs.m_v, self.bs.d_h, self.bs.d_v,
-                                              self.config.wavelength, self.config.baseline_z_grid)
+                                              self.config.wavelength, self.config.z_grid)
         return self._lazy["dft"]
 
     def spherical_dictionary(self):
         if "spherical" not in self._lazy:
             r_min, r_max, count = self.config.spherical_rings
             self._lazy["spherical"] = build_spherical_baseline(
-                self.bs, self.config.spherical_angle_grid,
-                reciprocal_distance_rings(r_min, r_max, count),
-                self.config.wavelength,
-            )
+                self.bs, SPHERICAL_ANGLE_GRID, reciprocal_distance_rings(r_min, r_max, count),
+                self.config.wavelength)
         return self._lazy["spherical"]
 
 
 def draw_scene(config: ExperimentConfig, bs: ArrayGeometry, seed: int) -> Scene:
-    """Draw user center, orientation-fixed ULA, and scatterer paths."""
+    """Draw user center, a ULA along y, and scatterer paths; the scene's power is 1."""
     rng = np.random.default_rng(seed)
     (x0, x1), (y0, y1), (z0, z1) = config.user_box
     center = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(z0, z1)])
-    ue = build_ula(config.n_ue, config.wavelength / 2, center, config.ue_orientation)
+    ue = build_ula(config.n_ue, config.wavelength / 2, center)
     (sx0, sx1), (sy0, sy1), (sz0, sz1) = config.scatter_box
     paths = []
     for _ in range(config.num_nlos):
         pos = np.array([rng.uniform(sx0, sx1), rng.uniform(sy0, sy1), rng.uniform(sz0, sz1)])
         paths.append(PathParams(position=pos, aod=rng.uniform(-np.pi / 2, np.pi / 2)))
     return Scene(bs=bs, ue=ue, wavelength=config.wavelength, paths=tuple(paths),
-                 power=config.power, noise_var=0.0, los_nlos_ratio_db=config.los_nlos_ratio_db)
+                 los_nlos_ratio_db=config.los_nlos_ratio_db)
 
 
-def _check_snr(snr_db: float) -> None:
-    """``ValueError`` unless a number or inf: a NaN or -inf SNR would run noiseless unnoticed."""
-    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer, np.floating)) \
-            or np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError(f"SNR must be a number of dB or inf (noiseless), got {snr_db!r}")
+def _check_db(name: str, value) -> None:
+    """``ValueError`` unless a number of dB or inf; a NaN or -inf would run an unmeant scene."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or np.isnan(value) or value == -np.inf:
+        raise ValueError(f"{name} must be a number of dB or inf, got {value!r}")
 
 
-def noise_var_for_snr(config: ExperimentConfig, h: np.ndarray, snr_db: float) -> float:
-    """Invert ``SNR = p ||H||_F^2 / (M N sigma^2)``; inf SNR gives 0."""
-    _check_snr(snr_db)
+def noise_var_for_snr(power: float, h: np.ndarray, snr_db: float) -> float:
+    """Invert ``SNR = p ||H||_F^2 / (M N sigma^2)`` at transmit power ``p``; inf SNR gives 0."""
+    _check_db("SNR", snr_db)
     if snr_db == np.inf:
         return 0.0
     snr = 10.0 ** (snr_db / 10.0)
     m, n = h.shape
-    return config.power * float(np.linalg.norm(h, "fro") ** 2) / (m * n * snr)
+    return power * float(np.linalg.norm(h, "fro") ** 2) / (m * n * snr)
 
 
 def _trial(ctx: SweepContext, method: str, snr_db: float, seed: int):
@@ -521,7 +526,7 @@ def _trial(ctx: SweepContext, method: str, snr_db: float, seed: int):
     )
     scene = draw_scene(config, ctx.bs, scene_seed)
     realization = synthesize(scene, chan_seed)
-    scene = scene.with_noise_var(noise_var_for_snr(config, realization.h, snr_db))
+    scene = scene.with_noise_var(noise_var_for_snr(scene.power, realization.h, snr_db))
     draw = _Draw(scene, realization, noise_seed, extra_seed)
     nan = float("nan")
     try:

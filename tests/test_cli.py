@@ -59,16 +59,17 @@ def test_sweep_rejects_zero_workers(tmp_path, tiny_config_file, capsys):
 
 _BAD_CONFIGS = {
     # layout -> (edit of the config's JSON object, expected error)
-    "flat-schema-1": (lambda d: d.update(d.pop("stages"), schema=1), "config schema 1 is not 3"),
+    "flat-schema-1": (lambda d: d.update(d.pop("stages"), schema=1), "config schema 1 is not 4"),
     "unknown-stages-key": (lambda d: d["stages"].update(flux_capacitor=1), "unknown stages keys"),
     "two-grid-counts": (lambda d: d["stages"].update(grid_counts=[5, 5]), "3 grid_counts"),
     "negative-sbl-max-iters": (lambda d: d["stages"].update(sbl_max_iters=-1),
                                "sbl_max_iters >= 1"),
     "negative-trials": (lambda d: d.update(trials=-3), "trials must be at least 0"),
     # these would load, then fail or run cells twice only once the sweep ran
-    "one-point-dft-grid": (lambda d: d.update(baseline_z_grid=1), "baseline_z_grid >= 2"),
+    "one-point-dft-grid": (lambda d: d.update(z_grid=1), "z_grid must be at least 2"),
+    # a schema-3 key that is now a constant
     "no-spherical-angles": (lambda d: d.update(spherical_angle_grid=0),
-                            "spherical_angle_grid >= 1"),
+                            "unknown config keys: ['spherical_angle_grid']"),
     "reversed-spherical-rings": (lambda d: d.update(spherical_rings=[10.0, 2.0, 4]),
                                  "spherical_rings"),
     "no-spherical-rings": (lambda d: d.update(spherical_rings=[2.0, 10.0, 0]),
@@ -91,6 +92,25 @@ _BAD_CONFIGS = {
     "nan-snr": (lambda d: d.update(snr_db=[float("nan")]), "SNR must be"),
     "minus-inf-snr": (lambda d: d.update(snr_db=[10.0, float("-inf")]), "SNR must be"),
     "string-snr": (lambda d: d.update(snr_db=["10"]), "SNR must be"),
+    # a count below its least value: a scene the config does not describe, or a failed sweep
+    "negative-num-nlos": (lambda d: d.update(num_nlos=-1), "num_nlos must be at least 0"),
+    "no-ue-antennas": (lambda d: d.update(n_ue=0), "n_ue must be at least 1"),
+    "no-pilot-slots": (lambda d: d.update(t_slots=0), "t_slots must be at least 1"),
+    "no-bs-columns": (lambda d: d.update(bs_m_h=0), "bs_m_h must be at least 1"),
+    # a float or box value that would fail partway through a sweep or run the wrong scene
+    "zero-carrier": (lambda d: d.update(carrier_freq_hz=0), "carrier_freq_hz must be finite"),
+    "negative-carrier": (lambda d: d.update(carrier_freq_hz=-6.8e9),
+                         "carrier_freq_hz must be finite"),
+    "nan-los-nlos-ratio": (lambda d: d.update(los_nlos_ratio_db=float("nan")),
+                           "los_nlos_ratio_db must be"),
+    "minus-inf-los-nlos-ratio": (lambda d: d.update(los_nlos_ratio_db=float("-inf")),
+                                 "los_nlos_ratio_db must be"),
+    "reversed-user-box": (lambda d: d["user_box"].__setitem__(1, [1.5, -1.5]),
+                          "user_box must be 3 finite"),
+    "infinite-scatter-box": (lambda d: d["scatter_box"].__setitem__(0, [0.8, float("inf")]),
+                             "scatter_box must be 3 finite"),
+    "user-behind-the-array": (lambda d: d["user_box"].__setitem__(0, [-5.0, -2.0]),
+                              "user_box must lie in front of the array"),
 }
 
 
@@ -105,6 +125,29 @@ def test_config_layout_errors_exit_one(tmp_path, tiny_config_file, capsys, layou
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_context_failure_leaves_no_output_directory(tmp_path, tiny_config_file, capsys):
+    # T < M_s loads, then fails when the sweep builds its context
+    data = json.loads(tiny_config_file.read_text())
+    data["t_slots"] = 3
+    bad = tmp_path / "few_slots.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+    assert "T >= M_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center", ["1,2", "1,2,3,4", "1,x,3", "1,nan,3", "1,2,inf"])
+def test_export_dict_rejects_a_center_that_is_not_three_finite_numbers(
+        tmp_path, tiny_config_file, capsys, center):
+    out = tmp_path / "d"
+    code = main(["export-dict", "--kind", "location", f"--center={center}",
+                 "--config", str(tiny_config_file), "--out", str(out)])
+    assert code == 1
+    assert "--center" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -217,7 +260,7 @@ def test_export_dict_location(tmp_path, tiny_config_file):
     half = cfg.wavelength / 2
     bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
     center = (2.5, 0.5, -1.0)
-    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center, cfg.ue_orientation)
+    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center)
     np.testing.assert_array_equal(matrix, location_reference(
         center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, ue))
 

@@ -13,7 +13,7 @@ from nearmimo.dictionaries import (
 )
 from nearmimo.errors import DegenerateGridError
 from nearmimo.geometry import build_ula, build_upa
-from nearmimo.harness import desk_profile
+from nearmimo.harness import SPHERICAL_ANGLE_GRID, desk_profile
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -292,14 +292,14 @@ def test_desk_builds_peak_near_their_output():
     cfg = desk_profile()
     half = cfg.wavelength / 2
     bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
-    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (4.0, 0.5, -1.0), cfg.ue_orientation)
+    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (4.0, 0.5, -1.0))
     r_min, r_max, count = cfg.spherical_rings
     builds = {
         "location": lambda: build_location(
             (4.0, 0.5, -1.0), *cfg.stages.grid_half_widths, *cfg.stages.grid_counts, bs, ue,
             cfg.wavelength, np.full(cfg.n_ue, 1 / np.sqrt(cfg.n_ue), dtype=complex)),
         "spherical": lambda: build_spherical_baseline(
-            bs, cfg.spherical_angle_grid,
+            bs, SPHERICAL_ANGLE_GRID,
             reciprocal_distance_rings(r_min, r_max, int(count)), cfg.wavelength),
     }
     for name, build in builds.items():

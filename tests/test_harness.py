@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestConfig:
         cfg = paper_profile()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
         assert cfg.stages == StageOptions((0.2, 0.2, 0.02), (11, 11, 3), 200, 1e-6)
-        assert json.loads(cfg.to_json())["schema"] == 3
+        assert json.loads(cfg.to_json())["schema"] == 4
 
     def test_partial_stages_take_desk_defaults(self):
         data = paper_profile().to_dict()
@@ -128,28 +129,39 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
 
-    @pytest.mark.parametrize("schema", [1, 2, None, 4])
+    @pytest.mark.parametrize("schema", [1, 2, 3, None])
     def test_rejects_other_schemas(self, schema):
         # schema 1 is the flat layout: the stage knobs and m_rf at top level
         data = desk_profile().to_dict()
         data.update(data.pop("stages"), m_rf=None, schema=schema)
         if schema is None:
             del data["schema"]
-        with pytest.raises(ValueError, match=f"config schema {schema!r} is not 3"):
+        # the message names the keys schema 4 removed, which a schema-3 file has
+        removed = "no power, ue_orientation, baseline_z_grid or spherical_angle_grid"
+        with pytest.raises(ValueError, match=f"config schema {schema!r} is not 4; .* {removed}"):
             ExperimentConfig.from_dict(data)
 
+    def test_every_count_has_a_least_value(self):
+        # a new int field without an entry would load unchecked
+        counts = {name for name, kind in get_type_hints(ExperimentConfig).items() if kind is int}
+        assert counts == set(harness._LEAST_VALUE)
+        for name, least in harness._LEAST_VALUE.items():
+            if least > -np.inf:
+                with pytest.raises(ValueError, match=f"{name} must be at least {least}, got"):
+                    desk_profile(**{name: least - 1})
+        assert desk_profile(base_seed=-(2 ** 70)).base_seed == -(2 ** 70)  # any seed loads
+
     def test_noise_var_from_snr(self):
-        cfg = desk_profile()
         h = np.full((4, 2), 1.0 + 0j)
-        sigma2 = noise_var_for_snr(cfg, h, 0.0)
-        assert sigma2 == pytest.approx(cfg.power * 8 / 8)
-        assert noise_var_for_snr(cfg, h, np.inf) == 0.0
+        assert noise_var_for_snr(1.0, h, 0.0) == pytest.approx(8 / 8)
+        assert noise_var_for_snr(2.0, h, 0.0) == pytest.approx(2 * 8 / 8)
+        assert noise_var_for_snr(1.0, h, np.inf) == 0.0
 
     @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
     def test_noise_var_rejects_nan_and_minus_inf(self, snr_db):
         # either would run the trial noiseless and mark it ok
         with pytest.raises(ValueError, match="SNR must be"):
-            noise_var_for_snr(desk_profile(), np.ones((4, 2)), snr_db)
+            noise_var_for_snr(1.0, np.ones((4, 2)), snr_db)
 
     def test_numpy_integer_counts_load_and_round_trip(self):
         cfg = desk_profile(trials=np.int64(3), stages=StageOptions(sbl_max_iters=np.int32(7)))

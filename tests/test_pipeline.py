@@ -310,7 +310,7 @@ class TestStage3:
         comb = design_combiner(cfg.t_slots, tiling, tiling.tiles[0].geometry.size // cfg.m_s)
         scene = draw_scene(cfg, bs, seed=7)
         real = synthesize(scene, rng_seed=1)
-        scene = scene.with_noise_var(noise_var_for_snr(cfg, real.h, 10.0))
+        scene = scene.with_noise_var(noise_var_for_snr(scene.power, real.h, 10.0))
         rec = simulate_reception(scene, real, comb, uniform_precoder(cfg.n_ue), seed=2)
         p_hat = scene.ue.center + np.array([0.03, -0.02, 0.0])
         tracemalloc.start()
