@@ -164,12 +164,14 @@ def _cmd_export_dict(args) -> int:
     if args.kind == "angular":
         tile = ctx.tiling.tiles[0].geometry
         d = ctx.tile_dictionary
+        matrix = d.atoms(slice(None))  # the Kronecker product, formed only here
         manifest = (
             f"kind angular\nsubarray {tile.m_h}x{tile.m_v}\nz {d.z}\n"
             f"cosine_grid {' '.join(format(c, '.10g') for c in d.cosines)}\n"
         )
     elif args.kind == "spherical":
         d = ctx.spherical_dictionary()
+        matrix = d.matrix
         manifest = (
             f"kind spherical\narray {cfg.bs_m_h}x{cfg.bs_m_v}\n"
             f"angle_grid {SPHERICAL_ANGLE_GRID}\n"
@@ -182,12 +184,12 @@ def _cmd_export_dict(args) -> int:
         sx, sy, sz = cfg.stages.grid_counts
         d = build_location(center, dx, dy, dz, sx, sy, sz, ctx.bs, ue, cfg.wavelength,
                            [1] * cfg.n_ue)
+        matrix = d.channels(slice(None))  # vec(H) atoms
         manifest = (
             f"kind location\ncenter {center[0]:.10g} {center[1]:.10g} {center[2]:.10g}\n"
             f"half_widths {dx} {dy} {dz}\ncounts {sx} {sy} {sz}\n"
             f"atoms {d.num_atoms}\n"
         )
-    matrix = d.channels(slice(None)) if args.kind == "location" else d.matrix  # vec(H) atoms
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = out / f"dictionary_{args.kind}"

@@ -2,16 +2,19 @@
 
 Three families:
 
-* angular: plane-wave Kronecker atoms of one subarray over uniform
-  direction-cosine grids ``(2z - Z - 1)/Z`` per axis,
+* angular: plane-wave Kronecker atoms ``a_h ⊗ a_v`` over uniform
+  direction-cosine grids ``(2z - Z - 1)/Z`` per axis, kept as the two
+  axis factors.  OMP sees them through ``KroneckerOperator``, which
+  scores all Z^2 atoms by two small matrix products and forms only a
+  support's columns; no Z^2-column matrix is held,
 * location-aided: LoS channels through the precoder, ``H(p) w``, over a
   small 3D grid of candidate user-center positions,
 * spherical (baseline): full-array spherical steering vectors over a
   joint angle/distance grid.
 
 One kernel, ``channel._spherical_wave``, builds the location and spherical
-atoms (and any location atom's vec(H), on demand); full-array atoms are
-unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
+atoms (and any location atom's vec(H), on demand); angular and spherical
+atoms are unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import numpy as np
 from .channel import _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
 from .geometry import ArrayGeometry, build_ula
+from .sensing import CombinerDesign
+from .solvers import MatrixOperator
 
 # grid x-coordinates are kept in the physical half-space in front of the array
 MIN_GRID_X = 0.1
@@ -30,20 +35,95 @@ MIN_GRID_X = 0.1
 
 @dataclass(frozen=True)
 class AngularDictionary:
-    """Plane-wave atoms ``a_h(g1) ⊗ a_v(g2)`` over a Z x Z cosine grid.
+    """Plane-wave atoms ``a_h(g1) ⊗ a_v(g2)`` over a Z x Z cosine grid, kept as its factors.
 
     Columns are ordered g1-major: column ``(z1, z2)`` sits at index
-    ``z1 * Z + z2``.
+    ``z1 * Z + z2``.  ``a_h`` (m_h x Z) and ``a_v`` (m_v x Z) hold the
+    axis steering vectors; ``atoms`` forms the columns of a support, and
+    ``operator`` / ``tile_operators`` serve the dictionary to OMP without
+    forming its (m_h*m_v) x Z^2 matrix.
     """
 
-    matrix: np.ndarray
+    a_h: np.ndarray
+    a_v: np.ndarray
     column_norms: np.ndarray
     cosines: np.ndarray
     z: int
 
     @property
     def num_atoms(self) -> int:
-        return self.matrix.shape[1]
+        return self.z * self.z
+
+    def atoms(self, support) -> np.ndarray:
+        """(m_h*m_v, K) Kronecker columns ``a_h ⊗ a_v`` of the atoms ``support`` indexes."""
+        z1, z2 = np.divmod(np.arange(self.num_atoms)[support], self.z)
+        rows = self.a_h.shape[0] * self.a_v.shape[0]
+        return (self.a_h[:, None, z1] * self.a_v[None, :, z2]).reshape(rows, -1)
+
+    def operator(self) -> KroneckerOperator:
+        """The dictionary itself as an OMP operator, on antenna-order residuals."""
+        return KroneckerOperator(self, self.column_norms)
+
+    def tile_operators(self, combiner: CombinerDesign, scale: float):
+        """Yield the OMP operator ``scale * V_i D`` of every tile ``i`` of ``combiner``, in order.
+
+        Column norms ``||scale V_i a_q||`` come from the tile Gram; a tile
+        whose chain blocks equal the previous tile's reuses them, so the
+        designed combiner, whose tiles share one block set, computes them
+        once per call.
+        """
+        blocks = norms = None
+        for i in range(combiner.tiling.num_tiles):
+            if blocks is None or not np.array_equal(combiner.chain_blocks[i], blocks):
+                blocks = combiner.chain_blocks[i]
+                norms = scale * self._gram_norms(combiner.tile_gram(i))
+            yield KroneckerOperator(self, norms, combiner, i, scale)
+
+    def _gram_norms(self, gram: np.ndarray) -> np.ndarray:
+        """``sqrt(a_q^H G a_q)`` of every atom for an (m_h*m_v)-square Gram ``G``, one axis at a time."""
+        m_h, m_v = self.a_h.shape[0], self.a_v.shape[0]
+        g = gram.reshape(m_h, m_v, m_h, m_v)
+        per_v = np.einsum("vb,hvgu,ub->bhg", self.a_v.conj(), g, self.a_v, optimize=True)
+        quad = np.einsum("ha,bhg,ga->ab", self.a_h.conj(), per_v, self.a_h, optimize=True)
+        return np.sqrt(quad.real).ravel()
+
+
+@dataclass(frozen=True)
+class KroneckerOperator:
+    """OMP's view of ``scale * V_i (A_h ⊗ A_v)``, or of the bare dictionary with no combiner.
+
+    Kronecker-OMP (Caiafa & Cichocki, Neural Computation 2013): the scores
+    ``|A_bar^H r| / norms`` are ``scale * |A_h^H unvec(V_i^H r) conj(A_v)|``,
+    a Z x Z product, and only the K columns of a support are formed.
+    """
+
+    dictionary: AngularDictionary
+    column_norms: np.ndarray
+    combiner: CombinerDesign | None = None
+    tile: int = 0
+    scale: float = 1.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        d = self.dictionary
+        rows = d.a_h.shape[0] * d.a_v.shape[0] if self.combiner is None \
+            else self.combiner.t_slots * self.combiner.m_rf_per_tile
+        return rows, d.num_atoms
+
+    def scores(self, residual: np.ndarray) -> np.ndarray:
+        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every column with ``residual``."""
+        d = self.dictionary
+        x = residual if self.combiner is None \
+            else self.combiner.adjoint_tile(self.tile, residual[:, None])
+        corr = d.a_h.conj().T @ x.reshape(d.a_h.shape[0], d.a_v.shape[0]) @ d.a_v.conj()
+        return self.scale * np.abs(corr).ravel() / self.column_norms
+
+    def columns(self, support) -> np.ndarray:
+        """The (P, K) operator columns of the atoms ``support`` indexes."""
+        atoms = self.dictionary.atoms(support)
+        if self.combiner is not None:
+            atoms = self.combiner.apply_tile(self.tile, atoms)
+        return self.scale * atoms
 
 
 @dataclass(frozen=True)
@@ -80,6 +160,10 @@ class SphericalDictionary:
     distances: np.ndarray
     entries: np.ndarray  # (num_atoms, 3) rows of (ky, kz, r)
 
+    def operator(self) -> MatrixOperator:
+        """The formed matrix as an OMP operator, with its stored norms."""
+        return MatrixOperator(self.matrix, self.column_norms)
+
 
 def cosine_grid(z: int) -> np.ndarray:
     """The uniform direction-cosine grid ``(2z - Z - 1)/Z``, z = 1..Z."""
@@ -95,7 +179,7 @@ def build_angular(
     g = cosine_grid(z)
     a_h = np.column_stack([far_field_steering(m_ih, d_h, c, wavelength) for c in g])
     a_v = np.column_stack([far_field_steering(m_iv, d_v, c, wavelength) for c in g])
-    return AngularDictionary(matrix=np.kron(a_h, a_v), cosines=g, z=z,
+    return AngularDictionary(a_h=a_h, a_v=a_v, cosines=g, z=z,
                              column_norms=np.full(z * z, np.sqrt(m_ih * m_iv)))
 
 

@@ -45,7 +45,7 @@ from .pipeline import (
     stage3,
 )
 from .sensing import design_combiner, design_precoder_dft, random_combiner, uniform_precoder
-from .solvers import _is_integer
+from .solvers import _is_integer, _is_real
 from .threads import single_thread_children
 
 
@@ -222,13 +222,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not 0 < self.carrier_freq_hz < np.inf:
-            raise ValueError(f"carrier_freq_hz must be finite and > 0, got {self.carrier_freq_hz}")
+        if not (_is_real(self.carrier_freq_hz) and 0 < self.carrier_freq_hz < np.inf):
+            raise ValueError(f"carrier_freq_hz must be finite and > 0, got {self.carrier_freq_hz!r}")
         _check_db("los_nlos_ratio_db", self.los_nlos_ratio_db)
         for snr_db in self.snr_db:
             _check_db("SNR", snr_db)
         for name, box in (("user_box", self.user_box), ("scatter_box", self.scatter_box)):
-            if np.shape(box) != (3, 2) or not all(-np.inf < lo <= hi < np.inf for lo, hi in box):
+            if np.shape(box) != (3, 2) or not all(_is_real(lo) and _is_real(hi)
+                                                  and -np.inf < lo <= hi < np.inf for lo, hi in box):
                 raise ValueError(f"{name} must be 3 finite (low, high) pairs, low <= high: {box}")
         if self.user_box[0][0] <= 0:  # behind the array a user has its mirror image's channel
             raise ValueError(f"user_box must lie in front of the array, x > 0: {self.user_box}")
@@ -495,8 +496,7 @@ def draw_scene(config: ExperimentConfig, bs: ArrayGeometry, seed: int) -> Scene:
 
 def _check_db(name: str, value) -> None:
     """``ValueError`` unless a number of dB or inf; a NaN or -inf would run an unmeant scene."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or np.isnan(value) or value == -np.inf:
+    if not _is_real(value) or np.isnan(value) or value == -np.inf:
         raise ValueError(f"{name} must be a number of dB or inf, got {value!r}")
 
 

@@ -3,7 +3,8 @@
 Only ``simulate_reception`` sees the true channel; the stages and the
 baselines work from its record, and ``harness`` composes them.
 Stage 1 slices the single-block observation per subarray and recovers
-each subarray channel over the angular dictionary.  Stage 2 turns those
+each subarray channel over the angular dictionary by Kronecker-OMP, which
+never forms a tile's sensing operator ``V_i D``.  Stage 2 turns those
 reconstructions into refined LoS direction cosines (MUSIC on the
 Kronecker covariance factors) and triangulates the user center by
 least squares.  Stage 3 builds a location-aided dictionary around the
@@ -39,7 +40,7 @@ from .errors import (
 from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
 from .sensing import CombinerDesign, PrecoderDesign
-from .solvers import SparseProblem, SparseSolution, _is_integer, omp, sbl_em
+from .solvers import SparseProblem, SparseSolution, _is_integer, _is_real, omp, sbl_em
 
 # noise-variance floor used when solving noiseless problems with SBL,
 # relative to the per-sample observation energy
@@ -85,16 +86,21 @@ class StageOptions:
     sbl_tol: float = 1e-5
 
     def __post_init__(self):
-        if np.shape(self.grid_half_widths) != (3,) or np.shape(self.grid_counts) != (3,) \
-                or min(self.grid_counts) < 1 or min(self.grid_half_widths) < 0:
-            raise ValueError(f"need 3 grid_counts >= 1 and 3 grid_half_widths >= 0, got "
-                             f"{self.grid_counts} and {self.grid_half_widths}")
-        if self.sbl_max_iters < 1 or self.sbl_tol < 0:
-            raise ValueError(f"need sbl_max_iters >= 1 and sbl_tol >= 0, got "
-                             f"{self.sbl_max_iters} and {self.sbl_tol}")
-        if not all(_is_integer(n) for n in (*self.grid_counts, self.sbl_max_iters)):
+        # types first: a string would escape the range checks as a TypeError
+        shaped = np.shape(self.grid_half_widths) == (3,) and np.shape(self.grid_counts) == (3,)
+        if shaped and not all(_is_integer(n) for n in (*self.grid_counts, self.sbl_max_iters)):
             raise ValueError(f"grid_counts and sbl_max_iters must be integers, got "
                              f"{self.grid_counts} and {self.sbl_max_iters!r}")
+        if shaped and not all(_is_real(x) for x in (*self.grid_half_widths, self.sbl_tol)):
+            raise ValueError(f"grid_half_widths and sbl_tol must be numbers, got "
+                             f"{self.grid_half_widths} and {self.sbl_tol!r}")
+        if not shaped or min(self.grid_counts) < 1 \
+                or not all(0 <= w < np.inf for w in self.grid_half_widths):
+            raise ValueError(f"need 3 grid_counts >= 1 and 3 finite grid_half_widths >= 0, got "
+                             f"{self.grid_counts} and {self.grid_half_widths}")
+        if self.sbl_max_iters < 1 or not self.sbl_tol >= 0:
+            raise ValueError(f"need sbl_max_iters >= 1 and sbl_tol >= 0, got "
+                             f"{self.sbl_max_iters} and {self.sbl_tol}")
 
 
 def simulate_reception(
@@ -140,32 +146,15 @@ def _effective_noise_var(record: ReceptionRecord) -> float:
     return _NOISELESS_SBL_FLOOR * float(np.mean(np.abs(y) ** 2))
 
 
-def _tile_operators(combiner: CombinerDesign, matrix: np.ndarray, scale: float):
-    """Yield ``(i, scale * combiner.apply_tile(i, matrix), column norms)`` per tile.
-
-    A tile whose chain blocks equal the previous tile's reuses that
-    operator and its norms, so the designed combiner, whose tiles share
-    one block set, forms one operator per call.  Operators are formed
-    lazily, one at a time, so a combiner with distinct blocks per tile
-    never holds more than the current tile's.
-    """
-    blocks = a_bar = norms = None
-    for i in range(combiner.tiling.num_tiles):
-        if blocks is None or not np.array_equal(combiner.chain_blocks[i], blocks):
-            blocks = combiner.chain_blocks[i]
-            a_bar = scale * combiner.apply_tile(i, matrix)
-            norms = np.linalg.norm(a_bar, axis=0)
-        yield i, a_bar, norms
-
-
 def stage1(
     record: ReceptionRecord, dictionary: AngularDictionary,
 ) -> tuple[list[SparseSolution], list[np.ndarray]]:
     """Per-subarray OMP over the angular dictionary.
 
     Expects the single-block uniform-precoder record; returns the sparse
-    solutions and the reconstructed subarray channels ``A x_hat``.  Tiles
-    with equal chain blocks share one operator and its column norms.
+    solutions and the reconstructed subarray channels ``A x_hat``.  OMP
+    sees each tile's ``scale * V_i D`` as a Kronecker operator, which is
+    never formed; tiles with equal chain blocks share its column norms.
     """
     if record.precoder.kind != "uniform" or record.num_blocks != 1:
         raise ValueError("stage 1 runs on the single-block uniform-precoder record")
@@ -175,13 +164,14 @@ def stage1(
     y = record.observations[:, 0]
     solutions = []
     channels = []
-    for i, a_bar, norms in _tile_operators(combiner, dictionary.matrix, scale):
-        problem = SparseProblem(a_bar, y[combiner.tile_rows(i)], column_norms=norms)
-        sol = omp(problem, max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
+    for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
+        sol = omp(SparseProblem(op, y[combiner.tile_rows(i)]),
+                  max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
         solutions.append(sol)
-        # the dense product, not the support-only one: stage 2's MUSIC and
-        # stage-3 SBL amplify its rounding into visibly different rows
-        channels.append(dictionary.matrix @ sol.coefficients)
+        # support-only product: against the dense D x it moved no support, finite-SNR
+        # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
+        # (noiseless SBL rows move by up to 14 dB under any change of rounding)
+        channels.append(dictionary.atoms(sol.support) @ sol.coefficients[sol.support])
     return solutions, channels
 
 
@@ -297,8 +287,9 @@ def baseline_antenna_wise(
     assembled column by column from the atoms on its support.  The
     full-array variant needs ``V^H V = I`` (else ``ValueError``) and runs
     OMP on the dictionary against ``V^H y / sqrt(p)``, as if on the never
-    formed ``sqrt(p) V D``.  With ``per_subarray=True`` OMP runs tile by
-    tile; tiles with equal chain blocks share one operator.
+    formed ``sqrt(p) V D``; an angular dictionary scores it as
+    ``A_h^H unvec(V^H y) conj(A_v)``.  With ``per_subarray=True`` OMP runs
+    tile by tile on the tile operators of ``stage1``.
     """
     combiner, precoder = record.combiner, record.precoder
     n = precoder.w.shape[0]
@@ -307,15 +298,15 @@ def baseline_antenna_wise(
     per_antenna = record.observations @ precoder.w.conj().T  # (T*M_RF, N)
     scale = np.sqrt(record.power)
     h_hat = np.zeros((combiner.num_antennas, n), dtype=complex)
-    d = dictionary.matrix
     if per_subarray:
-        for i, a_bar, norms in _tile_operators(combiner, d, scale):
+        for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
             antennas = combiner.tiling.tiles[i].antenna_indices
             rows = combiner.tile_rows(i)
             for col in range(n):
-                sol = omp(SparseProblem(a_bar, per_antenna[rows, col], column_norms=norms),
+                sol = omp(SparseProblem(op, per_antenna[rows, col]),
                           max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
-                h_hat[antennas, col] = d[:, sol.support] @ sol.coefficients[sol.support]
+                h_hat[antennas, col] = \
+                    dictionary.atoms(sol.support) @ sol.coefficients[sol.support]
     else:
         combiner.verify_blocks()  # InfeasibleDesignError is a ValueError
         z = combiner.adjoint(per_antenna)
@@ -324,10 +315,11 @@ def baseline_antenna_wise(
         y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
         outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
         tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
+        op = dictionary.operator()
         for col in range(n):
-            sol = omp(SparseProblem(d, z[:, col] / scale, column_norms=dictionary.column_norms),
+            sol = omp(SparseProblem(op, z[:, col] / scale),
                       max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
-            h_hat[:, col] = d[:, sol.support] @ sol.coefficients[sol.support]
+            h_hat[:, col] = op.columns(sol.support) @ sol.coefficients[sol.support]
     return h_hat
 
 

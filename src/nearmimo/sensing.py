@@ -35,8 +35,8 @@ class CombinerDesign:
     in slot t that chain combines tile antennas ``m*M_s .. (m+1)*M_s - 1``
     (within-tile order) with weights ``chain_blocks[i, m, t]``.  Outputs
     are ordered ``t*M_RF + i*M_rf_i + m``; a tile's own outputs
-    (``apply_tile``) are ordered ``t*M_rf_i + m``.  ``apply`` (``V x``)
-    and ``adjoint`` (``V^H z``) never form ``V``.
+    (``apply_tile``) are ordered ``t*M_rf_i + m``.  ``apply`` (``V x``),
+    ``adjoint`` (``V^H z``) and their per-tile forms never form ``V``.
     """
 
     tiling: SubarrayTiling
@@ -93,14 +93,27 @@ class CombinerDesign:
                 self.t_slots, self.m_rf_per_tile, k)
         return out.reshape(-1, k)
 
+    def adjoint_tile(self, i: int, z: np.ndarray) -> np.ndarray:
+        """``V_i^H z`` for tile ``i``'s (T*M_rf_i, K) outputs; returns (M_i, K), within-tile order.
+
+        ``z`` may also come as (T, M_rf_i, K).
+        """
+        blocks_h = self.chain_blocks[i].conj().swapaxes(-1, -2)  # (M_rf_i, M_s, T)
+        # chain m's antennas get F^H z_m
+        per_chain = z.reshape(self.t_slots, self.m_rf_per_tile, -1).swapaxes(0, 1)
+        return (blocks_h @ per_chain).reshape(-1, per_chain.shape[-1])
+
+    def tile_gram(self, i: int) -> np.ndarray:
+        """``V_i^H V_i`` (M_i x M_i, within-tile order): one ``F^H F`` block per chain."""
+        return self.adjoint_tile(i, self.apply_tile(i, np.eye(self.m_rf_per_tile * self.m_s)))
+
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``V^H z`` for a (T*M_RF, K) input, in O(T*M*K); returns (M, K)."""
         k = z.shape[-1]
-        per_chain = z.reshape(self.t_slots, self.tiling.num_tiles, self.m_rf_per_tile, k)
+        per_tile = z.reshape(self.t_slots, self.tiling.num_tiles, self.m_rf_per_tile, k)
         out = np.empty((self.num_antennas, k), dtype=np.result_type(z, self.chain_blocks))
-        for i, tile in enumerate(self.tiling.tiles):  # chain m's antennas get F^H z_m
-            blocks_h = self.chain_blocks[i].conj().swapaxes(-1, -2)  # (M_rf_i, M_s, T)
-            out[tile.antenna_indices] = (blocks_h @ per_chain[:, i].swapaxes(0, 1)).reshape(-1, k)
+        for i, tile in enumerate(self.tiling.tiles):
+            out[tile.antenna_indices] = self.adjoint_tile(i, per_tile[:, i])
         return out
 
     def matrix(self) -> np.ndarray:

@@ -5,7 +5,10 @@ sensing matrix ``A`` (P x Q), observation ``y`` (P) and the column norms
 of ``A``, computed once when the problem is built (or passed in by a
 caller that poses many problems on one matrix).  OMP greedily selects
 atoms by normalized correlation with the residual, dividing by those
-stored norms, and refits by least squares.  SBL places independent
+stored norms, and refits by least squares.  It reaches ``A`` only
+through an operator's scores and support columns, so a structured
+operator that never forms ``A`` (``dictionaries.KroneckerOperator``)
+runs the same loop as a matrix.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
 variance held fixed, by the sequential rule of Tipping & Faul (AISTATS
@@ -41,44 +44,81 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float; not a bool, nor a string."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class MatrixOperator:
+    """A formed P x Q matrix behind the operator interface ``omp`` selects through.
+
+    An operator gives ``shape`` (P, Q), ``column_norms``, ``scores(r)``
+    (the normalized correlations ``|a_q^H r| / ||a_q||``) and
+    ``columns(support)`` (the P x K columns of a support);
+    ``dictionaries.KroneckerOperator`` is the structured one.
+    """
+
+    matrix: np.ndarray
+    column_norms: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def scores(self, residual: np.ndarray) -> np.ndarray:
+        return np.abs(residual.conj() @ self.matrix) / self.column_norms
+
+    def columns(self, support) -> np.ndarray:
+        return self.matrix[:, support]
+
+
 @dataclass(frozen=True)
 class SparseProblem:
     """A linear observation ``y = A x + n`` with x presumed sparse.
 
     Parameters
     ----------
-    sensing_matrix : ndarray, shape (P, Q)
-        Complex dictionary / sensing product. Must not contain an
-        all-zero column.
+    sensing_matrix : ndarray, shape (P, Q), or an operator
+        Complex dictionary / sensing product, or an operator with the
+        interface of :class:`MatrixOperator` that never forms it (OMP
+        only; SBL needs the matrix).  Must not have an all-zero column.
     observation : ndarray, shape (P,)
     column_norms : ndarray, shape (Q,), optional
-        ``np.linalg.norm(sensing_matrix, axis=0)``, computed here when
-        omitted.  A caller that poses many problems on one matrix passes
-        them once computed; they are checked for shape and zeros, not
-        recomputed.  OMP divides its correlations by them.
+        ``np.linalg.norm(sensing_matrix, axis=0)`` of a matrix, computed
+        here when omitted.  A caller that poses many problems on one
+        matrix passes them once computed; they are checked for shape and
+        zeros, not recomputed.  An operator carries its own.  OMP divides
+        its correlations by them.
     """
 
-    sensing_matrix: np.ndarray
+    sensing_matrix: np.ndarray | object
     observation: np.ndarray
     column_norms: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.sensing_matrix)
+        a = self.sensing_matrix
+        if hasattr(a, "scores"):
+            if self.column_norms is not None:
+                raise ValueError("an operator carries its own column norms")
+            norms = a.column_norms
+        else:
+            a = np.asarray(a)
+            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+                raise ValueError(f"sensing matrix must be 2D and non-empty, got {a.shape}")
+            if self.column_norms is None:
+                norms = np.linalg.norm(a, axis=0)
+            else:
+                norms = np.asarray(self.column_norms)
+                if norms.shape != (a.shape[1],):
+                    raise ValueError(
+                        f"column norms shape {norms.shape} != ({a.shape[1]},)"
+                    )
         y = np.asarray(self.observation).reshape(-1)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"sensing matrix must be 2D and non-empty, got {a.shape}")
         if y.shape[0] != a.shape[0]:
             raise ValueError(
                 f"observation length {y.shape[0]} != matrix rows {a.shape[0]}"
             )
-        if self.column_norms is None:
-            norms = np.linalg.norm(a, axis=0)
-        else:
-            norms = np.asarray(self.column_norms)
-            if norms.shape != (a.shape[1],):
-                raise ValueError(
-                    f"column norms shape {norms.shape} != ({a.shape[1]},)"
-                )
         if np.any(norms == 0):
             raise ValueError("sensing matrix contains an all-zero column")
         object.__setattr__(self, "sensing_matrix", a)
@@ -88,6 +128,12 @@ class SparseProblem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.sensing_matrix.shape
+
+    @property
+    def operator(self):
+        """The operator OMP selects through: the one given, or the matrix behind its interface."""
+        a = self.sensing_matrix
+        return a if hasattr(a, "scores") else MatrixOperator(a, self.column_norms)
 
 
 @dataclass(frozen=True)
@@ -143,9 +189,9 @@ def omp(
     """
     if max_atoms is None and residual_tol is None:
         raise ValueError("need max_atoms and/or residual_tol as a stopping rule")
-    a = problem.sensing_matrix
+    op = problem.operator
     y = problem.observation
-    p, q = a.shape
+    p, q = problem.shape
     if max_atoms is not None and not (1 <= max_atoms <= min(p, q)):
         raise ValueError(f"max_atoms must be in [1, min(P, Q)], got {max_atoms}")
 
@@ -164,10 +210,10 @@ def omp(
     converged = False
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
-        scores = np.abs(residual.conj() @ a) / problem.column_norms
+        scores = op.scores(residual)
         scores[support] = -1.0  # after an exact fit, rounding must not re-pick an atom
         support.append(int(np.argmax(scores)))
-        basis = a[:, support]
+        basis = op.columns(support)
         coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
         if rank < len(support):
             raise NumericalRankError(
@@ -249,6 +295,8 @@ def sbl_em(
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
     if not _is_integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if hasattr(problem.sensing_matrix, "scores"):
+        raise ValueError("SBL needs a formed sensing matrix, not an operator")
     a = problem.sensing_matrix
     y = problem.observation
     p, q_full = a.shape

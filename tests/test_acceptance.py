@@ -77,12 +77,13 @@ def test_acceptance_3_solver_oracles():
     # sampled under the exact-recovery condition max ||A_S^+ a_j||_1 < 1
     # (the standard well-separatedness notion on a coherent grid).
     dictionary = build_angular(4, 4, HALF, HALF, WAVELENGTH, 8)
+    matrix = dictionary.atoms(slice(None))
     rng = np.random.default_rng(7)
 
     def erc_holds(atoms):
-        a_s = dictionary.matrix[:, atoms]
+        a_s = matrix[:, atoms]
         rest = np.delete(np.arange(dictionary.num_atoms), atoms)
-        scores = np.sum(np.abs(np.linalg.pinv(a_s) @ dictionary.matrix[:, rest]), axis=0)
+        scores = np.sum(np.abs(np.linalg.pinv(a_s) @ matrix[:, rest]), axis=0)
         return scores.max() < 1.0
 
     recovered = 0
@@ -93,8 +94,8 @@ def test_acceptance_3_solver_oracles():
             continue
         instances += 1
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        y = dictionary.matrix[:, atoms] @ coeffs
-        sol = omp(SparseProblem(dictionary.matrix, y), max_atoms=2)
+        y = matrix[:, atoms] @ coeffs
+        sol = omp(SparseProblem(matrix, y), max_atoms=2)
         x_true = np.zeros(dictionary.num_atoms, dtype=complex)
         x_true[atoms] = coeffs
         err = np.linalg.norm(sol.coefficients - x_true) / np.linalg.norm(x_true)

@@ -111,6 +111,20 @@ _BAD_CONFIGS = {
                              "scatter_box must be 3 finite"),
     "user-behind-the-array": (lambda d: d["user_box"].__setitem__(0, [-5.0, -2.0]),
                               "user_box must lie in front of the array"),
+    # a string where a number belongs, or a NaN stage knob, would escape as a TypeError
+    # traceback or turn every comparison false
+    "string-carrier": (lambda d: d.update(carrier_freq_hz="6.8e9"),
+                       "carrier_freq_hz must be finite"),
+    "string-user-box": (lambda d: d["user_box"].__setitem__(0, ["2", "5"]),
+                        "user_box must be 3 finite"),
+    "string-scatter-box": (lambda d: d["scatter_box"].__setitem__(2, [-2.0, "0"]),
+                           "scatter_box must be 3 finite"),
+    "string-sbl-tol": (lambda d: d["stages"].update(sbl_tol="x"), "sbl_tol must be numbers"),
+    "string-grid-half-width": (lambda d: d["stages"].update(grid_half_widths=["a", 0.1, 0.1]),
+                               "grid_half_widths and sbl_tol must be numbers"),
+    "nan-sbl-tol": (lambda d: d["stages"].update(sbl_tol=float("nan")), "sbl_tol >= 0"),
+    "nan-grid-half-width": (lambda d: d["stages"].update(grid_half_widths=[0.4, float("nan"), 0.05]),
+                            "3 finite grid_half_widths"),
 }
 
 

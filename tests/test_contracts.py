@@ -1,14 +1,15 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearmimo import errors
 from nearmimo.channel import _spherical_wave
-from nearmimo.dictionaries import build_location
-from nearmimo.geometry import build_ula, build_upa
+from nearmimo.dictionaries import build_angular, build_location
+from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
+from nearmimo.sensing import design_combiner, random_combiner
 from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
@@ -58,6 +59,62 @@ def test_precoded_atoms_equal_the_per_antenna_sum(problem):
     for offset, w_n in zip(d.offsets, w):
         expected += _spherical_wave(bs.positions, d.points + offset, WAVELENGTH, divide=True) * w_n
     np.testing.assert_array_equal(d.matrix, expected)
+
+
+@st.composite
+def kronecker_cases(draw):
+    """A tiled array, an angular grid, a designed or random combiner, a scale and a support."""
+    m_h, m_v = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    m_i = m_h * m_v
+    m_s = draw(st.sampled_from([d for d in range(1, m_i + 1) if m_i % d == 0]))
+    t_slots = draw(st.integers(m_s, m_s + 2))
+    tiles_h, tiles_v = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    z = draw(st.integers(2, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    designed = draw(st.booleans())
+    scale = draw(st.floats(0.1, 3.0))
+    support = draw(st.lists(st.integers(0, z * z - 1), min_size=1, max_size=4, unique=True))
+    return (m_h, m_v, m_s, t_slots, tiles_h, tiles_v, z), seed, designed, scale, support
+
+
+def _relative(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@CONTRACT
+@given(case=kronecker_cases())
+# 2 x 3 tiles with M_s = 2: chain 1 takes the last antenna of row 0 and the first of row 1
+@example(case=((2, 3, 2, 2, 2, 1, 5), 7, False, 0.7, [3, 11]))
+def test_kronecker_operators_equal_the_dense_product(case):
+    # scale * V_i (A_h ⊗ A_v) per tile, and the bare dictionary against V D
+    (m_h, m_v, m_s, t_slots, tiles_h, tiles_v, z), seed, designed, scale, support = case
+    bs = build_upa(tiles_h * m_h, tiles_v * m_v, HALF, HALF, (0, 0, 0))
+    tiling = partition(bs, tiles_h, tiles_v)
+    m_rf = m_h * m_v // m_s
+    comb = design_combiner(t_slots, tiling, m_rf) if designed \
+        else random_combiner(t_slots, tiling, m_rf, seed)
+    d = build_angular(m_h, m_v, HALF, HALF, WAVELENGTH, z)
+    kron = np.kron(d.a_h, d.a_v)
+    np.testing.assert_array_equal(d.atoms(slice(None)), kron)
+    v = comb.matrix()
+    rng = np.random.default_rng(seed)
+    for i, op in enumerate(d.tile_operators(comb, scale)):
+        ref = scale * v[np.ix_(comb.tile_rows(i), tiling.tiles[i].antenna_indices)] @ kron
+        norms = np.linalg.norm(ref, axis=0)
+        r = rng.standard_normal(ref.shape[0]) + 1j * rng.standard_normal(ref.shape[0])
+        assert op.shape == ref.shape
+        assert _relative(op.column_norms, norms) <= 1e-12
+        assert _relative(op.scores(r), np.abs(r.conj() @ ref) / norms) <= 1e-12
+        assert _relative(op.columns(support), ref[:, support]) <= 1e-12
+    if designed:  # V^H V = I: the full-array scores of V^H y are those of V D against y
+        full = build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, z)
+        ref = v @ np.kron(full.a_h, full.a_v)
+        y = rng.standard_normal(v.shape[0]) + 1j * rng.standard_normal(v.shape[0])
+        op = full.operator()
+        assert _relative(op.column_norms, np.linalg.norm(ref, axis=0)) <= 1e-12
+        assert _relative(op.scores(comb.adjoint(y[:, None])[:, 0]),
+                         np.abs(y.conj() @ ref) / np.linalg.norm(ref, axis=0)) <= 1e-12
+        assert _relative(v @ op.columns(support), ref[:, support]) <= 1e-12
 
 
 @st.composite

@@ -23,7 +23,7 @@ class TestAngular:
     def test_z2_grid(self):
         np.testing.assert_allclose(cosine_grid(2), [-0.5, 0.5])
         d = build_angular(2, 2, HALF, HALF, WAVELENGTH, 2)
-        assert d.matrix.shape == (4, 4)
+        assert d.atoms(slice(None)).shape == (4, 4)
 
     def test_columns_match_kronecker_definition(self):
         d = build_angular(4, 3, HALF, HALF, WAVELENGTH, 8)
@@ -34,17 +34,18 @@ class TestAngular:
                 4, 3, HALF, HALF, d.cosines[z1], d.cosines[z2], WAVELENGTH
             )
             np.testing.assert_allclose(
-                d.matrix[:, z1 * d.z + z2], expected, atol=1e-13
+                d.atoms([z1 * d.z + z2])[:, 0], expected, atol=1e-13
             )
 
     def test_unit_modulus_entries(self):
         d = build_angular(4, 6, HALF, HALF, WAVELENGTH, 4)
-        np.testing.assert_allclose(np.abs(d.matrix), 1.0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(d.atoms(slice(None))), 1.0, atol=1e-13)
 
     def test_coherence_below_one_and_on_grid_match(self):
         d = build_angular(8, 12, HALF, HALF, WAVELENGTH, 32)
         m_i = 8 * 12
-        gram = np.abs(d.matrix.conj().T @ d.matrix) / m_i
+        matrix = d.atoms(slice(None))
+        gram = np.abs(matrix.conj().T @ matrix) / m_i
         off = gram - np.diag(np.diag(gram))
         assert off.max() < 0.999
         rng = np.random.default_rng(1)
@@ -52,7 +53,7 @@ class TestAngular:
         probe = planar_far_field_steering(
             8, 12, HALF, HALF, d.cosines[z1], d.cosines[z2], WAVELENGTH
         )
-        corr = np.abs(d.matrix.conj().T @ probe) / m_i
+        corr = np.abs(matrix.conj().T @ probe) / m_i
         assert corr.argmax() == z1 * d.z + z2
         assert corr.max() == pytest.approx(1.0, abs=1e-12)
 
@@ -63,10 +64,10 @@ class TestAngular:
         rng = np.random.default_rng(2)
         atoms = rng.choice(d.num_atoms, size=3, replace=False)
         coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        h = d.matrix[:, atoms] @ coeffs
+        h = d.atoms(atoms) @ coeffs
         x = np.zeros(d.num_atoms, dtype=complex)
         x[atoms] = coeffs
-        assert np.linalg.norm(h - d.matrix @ x) / np.linalg.norm(h) < 1e-10
+        assert np.linalg.norm(h - d.atoms(slice(None)) @ x) / np.linalg.norm(h) < 1e-10
 
 
 W2 = np.array([0.6, 0.8j])
@@ -273,7 +274,7 @@ def test_channel_helpers_bit_identical_to_one_expression():
 
 def test_angular_column_norms_match_matrix():
     d = build_angular(6, 10, HALF, HALF, WAVELENGTH, 16)
-    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.matrix, axis=0),
+    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.atoms(slice(None)), axis=0),
                                rtol=1e-14)
 
 

@@ -266,6 +266,13 @@ class TestSweep:
         keys = {(r.method, r.snr_db, r.trial) for r in table.rows}
         assert len(keys) == len(table.rows)
 
+    def test_paper_context_holds_no_formed_angular_dictionary(self):
+        # formed, the 768 x 4,096 full-array matrix is 50.3 MB and a 96 x 4,096 tile one 6.3 MB
+        ctx = SweepContext(paper_profile())
+        for d in (ctx.tile_dictionary, ctx.full_array_dictionary()):
+            held = sum(v.nbytes for v in vars(d).values() if isinstance(v, np.ndarray))
+            assert held < 1e6, held
+
     def test_trial_reuses_cell_seed(self):
         cfg = tiny_config()
         ctx = SweepContext(cfg)

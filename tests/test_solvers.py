@@ -30,9 +30,9 @@ def separated_atoms(rng, dictionary, count):
     """
     while True:
         idx = rng.choice(dictionary.num_atoms, size=count, replace=False)
-        a_s = dictionary.matrix[:, idx]
+        a_s = dictionary.atoms(idx)
         rest = np.delete(np.arange(dictionary.num_atoms), idx)
-        scores = np.sum(np.abs(np.linalg.pinv(a_s) @ dictionary.matrix[:, rest]), axis=0)
+        scores = np.sum(np.abs(np.linalg.pinv(a_s) @ dictionary.atoms(rest)), axis=0)
         if scores.max() < 1.0:
             return idx
 
@@ -112,8 +112,8 @@ class TestOmp:
         rng = np.random.default_rng(1)
         atoms = separated_atoms(rng, d, 2)
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        y = d.matrix[:, atoms] @ coeffs
-        sol = omp(SparseProblem(d.matrix, y), max_atoms=2)
+        y = d.atoms(atoms) @ coeffs
+        sol = omp(SparseProblem(d.atoms(slice(None)), y), max_atoms=2)
         np.testing.assert_array_equal(np.sort(sol.support), np.sort(atoms))
         x_true = np.zeros(d.num_atoms, dtype=complex)
         x_true[atoms] = coeffs
@@ -198,8 +198,8 @@ class TestSblEm:
         d = build_angular(4, 4, HALF, HALF, WAVELENGTH, 8)
         rng = np.random.default_rng(5)
         atom = separated_atoms(rng, d, 1)[0]
-        y = (1.3 - 0.4j) * d.matrix[:, atom]
-        problem = SparseProblem(d.matrix, y)
+        y = (1.3 - 0.4j) * d.atoms([atom])[:, 0]
+        problem = SparseProblem(d.atoms(slice(None)), y)
         omp_sol = omp(problem, max_atoms=1)
         sbl_sol, _ = sbl_em(problem, sigma2=1e-6)
         assert np.argmax(np.abs(sbl_sol.coefficients)) == omp_sol.support[0]
