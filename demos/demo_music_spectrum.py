@@ -8,7 +8,7 @@ plot directly with any tool.
 import numpy as np
 
 from nearmimo import far_field_steering
-from nearmimo.doa import dump_spectrum, music_1d
+from nearmimo.doa import music_1d
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -19,6 +19,7 @@ cov = np.outer(a, a.conj())
 spectrum = music_1d(cov, 12, HALF, WAVELENGTH, grid_points=4096)
 
 out = "music_spectrum.txt"
-dump_spectrum(out, spectrum)
+np.savetxt(out, np.column_stack([spectrum.grid, spectrum.values]),
+           header="direction_cosine pseudo_spectrum")
 print(f"true cosine {target}, refined peak {spectrum.peak:.6f}")
 print(f"wrote {out} ({spectrum.grid.size} rows)")

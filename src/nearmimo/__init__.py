@@ -17,17 +17,15 @@ import importlib
 _EXPORTS = {
     "channel": (
         "ChannelRealization", "PathParams", "Scene", "far_field_steering",
-        "los_channel", "near_field_steering", "planar_far_field_steering",
-        "synthesize",
+        "los_channel", "near_field_steering", "synthesize",
     ),
     "dictionaries": (
-        "AngularDictionary", "LocationDictionary", "SphericalDictionary",
-        "build_angular", "build_location", "build_spherical_baseline",
+        "AngularDictionary", "LocationDictionary", "build_angular", "build_location",
+        "build_spherical_baseline",
     ),
     "doa": ("extract_axis_factors", "music_1d", "subarray_covariance"),
     "geometry": (
-        "ArrayGeometry", "SubarrayTiling", "build_ula", "build_upa", "partition",
-        "recover_kx", "wave_vector",
+        "ArrayGeometry", "SubarrayTiling", "build_ula", "build_upa", "partition", "recover_kx",
     ),
     "harness": (
         "ExperimentConfig", "ResultTable", "desk_profile", "nmse", "paper_profile",
@@ -43,7 +41,7 @@ _EXPORTS = {
         "CombinerDesign", "PrecoderDesign", "design_combiner", "design_precoder_dft",
         "random_combiner", "uniform_precoder",
     ),
-    "solvers": ("SblState", "SparseProblem", "SparseSolution", "omp", "sbl_em"),
+    "solvers": ("MatrixOperator", "SblState", "SparseProblem", "SparseSolution", "omp", "sbl_em"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

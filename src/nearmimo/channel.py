@@ -122,17 +122,6 @@ def far_field_steering(m_e: int, d_e: float, cosine: float, wavelength: float) -
     return np.exp(2j * np.pi / wavelength * cosine * offsets * d_e)
 
 
-def planar_far_field_steering(
-    m_h: int, m_v: int, d_h: float, d_v: float,
-    cos_h: float, cos_v: float, wavelength: float,
-) -> np.ndarray:
-    """Kronecker plane-wave steering of a planar array, ``a_h ⊗ a_v``."""
-    return np.kron(
-        far_field_steering(m_h, d_h, cos_h, wavelength),
-        far_field_steering(m_v, d_v, cos_v, wavelength),
-    )
-
-
 def synthesize(scene: Scene, rng_seed: int) -> ChannelRealization:
     """Draw one channel realization.
 

@@ -30,7 +30,7 @@ import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from .dictionaries import build_location  # noqa: E402
+from .dictionaries import build_location, reciprocal_distance_rings  # noqa: E402
 from .errors import NearMimoError  # noqa: E402
 from .geometry import build_ula  # noqa: E402
 from .harness import (  # noqa: E402
@@ -170,12 +170,12 @@ def _cmd_export_dict(args) -> int:
             f"cosine_grid {' '.join(format(c, '.10g') for c in d.cosines)}\n"
         )
     elif args.kind == "spherical":
-        d = ctx.spherical_dictionary()
-        matrix = d.matrix
+        matrix = ctx.spherical_dictionary().matrix
+        rings = reciprocal_distance_rings(*cfg.spherical_rings)
         manifest = (
             f"kind spherical\narray {cfg.bs_m_h}x{cfg.bs_m_v}\n"
             f"angle_grid {SPHERICAL_ANGLE_GRID}\n"
-            f"rings {' '.join(format(r, '.10g') for r in d.distances)}\n"
+            f"rings {' '.join(format(r, '.10g') for r in rings)}\n"
         )
     else:
         center = args.center or tuple((lo + hi) / 2 for lo, hi in cfg.user_box)

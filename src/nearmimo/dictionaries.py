@@ -10,11 +10,12 @@ Three families:
 * location-aided: LoS channels through the precoder, ``H(p) w``, over a
   small 3D grid of candidate user-center positions,
 * spherical (baseline): full-array spherical steering vectors over a
-  joint angle/distance grid.
+  joint angle/distance grid, formed as a ``MatrixOperator``.
 
 One kernel, ``channel._spherical_wave``, builds the location and spherical
 atoms (and any location atom's vec(H), on demand); angular and spherical
-atoms are unit-modulus, so their ``column_norms`` are ``sqrt(M)``.
+atoms are unit-modulus, so their ``column_norms`` are ``sqrt(M)``, given
+as that constant rather than computed.
 """
 
 from __future__ import annotations
@@ -150,21 +151,6 @@ class LocationDictionary:
                                                divide=True) for offset in self.offsets])
 
 
-@dataclass(frozen=True)
-class SphericalDictionary:
-    """Near-field steering atoms over joint (cosine, cosine, distance) grid."""
-
-    matrix: np.ndarray
-    column_norms: np.ndarray
-    cosines: np.ndarray
-    distances: np.ndarray
-    entries: np.ndarray  # (num_atoms, 3) rows of (ky, kz, r)
-
-    def operator(self) -> MatrixOperator:
-        """The formed matrix as an OMP operator, with its stored norms."""
-        return MatrixOperator(self.matrix, self.column_norms)
-
-
 def cosine_grid(z: int) -> np.ndarray:
     """The uniform direction-cosine grid ``(2z - Z - 1)/Z``, z = 1..Z."""
     return (2.0 * np.arange(1, z + 1) - z - 1) / z
@@ -179,8 +165,7 @@ def build_angular(
     g = cosine_grid(z)
     a_h = np.column_stack([far_field_steering(m_ih, d_h, c, wavelength) for c in g])
     a_v = np.column_stack([far_field_steering(m_iv, d_v, c, wavelength) for c in g])
-    return AngularDictionary(a_h=a_h, a_v=a_v, cosines=g, z=z,
-                             column_norms=np.full(z * z, np.sqrt(m_ih * m_iv)))
+    return AngularDictionary(a_h, a_v, np.full(z * z, np.sqrt(m_ih * m_iv)), g, z)
 
 
 def _axis_grid(center: float, half_width: float, count: int, label: str) -> np.ndarray:
@@ -219,7 +204,7 @@ def build_location(
     gz = _axis_grid(center[2], dz, s_z, "z")
     points = np.stack(np.meshgrid(gx, gy, gz, indexing="ij"), axis=-1).reshape(-1, 3)
     # user antenna n sits at p + offsets[n]
-    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3), ue_template.axis).positions
+    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3)).positions
     matrix = _spherical_wave(bs.positions, points + offsets[:, None], wavelength,
                              divide=True, weights=w)
     return LocationDictionary(matrix, points, bs.positions, offsets, wavelength)
@@ -227,12 +212,13 @@ def build_location(
 
 def build_spherical_baseline(
     bs: ArrayGeometry, angle_grid: int, distance_rings, wavelength: float
-) -> SphericalDictionary:
+) -> MatrixOperator:
     """Full-array near-field dictionary over a joint angle/distance grid.
 
-    One atom per (ky, kz, r) tuple; grid corners whose cosine pair leaves
-    the unit disk are projected onto it (kx = 0), keeping the stated
-    ``angle_grid**2 * len(distance_rings)`` atom count.
+    One atom per (ky, kz, r) tuple, column ``(iy * G + iz) * R + ir`` over
+    the ``G = angle_grid`` cosines and ``R`` rings; grid corners whose
+    cosine pair leaves the unit disk are projected onto it (kx = 0),
+    keeping the stated ``G**2 * R`` atom count.
     """
     rings = np.asarray(distance_rings, dtype=float)
     if angle_grid < 1 or rings.size == 0:
@@ -244,12 +230,8 @@ def build_spherical_baseline(
             kx = np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz))
             directions.append(np.array([kx, ky, kz]) / np.linalg.norm([kx, ky, kz]))
     points = (bs.center + np.array(directions)[:, None] * rings[:, None]).reshape(-1, 3)
-    matrix = _spherical_wave(bs.positions, points, wavelength)
-    return SphericalDictionary(
-        matrix=matrix, column_norms=np.full(len(points), np.sqrt(bs.size)),
-        cosines=g, distances=rings,
-        entries=np.stack(np.meshgrid(g, g, rings, indexing="ij"), axis=-1).reshape(-1, 3),
-    )
+    return MatrixOperator(_spherical_wave(bs.positions, points, wavelength),
+                          np.full(len(points), np.sqrt(bs.size)))
 
 
 def reciprocal_distance_rings(r_min: float, r_max: float, count: int) -> np.ndarray:

@@ -93,12 +93,12 @@ def music_1d(
     d_e: float,
     wavelength: float,
     grid_points: int = 4096,
-    n_sources: int = 1,
 ) -> MusicSpectrum:
-    """1D MUSIC over direction cosines in [-1, 1].
+    """1D MUSIC for one source over direction cosines in [-1, 1].
 
-    Eigendecomposes the axis covariance, projects steering vectors on
-    the noise subspace, and refines the grid peak with a parabolic fit
+    Eigendecomposes the axis covariance (of ``m_e >= 2`` antennas),
+    projects steering vectors on the ``m_e - 1`` dimensional noise
+    subspace, and refines the grid peak with a parabolic fit
     of the log pseudo-spectrum.  The grid and steering matrix are built
     once per ``(m_e, d_e, wavelength, grid_points)`` and shared read-only,
     so the returned ``grid`` must not be written to.
@@ -106,10 +106,10 @@ def music_1d(
     c = np.asarray(cov)
     if c.shape != (m_e, m_e):
         raise ValueError(f"covariance shape {c.shape} != ({m_e}, {m_e})")
-    if not (1 <= n_sources < m_e):
-        raise ValueError(f"n_sources must be in [1, {m_e - 1}], got {n_sources}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.conj().T))
-    noise_basis = eigvecs[:, : m_e - n_sources]  # ascending eigenvalues
+    if m_e < 2:
+        raise ValueError(f"MUSIC needs at least 2 antennas on an axis, got {m_e}")
+    _eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+    noise_basis = eigvecs[:, :-1]  # ascending eigenvalues: all but the source's
 
     grid, steering = _steering(m_e, d_e, wavelength, grid_points)
     denom = np.sum(np.abs(noise_basis.conj().T @ steering) ** 2, axis=0)
@@ -125,9 +125,3 @@ def music_1d(
             if abs(shift) <= 1.0:
                 peak = grid[k] + shift * (grid[1] - grid[0])
     return MusicSpectrum(grid=grid, values=values, peak=float(np.clip(peak, -1.0, 1.0)))
-
-
-def dump_spectrum(path, spectrum: MusicSpectrum) -> None:
-    """Write a spectrum as two-column text (cosine, value) for plotting."""
-    np.savetxt(path, np.column_stack([spectrum.grid, spectrum.values]),
-               header="direction_cosine pseudo_spectrum")

@@ -14,7 +14,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ArrayGeometry:
         ``"planar"`` or ``"linear"``.
     m_h, m_v : int
         Element counts along the horizontal and vertical axes.  Linear
-        arrays use ``m_v = 1`` with elements along ``axis``.
+        arrays use ``m_v = 1`` with elements along the y-axis.
     d_h, d_v : float
         Element spacings in meters.
     center : ndarray
@@ -47,9 +47,6 @@ class ArrayGeometry:
     positions : ndarray
         Element positions, shape ``(M, 3)``, in the canonical
         vertical-fastest order.
-    axis : ndarray
-        Unit vector along a linear array's aperture (ignored for planar
-        arrays, where the axes are fixed to y and z).
     """
 
     kind: str
@@ -59,15 +56,10 @@ class ArrayGeometry:
     d_v: float
     center: np.ndarray
     positions: np.ndarray
-    axis: np.ndarray = field(default_factory=lambda: _readonly(np.array([0.0, 1.0, 0.0])))
 
     @property
     def size(self) -> int:
         return self.m_h * self.m_v
-
-    def aperture(self) -> tuple[float, float]:
-        """Physical extent (horizontal, vertical) in meters."""
-        return (self.m_h - 1) * self.d_h, (self.m_v - 1) * self.d_v
 
 
 @dataclass(frozen=True)
@@ -121,23 +113,18 @@ def build_upa(m_h: int, m_v: int, d_h: float, d_v: float, center) -> ArrayGeomet
     )
 
 
-def build_ula(n: int, spacing: float, center, axis=(0.0, 1.0, 0.0)) -> ArrayGeometry:
-    """Build a uniform linear array along ``axis`` (default: the y-axis)."""
+def build_ula(n: int, spacing: float, center) -> ArrayGeometry:
+    """Build a uniform linear array along the y-axis."""
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
     if spacing <= 0:
         raise ValueError(f"antenna spacing must be > 0, got {spacing}")
     center = np.asarray(center, dtype=float).reshape(3)
-    axis = np.asarray(axis, dtype=float).reshape(3)
-    norm = np.linalg.norm(axis)
-    if norm == 0:
-        raise ValueError("axis must be a nonzero vector")
-    axis = axis / norm
     offsets = (np.arange(n) - (n - 1) / 2.0) * spacing
-    pos = center + offsets[:, None] * axis
+    pos = center + np.outer(offsets, (0.0, 1.0, 0.0))
     return ArrayGeometry(
         kind="linear", m_h=n, m_v=1, d_h=spacing, d_v=spacing,
-        center=_readonly(center), positions=_readonly(pos), axis=_readonly(axis),
+        center=_readonly(center), positions=_readonly(pos),
     )
 
 
@@ -178,20 +165,6 @@ def partition(geom: ArrayGeometry, i_h: int, i_v: int) -> SubarrayTiling:
             )
             tiles.append(SubarrayTile(geometry=tile_geom, antenna_indices=_readonly(idx)))
     return SubarrayTiling(parent=geom, i_h=i_h, i_v=i_v, tiles=tuple(tiles))
-
-
-def wave_vector(theta: float, phi: float) -> np.ndarray:
-    """Unit propagation direction for elevation ``theta``, azimuth ``phi``.
-
-    Components are ``(sin θ cos φ, sin θ sin φ, cos θ)``.  ``theta`` must
-    lie in [0, π] and ``phi`` in (−π, π].
-    """
-    if not (-_UNIT_NORM_TOL <= theta <= np.pi + _UNIT_NORM_TOL):
-        raise ValueError(f"elevation must be in [0, pi], got {theta}")
-    if not (-np.pi - _UNIT_NORM_TOL < phi <= np.pi + _UNIT_NORM_TOL):
-        raise ValueError(f"azimuth must be in (-pi, pi], got {phi}")
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 def recover_kx(k_y: float, k_z: float) -> np.ndarray:

@@ -150,7 +150,7 @@ _RUNNERS = {
     "proposed-omp3": lambda ctx, draw: _three_stage(ctx, draw, ctx.combiner, "omp"),
     "stage1-only": _stage1_only,
     "antenna-wise-dft": lambda ctx, draw: _antenna_wise(
-        ctx, draw, ctx.full_array_dictionary()),
+        ctx, draw, ctx.full_array_dictionary().operator()),
     "antenna-wise-spherical": lambda ctx, draw: _antenna_wise(
         ctx, draw, ctx.spherical_dictionary()),
     "antenna-wise-subarray-dft": lambda ctx, draw: _antenna_wise(
@@ -251,9 +251,11 @@ class ExperimentConfig:
         if self.bs_m_h % self.tiles_h or self.bs_m_v % self.tiles_v:
             raise ValueError(f"{self.tiles_h}x{self.tiles_v} tiles must divide the "
                              f"{self.bs_m_h}x{self.bs_m_v} array")
-        m_i = (self.bs_m_h // self.tiles_h) * (self.bs_m_v // self.tiles_v)
-        if m_i % self.m_s:
-            raise ValueError(f"M_s={self.m_s} must divide the tile size {m_i}")
+        m_ih, m_iv = self.bs_m_h // self.tiles_h, self.bs_m_v // self.tiles_v
+        if min(m_ih, m_iv) < 2:  # stage 2 runs MUSIC along each tile axis
+            raise ValueError(f"tiles of {m_ih}x{m_iv} antennas: stage 2 needs 2 or more per axis")
+        if (m_ih * m_iv) % self.m_s:
+            raise ValueError(f"M_s={self.m_s} must divide the tile size {m_ih * m_iv}")
 
     @property
     def wavelength(self) -> float:
@@ -472,10 +474,9 @@ class SweepContext:
 
     def spherical_dictionary(self):
         if "spherical" not in self._lazy:
-            r_min, r_max, count = self.config.spherical_rings
             self._lazy["spherical"] = build_spherical_baseline(
-                self.bs, SPHERICAL_ANGLE_GRID, reciprocal_distance_rings(r_min, r_max, count),
-                self.config.wavelength)
+                self.bs, SPHERICAL_ANGLE_GRID,
+                reciprocal_distance_rings(*self.config.spherical_rings), self.config.wavelength)
         return self._lazy["spherical"]
 
 

@@ -25,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scene, los_channel
-from .dictionaries import (
-    AngularDictionary,
-    SphericalDictionary,
-    build_location,
-)
+from .dictionaries import AngularDictionary, KroneckerOperator, build_location
 from .doa import extract_axis_factors, music_1d, subarray_covariance
 from .errors import (
     DegenerateGeometryError,
@@ -40,7 +36,9 @@ from .errors import (
 from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
 from .sensing import CombinerDesign, PrecoderDesign
-from .solvers import SparseProblem, SparseSolution, _is_integer, _is_real, omp, sbl_em
+from .solvers import (
+    MatrixOperator, SparseProblem, SparseSolution, _is_integer, _is_real, omp, sbl_em,
+)
 
 # noise-variance floor used when solving noiseless problems with SBL,
 # relative to the per-sample observation energy
@@ -242,7 +240,8 @@ def stage3(
     loc_dict = build_location(p_hat, dx, dy, dz, sx, sy, sz, bs, ue_template, wavelength,
                               record.precoder.w[:, 0])
     a_bar = location_operator(record, loc_dict.matrix)
-    problem = SparseProblem(a_bar, record.observations[:, 0])
+    problem = SparseProblem(MatrixOperator(a_bar, np.linalg.norm(a_bar, axis=0)),
+                            record.observations[:, 0])
     if solver == "sbl":
         sol, _state = sbl_em(
             problem, sigma2=_effective_noise_var(record),
@@ -275,10 +274,10 @@ def stage1_only_estimate(
 
 def baseline_antenna_wise(
     record: ReceptionRecord,
-    dictionary: AngularDictionary | SphericalDictionary,
+    dictionary: AngularDictionary | KroneckerOperator | MatrixOperator,
     per_subarray: bool = False,
 ) -> np.ndarray:
-    """Antenna-wise SIMO estimation over a full-array dictionary.
+    """Antenna-wise SIMO estimation over a full-array dictionary's operator.
 
     Expects the B = N block record of the DFT precoder at per-block power
     ``p/N``, so the total pilot energy matches the single-block schemes.
@@ -286,10 +285,11 @@ def baseline_antenna_wise(
     channel is recovered independently with OMP and the estimate is
     assembled column by column from the atoms on its support.  The
     full-array variant needs ``V^H V = I`` (else ``ValueError``) and runs
-    OMP on the dictionary against ``V^H y / sqrt(p)``, as if on the never
-    formed ``sqrt(p) V D``; an angular dictionary scores it as
-    ``A_h^H unvec(V^H y) conj(A_v)``.  With ``per_subarray=True`` OMP runs
-    tile by tile on the tile operators of ``stage1``.
+    OMP on the operator against ``V^H y / sqrt(p)``, as if on the never
+    formed ``sqrt(p) V D``; the angular dictionary's operator scores it as
+    ``A_h^H unvec(V^H y) conj(A_v)``.  With ``per_subarray=True``
+    ``dictionary`` is the tile ``AngularDictionary``, and OMP runs tile by
+    tile on its tile operators, as in ``stage1``.
     """
     combiner, precoder = record.combiner, record.precoder
     n = precoder.w.shape[0]
@@ -315,11 +315,10 @@ def baseline_antenna_wise(
         y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
         outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
         tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
-        op = dictionary.operator()
         for col in range(n):
-            sol = omp(SparseProblem(op, z[:, col] / scale),
+            sol = omp(SparseProblem(dictionary, z[:, col] / scale),
                       max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
-            h_hat[:, col] = op.columns(sol.support) @ sol.coefficients[sol.support]
+            h_hat[:, col] = dictionary.columns(sol.support) @ sol.coefficients[sol.support]
     return h_hat
 
 
@@ -338,7 +337,7 @@ def baseline_eigen_dictionary(
     vec(H) basis is formed.
     """
     p_hat = np.asarray(p_hat, dtype=float).reshape(3)
-    ue = build_ula(ue_template.m_h, ue_template.d_h, p_hat, ue_template.axis)
+    ue = build_ula(ue_template.m_h, ue_template.d_h, p_hat)
     h0 = los_channel(bs, ue, wavelength)
     u, _s, vh = np.linalg.svd(h0, full_matrices=False)
     g = location_operator(record, u * (vh @ record.precoder.w[:, 0]))

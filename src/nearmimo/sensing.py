@@ -234,27 +234,3 @@ def uniform_precoder(n: int) -> PrecoderDesign:
     if n < 1:
         raise ValueError(f"need at least one user antenna, got {n}")
     return PrecoderDesign(w=np.full((n, 1), 1.0 / np.sqrt(n), dtype=complex), kind="uniform")
-
-
-def empirical_noise_covariance(
-    design: CombinerDesign, sigma2: float, n_samples: int, seed: int,
-    batch: int = 200,
-) -> np.ndarray:
-    """Monte-Carlo covariance of the combined noise ``Vhat @ n``.
-
-    Draws ``n ~ CN(0, sigma2 I_TM)`` and accumulates the sample
-    covariance of the (T*M_RF)-dimensional combined noise.
-    """
-    t, m = design.t_slots, design.num_antennas
-    dim = t * design.m_rf_total
-    rng = np.random.default_rng(seed)
-    cov = np.zeros((dim, dim), dtype=complex)
-    done = 0
-    while done < n_samples:
-        nb = min(batch, n_samples - done)
-        noise = rng.standard_normal((t, m, nb)) + 1j * rng.standard_normal((t, m, nb))
-        noise *= np.sqrt(sigma2 / 2.0)
-        out = design.apply(noise)
-        cov += out @ out.conj().T
-        done += nb
-    return cov / n_samples

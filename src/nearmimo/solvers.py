@@ -1,14 +1,13 @@
 """Generic sparse recovery: orthogonal matching pursuit and SBL.
 
-Both solvers operate on a :class:`SparseProblem` holding a complex
-sensing matrix ``A`` (P x Q), observation ``y`` (P) and the column norms
-of ``A``, computed once when the problem is built (or passed in by a
-caller that poses many problems on one matrix).  OMP greedily selects
-atoms by normalized correlation with the residual, dividing by those
-stored norms, and refits by least squares.  It reaches ``A`` only
-through an operator's scores and support columns, so a structured
-operator that never forms ``A`` (``dictionaries.KroneckerOperator``)
-runs the same loop as a matrix.  SBL places independent
+Both solvers operate on a :class:`SparseProblem` holding an operator for
+the complex sensing matrix ``A`` (P x Q), which carries the column norms
+of ``A`` from the code that built it, and the observation ``y`` (P).  OMP
+greedily selects atoms by normalized correlation with the residual and
+refits by least squares; it reaches ``A`` only through the operator's
+scores and support columns, so a structured operator that never forms
+``A`` (``dictionaries.KroneckerOperator``) runs the same loop as a
+:class:`MatrixOperator`.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
 variance held fixed, by the sequential rule of Tipping & Faul (AISTATS
@@ -51,12 +50,13 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class MatrixOperator:
-    """A formed P x Q matrix behind the operator interface ``omp`` selects through.
+    """A formed P x Q matrix with its column norms, behind the operator interface.
 
     An operator gives ``shape`` (P, Q), ``column_norms``, ``scores(r)``
     (the normalized correlations ``|a_q^H r| / ||a_q||``) and
     ``columns(support)`` (the P x K columns of a support);
-    ``dictionaries.KroneckerOperator`` is the structured one.
+    ``dictionaries.KroneckerOperator`` is the structured one.  The code
+    that builds a matrix gives its norms, which are not recomputed here.
     """
 
     matrix: np.ndarray
@@ -77,63 +77,35 @@ class MatrixOperator:
 class SparseProblem:
     """A linear observation ``y = A x + n`` with x presumed sparse.
 
-    Parameters
-    ----------
-    sensing_matrix : ndarray, shape (P, Q), or an operator
-        Complex dictionary / sensing product, or an operator with the
-        interface of :class:`MatrixOperator` that never forms it (OMP
-        only; SBL needs the matrix).  Must not have an all-zero column.
-    observation : ndarray, shape (P,)
-    column_norms : ndarray, shape (Q,), optional
-        ``np.linalg.norm(sensing_matrix, axis=0)`` of a matrix, computed
-        here when omitted.  A caller that poses many problems on one
-        matrix passes them once computed; they are checked for shape and
-        zeros, not recomputed.  An operator carries its own.  OMP divides
-        its correlations by them.
+    ``operator`` is a :class:`MatrixOperator` or another operator with its
+    interface (OMP only; SBL needs the matrix).  Its shape must be 2D,
+    non-empty and match ``observation`` (P,), and no column norm may be
+    zero; OMP divides its correlations by them.
     """
 
-    sensing_matrix: np.ndarray | object
+    operator: MatrixOperator | object
     observation: np.ndarray
-    column_norms: np.ndarray | None = None
 
     def __post_init__(self):
-        a = self.sensing_matrix
-        if hasattr(a, "scores"):
-            if self.column_norms is not None:
-                raise ValueError("an operator carries its own column norms")
-            norms = a.column_norms
-        else:
-            a = np.asarray(a)
-            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-                raise ValueError(f"sensing matrix must be 2D and non-empty, got {a.shape}")
-            if self.column_norms is None:
-                norms = np.linalg.norm(a, axis=0)
-            else:
-                norms = np.asarray(self.column_norms)
-                if norms.shape != (a.shape[1],):
-                    raise ValueError(
-                        f"column norms shape {norms.shape} != ({a.shape[1]},)"
-                    )
+        op = self.operator
+        if isinstance(op, np.ndarray):
+            raise TypeError("pass a sensing matrix as MatrixOperator(matrix, column_norms)")
+        shape = op.shape
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"sensing matrix must be 2D and non-empty, got {shape}")
+        norms = np.asarray(op.column_norms)
+        if norms.shape != (shape[1],):
+            raise ValueError(f"column norms shape {norms.shape} != ({shape[1]},)")
         y = np.asarray(self.observation).reshape(-1)
-        if y.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"observation length {y.shape[0]} != matrix rows {a.shape[0]}"
-            )
+        if y.shape[0] != shape[0]:
+            raise ValueError(f"observation length {y.shape[0]} != matrix rows {shape[0]}")
         if np.any(norms == 0):
             raise ValueError("sensing matrix contains an all-zero column")
-        object.__setattr__(self, "sensing_matrix", a)
         object.__setattr__(self, "observation", y)
-        object.__setattr__(self, "column_norms", norms)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.sensing_matrix.shape
-
-    @property
-    def operator(self):
-        """The operator OMP selects through: the one given, or the matrix behind its interface."""
-        a = self.sensing_matrix
-        return a if hasattr(a, "scores") else MatrixOperator(a, self.column_norms)
+        return self.operator.shape
 
 
 @dataclass(frozen=True)
@@ -173,7 +145,7 @@ def omp(
 
     Atoms are scored by ``|a_q^H r| / ||a_q||`` against the current
     residual (columns may carry unequal physical amplitudes; the norms
-    are the problem's stored ``column_norms``), ties break
+    are the operator's ``column_norms``), ties break
     toward the lowest index, and the coefficients are refit by least
     squares on the accumulated support after every selection.
 
@@ -232,7 +204,7 @@ def omp(
 
 def sbl_em(
     problem: SparseProblem,
-    sigma2: float | None = None,
+    sigma2: float,
     max_iters: int = 200,
     tol: float = 1e-6,
     gamma_floor: float = 1e-8,
@@ -268,8 +240,9 @@ def sbl_em(
     Parameters
     ----------
     problem : SparseProblem
+        Its operator must be a :class:`MatrixOperator`.
     sigma2 : float
-        Noise variance; required (``None`` raises ``ValueError``).
+        Noise variance, positive.
     max_iters, tol : stopping controls.  The rule converges once every
         atom in the model sits within relative ``tol`` of its (capped)
         single-atom optimum and no atom outside it that it does not
@@ -291,17 +264,17 @@ def sbl_em(
     DivergenceError
         If an iterate turns non-finite; carries the step index.
     """
-    if sigma2 is None or sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
     if not _is_integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if hasattr(problem.sensing_matrix, "scores"):
-        raise ValueError("SBL needs a formed sensing matrix, not an operator")
-    a = problem.sensing_matrix
+    if not isinstance(problem.operator, MatrixOperator):
+        raise ValueError("SBL needs a formed sensing matrix: a MatrixOperator problem")
+    a = problem.operator.matrix
     y = problem.observation
     p, q_full = a.shape
     b = (y.conj() @ a).conj()  # A^H y
-    norms2 = problem.column_norms ** 2
+    norms2 = problem.operator.column_norms ** 2
     y_energy = float(np.vdot(y, y).real)
     gamma_cap = _GAMMA_CAP * y_energy / norms2
     sigma = np.sqrt(sigma2)

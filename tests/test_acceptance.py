@@ -11,7 +11,9 @@ import time
 
 import numpy as np
 import pytest
+from helpers import dense_problem
 from scipy.optimize import minimize
+from test_sensing import dense_reference, noise_gram
 
 from nearmimo.channel import Scene, far_field_steering, synthesize
 from nearmimo.dictionaries import build_angular
@@ -20,8 +22,8 @@ from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import desk_profile, paper_profile, run_sweep
 from nearmimo.localization import Ray, ls_intersect, ray_misfit
 from nearmimo.pipeline import simulate_reception, stage1, stage2, stage3
-from nearmimo.sensing import design_combiner, empirical_noise_covariance, uniform_precoder
-from nearmimo.solvers import SparseProblem, omp, sbl_em
+from nearmimo.sensing import design_combiner, uniform_precoder
+from nearmimo.solvers import omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -60,15 +62,12 @@ def test_acceptance_2_noise_whiteness(paper_setup):
     tic = time.perf_counter()
     _bs, _tiling, combiner = paper_setup
     sigma2 = 1.0
-    cov = empirical_noise_covariance(combiner, sigma2, n_samples=10_000, seed=0)
-    diag_mean = float(np.real(np.diag(cov)).mean())
-    off_max = float(np.abs(cov - np.diag(np.diag(cov))).max())
-    assert abs(diag_mean - sigma2) < 0.05 * sigma2
-    assert off_max < 0.05 * sigma2
+    cov = sigma2 * noise_gram(dense_reference(combiner)[0])  # exact sigma^2 V V^H
+    err = float(np.abs(cov - sigma2 * np.eye(cov.shape[0])).max())
+    assert err < 1e-13 * sigma2
     elapsed = time.perf_counter() - tic
     assert elapsed < 30.0
-    _report(2, "noise whiteness", elapsed, 30,
-            f"diag mean {diag_mean:.4f}, max off-diag {off_max:.4f}")
+    _report(2, "noise whiteness", elapsed, 30, f"max |cov - sigma^2 I| {err:.1e}")
 
 
 def test_acceptance_3_solver_oracles():
@@ -95,7 +94,7 @@ def test_acceptance_3_solver_oracles():
         instances += 1
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = matrix[:, atoms] @ coeffs
-        sol = omp(SparseProblem(matrix, y), max_atoms=2)
+        sol = omp(dense_problem(matrix, y), max_atoms=2)
         x_true = np.zeros(dictionary.num_atoms, dtype=complex)
         x_true[atoms] = coeffs
         err = np.linalg.norm(sol.coefficients - x_true) / np.linalg.norm(x_true)
@@ -110,7 +109,7 @@ def test_acceptance_3_solver_oracles():
         x[rng.choice(q, 2, replace=False)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         sigma = 0.05
         y = a @ x + sigma * (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2)
-        _sol, state = sbl_em(SparseProblem(a, y), sigma2=sigma ** 2)
+        _sol, state = sbl_em(dense_problem(a, y), sigma2=sigma ** 2)
         m, gamma = a[:, state.active], state.gamma[state.active]
         lhs = (m.conj().T @ m / sigma ** 2 + np.diag(1.0 / gamma)) @ state.mean[state.active]
         rhs = m.conj().T @ y / sigma ** 2

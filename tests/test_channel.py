@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from helpers import planar_far_field_steering, wave_vector
 
 from nearmimo.channel import (
-    ChannelRealization,
     PathParams,
     Scene,
     far_field_steering,
     los_channel,
     near_field_steering,
-    planar_far_field_steering,
     synthesize,
 )
 from nearmimo.errors import SingularGeometryError
-from nearmimo.geometry import build_ula, build_upa, wave_vector
+from nearmimo.geometry import build_ula, build_upa
 from nearmimo.matfile import load_matrix, save_matrix
 
 WAVELENGTH = 299792458.0 / 6.8e9

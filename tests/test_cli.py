@@ -1,6 +1,5 @@
 import csv
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +96,9 @@ _BAD_CONFIGS = {
     "no-ue-antennas": (lambda d: d.update(n_ue=0), "n_ue must be at least 1"),
     "no-pilot-slots": (lambda d: d.update(t_slots=0), "t_slots must be at least 1"),
     "no-bs-columns": (lambda d: d.update(bs_m_h=0), "bs_m_h must be at least 1"),
+    # stage 2's per-axis MUSIC needs two antennas along each tile axis
+    "one-column-tiles": (lambda d: d.update(bs_m_h=2, tiles_h=2), "tiles of 1x12 antennas"),
+    "one-row-tiles": (lambda d: d.update(bs_m_v=4, tiles_v=4), "tiles of 6x1 antennas"),
     # a float or box value that would fail partway through a sweep or run the wrong scene
     "zero-carrier": (lambda d: d.update(carrier_freq_hz=0), "carrier_freq_hz must be finite"),
     "negative-carrier": (lambda d: d.update(carrier_freq_hz=-6.8e9),

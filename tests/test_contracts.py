@@ -1,6 +1,7 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
+from helpers import dense_problem
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from nearmimo.dictionaries import build_angular, build_location
 from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
 from nearmimo.sensing import design_combiner, random_combiner
-from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, SparseProblem, omp, sbl_em
+from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -53,7 +54,7 @@ def test_precoded_atoms_equal_the_per_antenna_sum(problem):
     shape, w, counts = problem
     center = (5.0, 0.5, -1.0)
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(w.size, HALF, center, (0.3, 1.0, 0.2))
+    ue = build_ula(w.size, HALF, center)
     d = build_location(center, 0.2, 0.2, 0.02, *counts, bs, ue, WAVELENGTH, w)
     expected = np.zeros((bs.size, d.num_atoms), dtype=complex)
     for offset, w_n in zip(d.offsets, w):
@@ -130,7 +131,7 @@ def sbl_problems(draw):
     y = a @ x
     sigma2 = float(np.vdot(y, y).real) / p * 10 ** (-snr_db / 10)
     y = y + np.sqrt(sigma2 / 2) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    return SparseProblem(a, y), sigma2
+    return dense_problem(a, y), sigma2
 
 
 def _support_is_sound(sol, state, q):
@@ -145,7 +146,7 @@ def _support_is_sound(sol, state, q):
 def test_sequential_sbl_converged_meets_its_stop_rule(case):
     # s, q recomputed from C = sigma^2 I + Phi Gamma Phi^H, formed densely
     problem, sigma2 = case
-    a, y = problem.sensing_matrix, problem.observation
+    a, y = problem.operator.matrix, problem.observation
     tol = 1e-6
     sol, state = sbl_em(problem, sigma2=sigma2, tol=tol)
     _support_is_sound(sol, state, a.shape[1])
@@ -158,14 +159,14 @@ def test_sequential_sbl_converged_meets_its_stop_rule(case):
     s, q = big_s.copy(), big_q.copy()
     s[model] = big_s[model] / (1 - gamma * big_s[model])
     q[model] = big_q[model] / (1 - gamma * big_s[model])
-    cap = _GAMMA_CAP * np.vdot(y, y).real / problem.column_norms ** 2
+    cap = _GAMMA_CAP * np.vdot(y, y).real / problem.operator.column_norms ** 2
     optimum = np.minimum(np.maximum(np.abs(q) ** 2 - s, 0) / s ** 2, cap)
     np.testing.assert_allclose(optimum[model], gamma, rtol=2 * tol)
     # every atom outside the model that the model does not span stays out
     outside = np.setdiff1d(np.arange(a.shape[1]), model)
     basis = np.linalg.qr(a[:, model])[0]
     rest = a[:, outside] - basis @ (basis.conj().T @ a[:, outside])
-    joinable = np.sum(np.abs(rest) ** 2, axis=0) > 1e3 * _SPAN_RTOL * problem.column_norms[outside] ** 2
+    joinable = np.sum(np.abs(rest) ** 2, axis=0) > 1e3 * _SPAN_RTOL * problem.operator.column_norms[outside] ** 2
     assert np.all(np.abs(q[outside][joinable]) ** 2 <= s[outside][joinable] * (1 + 1e-9))
 
 
@@ -183,7 +184,7 @@ def omp_problems(draw):
     x = np.zeros(q, dtype=complex)
     x[rng.choice(q, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     y = a @ x + noise * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    return SparseProblem(a, y), max_atoms, residual_tol
+    return dense_problem(a, y), max_atoms, residual_tol
 
 
 @CONTRACT

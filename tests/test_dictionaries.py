@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import planar_far_field_steering
 
-from nearmimo.channel import los_channel, near_field_steering, planar_far_field_steering
+from nearmimo.channel import los_channel, near_field_steering
 from nearmimo.dictionaries import (
     build_angular,
     build_location,
@@ -139,15 +140,10 @@ class TestSpherical:
     def test_far_ring_matches_plane_wave_model(self):
         bs = build_upa(6, 8, HALF, HALF, (0, 0, 0))
         d = build_spherical_baseline(bs, 8, [1e6], WAVELENGTH)
-        # pick an interior grid pair well inside the unit disk
-        ky = d.cosines[4]
-        kz = d.cosines[5]
-        col = None
-        for j, (eky, ekz, _r) in enumerate(d.entries):
-            if eky == ky and ekz == kz:
-                col = d.matrix[:, j]
-                break
-        model = planar_far_field_steering(6, 8, HALF, HALF, ky, kz, WAVELENGTH)
+        # an interior grid pair well inside the unit disk: column iy * 8 + iz of the one ring
+        g = cosine_grid(8)
+        col = d.matrix[:, 4 * 8 + 5]
+        model = planar_far_field_steering(6, 8, HALF, HALF, g[4], g[5], WAVELENGTH)
         phase = np.angle(col * model.conj())
         phase -= phase.mean()
         assert np.abs(phase).max() < 1e-3
@@ -181,7 +177,7 @@ def location_reference(center, half_widths, counts, bs, ue):
     for x in axes[0]:
         for y in axes[1]:
             for z in axes[2]:
-                moved = build_ula(ue.m_h, ue.d_h, (x, y, z), ue.axis)
+                moved = build_ula(ue.m_h, ue.d_h, (x, y, z))
                 cols.append(los_reference(bs, moved).ravel(order="F"))
     return np.column_stack(cols)
 
@@ -226,7 +222,7 @@ def random_precoder(n, seed):
 @pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
 def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(n_ue, HALF, center, (0.3, 1.0, 0.2))
+    ue = build_ula(n_ue, HALF, center)
     d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH,
                        random_precoder(n_ue, 0))
     np.testing.assert_array_equal(
@@ -238,7 +234,7 @@ def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_width
 def test_precoded_atoms_bit_identical_to_contracted_reference(
         shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(n_ue, HALF, center, (0.3, 1.0, 0.2))
+    ue = build_ula(n_ue, HALF, center)
     reference = location_reference(center, half_widths, counts, bs, ue)
     for w in (random_precoder(n_ue, 1), np.full(n_ue, 1 / np.sqrt(n_ue), dtype=complex)):
         d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH, w)
@@ -265,7 +261,7 @@ def test_spherical_bit_identical_to_per_atom_loop(shape, angle_grid, rings):
 
 def test_channel_helpers_bit_identical_to_one_expression():
     bs = build_upa(10, 15, HALF, HALF, (0, 0, 0))
-    ue = build_ula(4, HALF, (6.0, 1.0, -1.0), (0.2, 1.0, 0.0))
+    ue = build_ula(4, HALF, (6.0, 1.0, -1.0))
     np.testing.assert_array_equal(los_channel(bs, ue, WAVELENGTH), los_reference(bs, ue))
     for pos in ([3.0, -2.0, 0.5], [12.0, 4.0, -3.0]):
         np.testing.assert_array_equal(

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from helpers import planar_far_field_steering
 
-from nearmimo.channel import far_field_steering, planar_far_field_steering
+from nearmimo.channel import far_field_steering
 from nearmimo.doa import (
     _steering,
-    dump_spectrum,
     extract_axis_factors,
     music_1d,
     subarray_covariance,
@@ -126,17 +126,10 @@ class TestMusic1d:
             spec = music_1d(self._cov(8, target), 8, HALF, WAVELENGTH)
             assert abs(spec.peak - target) < (2.0 / z) / 10
 
-    def test_n_sources_validation(self):
-        with pytest.raises(ValueError):
-            music_1d(np.eye(4, dtype=complex), 4, HALF, WAVELENGTH, n_sources=4)
-
-    def test_spectrum_dump(self, tmp_path):
-        spec = music_1d(self._cov(6, 0.1), 6, HALF, WAVELENGTH, grid_points=64)
-        out = tmp_path / "spec.txt"
-        dump_spectrum(out, spec)
-        data = np.loadtxt(out)
-        assert data.shape == (64, 2)
-        np.testing.assert_allclose(data[:, 0], spec.grid)
+    def test_single_antenna_axis_rejected(self):
+        # one antenna has no noise subspace to scan
+        with pytest.raises(ValueError, match="at least 2 antennas"):
+            music_1d(np.eye(1, dtype=complex), 1, HALF, WAVELENGTH)
 
 
 class TestSteeringMemo:

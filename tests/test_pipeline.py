@@ -3,15 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import dense_problem, wave_vector
 
-from nearmimo.channel import PathParams, Scene, synthesize
+from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
     build_angular,
     build_spherical_baseline,
     reciprocal_distance_rings,
 )
 from nearmimo.errors import StageFailure
-from nearmimo.geometry import build_ula, build_upa, partition, wave_vector
+from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import draw_scene, noise_var_for_snr, paper_profile
 from nearmimo.localization import Ray, ls_intersect
 from nearmimo.pipeline import (
@@ -34,7 +35,7 @@ from nearmimo.sensing import (
     random_combiner,
     uniform_precoder,
 )
-from nearmimo.solvers import SparseProblem, omp
+from nearmimo.solvers import MatrixOperator, omp
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -235,7 +236,7 @@ class TestSharedTileOperator:
         y = rec.observations[:, 0]
         for i in range(comb.tiling.num_tiles):
             a_bar = tile_reference(comb, i, d, scale)
-            ref = omp(SparseProblem(a_bar, y[comb.tile_rows(i)]),
+            ref = omp(dense_problem(a_bar, y[comb.tile_rows(i)]),
                       max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
             np.testing.assert_array_equal(sols[i].support, ref.support)
             self.assert_close(sols[i].coefficients, ref.coefficients)
@@ -256,7 +257,7 @@ class TestSharedTileOperator:
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, np.sqrt(rec.power))
             for col in range(n):
-                sol = omp(SparseProblem(a_bar, per_antenna[comb.tile_rows(i), col]),
+                sol = omp(dense_problem(a_bar, per_antenna[comb.tile_rows(i), col]),
                           max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
                 ref[tile.antenna_indices, col] = kron_reference(d) @ sol.coefficients
         self.assert_close(h_hat, ref)
@@ -405,9 +406,9 @@ class TestThreeStage:
         assert nmse3 < nmse1
 
 
-def dense_dictionary(dictionary) -> np.ndarray:
-    """A full-array dictionary as a matrix: the spherical one's, or ``A_h ⊗ A_v``."""
-    return dictionary.matrix if hasattr(dictionary, "matrix") else kron_reference(dictionary)
+def dense_dictionary(op) -> np.ndarray:
+    """A full-array dictionary's operator as a matrix: the spherical one's, or ``A_h ⊗ A_v``."""
+    return op.matrix if isinstance(op, MatrixOperator) else kron_reference(op.dictionary)
 
 
 def explicit_operator_baseline(rec, dictionary):
@@ -417,7 +418,7 @@ def explicit_operator_baseline(rec, dictionary):
     a_bar = np.sqrt(rec.power) * rec.combiner.apply(d)
     h_hat = np.zeros((rec.combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
     for col in range(h_hat.shape[1]):
-        sol = omp(SparseProblem(a_bar, per_antenna[:, col]),
+        sol = omp(dense_problem(a_bar, per_antenna[:, col]),
                   max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
         h_hat[:, col] = d @ sol.coefficients
     return h_hat
@@ -430,7 +431,7 @@ class TestFullArrayAntennaWise:
     def dictionaries(self, desk):
         bs = desk["bs"]
         return {
-            "dft": build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, 32),
+            "dft": build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, 32).operator(),
             "spherical": build_spherical_baseline(
                 bs, 16, reciprocal_distance_rings(1.5, 8.0, 3), WAVELENGTH),
         }
@@ -510,7 +511,7 @@ class TestBaselines:
         ue = build_ula(2, HALF, center)
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full.operator())
         for col in range(2):
             err = np.linalg.norm(h_hat[:, col] - real.h[:, col]) / np.linalg.norm(real.h[:, col])
             assert err < 1e-5
@@ -526,7 +527,7 @@ class TestBaselines:
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
         full = build_angular(16, 48, HALF, HALF, WAVELENGTH, 64)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full.operator())
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) > -10
 

@@ -8,7 +8,6 @@ from nearmimo.geometry import build_upa, partition
 from nearmimo.sensing import (
     design_combiner,
     design_precoder_dft,
-    empirical_noise_covariance,
     random_combiner,
     uniform_precoder,
 )
@@ -52,6 +51,11 @@ def block_diagonal(slots):
     for k in range(t):
         out[k * m_rf:(k + 1) * m_rf, k * m:(k + 1) * m] = slots[k]
     return out
+
+
+def noise_gram(slots):
+    """``V V^H`` of the block-diagonal combiner, built from the per-slot Grams ``V_t V_t^H``."""
+    return block_diagonal(slots @ slots.conj().transpose(0, 2, 1))
 
 
 COMBINERS = {
@@ -260,10 +264,9 @@ class TestNoiseWhiteness:
         np.testing.assert_allclose(design.apply(noise[..., None])[:, 0], direct, atol=1e-12)
 
     def test_designed_combiner_whitens(self):
+        # noise independent across slots: the combined covariance is
+        # sigma^2 V V^H with V the block-diagonal combiner, exactly sigma^2 I
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
         sigma2 = 2.0
-        cov = empirical_noise_covariance(design, sigma2, n_samples=10_000, seed=0)
-        diag = np.real(np.diag(cov))
-        assert abs(diag.mean() - sigma2) < 0.05 * sigma2
-        off = cov - np.diag(np.diag(cov))
-        assert np.abs(off).max() < 0.05 * sigma2
+        cov = sigma2 * noise_gram(dense_reference(design)[0])
+        np.testing.assert_allclose(cov, sigma2 * np.eye(cov.shape[0]), rtol=0, atol=1e-13)

@@ -1,11 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import dense_problem
 
 from nearmimo.dictionaries import build_angular
 from nearmimo.errors import NumericalRankError
-from nearmimo.solvers import SparseProblem, omp, sbl_em
+from nearmimo.solvers import MatrixOperator, SparseProblem, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -19,7 +21,7 @@ def _random_problem(rng, p, q, sparsity=2, sigma=0.0):
     y = a @ x
     if sigma > 0:
         y = y + sigma * (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2)
-    return SparseProblem(sensing_matrix=a, observation=y), x, support
+    return dense_problem(a, y), x, support
 
 
 def separated_atoms(rng, dictionary, count):
@@ -38,61 +40,66 @@ def separated_atoms(rng, dictionary, count):
 
 
 class TestProblemValidation:
+    """``SparseProblem`` takes an operator, and checks its shape against the observation."""
+
     def test_rejects_zero_column(self):
         a = np.ones((3, 2), dtype=complex)
         a[:, 1] = 0
-        with pytest.raises(ValueError):
-            SparseProblem(sensing_matrix=a, observation=np.ones(3))
+        with pytest.raises(ValueError, match="zero"):
+            dense_problem(a, np.ones(3))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            SparseProblem(sensing_matrix=np.ones((3, 2)), observation=np.ones(4))
+        with pytest.raises(ValueError, match="observation length 4"):
+            dense_problem(np.ones((3, 2)), np.ones(4))
+
+    def test_rejects_a_bare_matrix(self):
+        with pytest.raises(TypeError, match="MatrixOperator"):
+            SparseProblem(np.eye(3, dtype=complex), np.ones(3))
+
+    def test_rejects_a_zero_kronecker_norm(self):
+        op = build_angular(3, 4, HALF, HALF, WAVELENGTH, 4).operator()
+        norms = op.column_norms.copy()
+        norms[5] = 0.0
+        with pytest.raises(ValueError, match="zero"):
+            SparseProblem(replace(op, column_norms=norms), np.ones(12))
+
+    def test_sbl_refuses_a_kronecker_operator(self):
+        problem = SparseProblem(build_angular(3, 4, HALF, HALF, WAVELENGTH, 4).operator(),
+                                np.ones(12))
+        with pytest.raises(ValueError, match="MatrixOperator"):
+            sbl_em(problem, sigma2=0.1)
 
 
 class TestColumnNorms:
-    def test_stored_norms_match_numpy(self):
-        problem, _x, _s = _random_problem(np.random.default_rng(11), 12, 30)
-        np.testing.assert_array_equal(
-            problem.column_norms, np.linalg.norm(problem.sensing_matrix, axis=0)
-        )
+    """The norms a ``MatrixOperator`` is given are checked, not recomputed."""
 
     @pytest.mark.parametrize("norms", [np.ones(29), np.ones((30, 1)), np.ones(31)])
     def test_rejects_passed_norms_of_wrong_shape(self, norms):
         a = np.ones((12, 30), dtype=complex)
         with pytest.raises(ValueError, match="shape"):
-            SparseProblem(a, np.ones(12), column_norms=norms)
+            SparseProblem(MatrixOperator(a, norms), np.ones(12))
 
     def test_rejects_passed_norms_with_a_zero(self):
         norms = np.ones(30)
         norms[7] = 0.0
         with pytest.raises(ValueError, match="zero"):
-            SparseProblem(np.ones((12, 30), dtype=complex), np.ones(12), column_norms=norms)
-
-    def test_omp_identical_with_passed_norms(self):
-        problem, _x, _s = _random_problem(np.random.default_rng(12), 16, 40, sparsity=3, sigma=0.05)
-        a, y = problem.sensing_matrix, problem.observation
-        passed = SparseProblem(a, y, column_norms=np.linalg.norm(a, axis=0))
-        ref = omp(problem, max_atoms=5)
-        sol = omp(passed, max_atoms=5)
-        np.testing.assert_array_equal(sol.coefficients, ref.coefficients)
-        np.testing.assert_array_equal(sol.support, ref.support)
-        assert sol.residual_history == ref.residual_history
+            SparseProblem(MatrixOperator(np.ones((12, 30), dtype=complex), norms), np.ones(12))
 
     def test_omp_scores_with_the_stored_norms(self):
         # a tiny stored norm inflates that atom's score, so OMP picks it
-        # first: the norms are read from the problem, not recomputed
+        # first: the norms are read from the operator, not recomputed
         problem, _x, support = _random_problem(np.random.default_rng(13), 16, 40)
-        a, y = problem.sensing_matrix, problem.observation
+        a, y = problem.operator.matrix, problem.observation
         decoy = next(q for q in range(40) if q not in support)
         norms = np.linalg.norm(a, axis=0)
         norms[decoy] = 1e-12
-        sol = omp(SparseProblem(a, y, column_norms=norms), max_atoms=1)
+        sol = omp(SparseProblem(MatrixOperator(a, norms), y), max_atoms=1)
         assert sol.support[0] == decoy
 
 
 class TestOmp:
     def test_identity_dictionary(self):
-        problem = SparseProblem(np.eye(3, dtype=complex), np.array([0.0, 2.0, 0.0]))
+        problem = dense_problem(np.eye(3, dtype=complex), np.array([0.0, 2.0, 0.0]))
         sol = omp(problem, max_atoms=1)
         np.testing.assert_allclose(sol.coefficients, [0, 2, 0], atol=1e-14)
         assert sol.residual_history[-1] < 1e-14
@@ -102,7 +109,7 @@ class TestOmp:
         rng = np.random.default_rng(0)
         for _ in range(20):
             problem, _x, _s = _random_problem(rng, 12, 40, sparsity=3, sigma=0.1)
-            a, y = problem.sensing_matrix, problem.observation
+            a, y = problem.operator.matrix, problem.observation
             brute = np.argmax(np.abs(a.conj().T @ y) / np.linalg.norm(a, axis=0))
             sol = omp(problem, max_atoms=1)
             assert sol.support[0] == brute
@@ -113,7 +120,7 @@ class TestOmp:
         atoms = separated_atoms(rng, d, 2)
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = d.atoms(atoms) @ coeffs
-        sol = omp(SparseProblem(d.atoms(slice(None)), y), max_atoms=2)
+        sol = omp(dense_problem(d.atoms(slice(None)), y), max_atoms=2)
         np.testing.assert_array_equal(np.sort(sol.support), np.sort(atoms))
         x_true = np.zeros(d.num_atoms, dtype=complex)
         x_true[atoms] = coeffs
@@ -124,7 +131,7 @@ class TestOmp:
         rng = np.random.default_rng(2)
         problem, _x, _s = _random_problem(rng, 16, 32, sparsity=4, sigma=0.05)
         sol = omp(problem, max_atoms=4)
-        a, y = problem.sensing_matrix, problem.observation
+        a, y = problem.operator.matrix, problem.observation
         residual = y - a @ sol.coefficients
         proj = a[:, sol.support].conj().T @ residual
         assert np.abs(proj).max() < 1e-10
@@ -146,21 +153,21 @@ class TestOmp:
     def test_unmet_tolerance_is_not_converged(self):
         # three atoms span 3 of 10 dimensions: a generic y keeps most of its norm
         rng = np.random.default_rng(0)
-        problem = SparseProblem(rng.standard_normal((10, 3)), rng.standard_normal(10))
+        problem = dense_problem(rng.standard_normal((10, 3)), rng.standard_normal(10))
         sol = omp(problem, residual_tol=1e-3)
         assert sol.iterations == 3
         assert sol.residual_history[-1] / sol.residual_history[0] > 1e-3
         assert not sol.converged
 
     def test_zero_observation(self):
-        problem = SparseProblem(np.eye(3, dtype=complex), np.zeros(3))
+        problem = dense_problem(np.eye(3, dtype=complex), np.zeros(3))
         sol = omp(problem, max_atoms=2)
         assert sol.support.size == 0
         np.testing.assert_array_equal(sol.coefficients, 0)
 
     def test_tolerance_met_before_any_atom(self):
         # ||r|| / ||y|| = 1 <= residual_tol already holds for x = 0
-        problem = SparseProblem(np.eye(3, dtype=complex), np.array([1.0, 2.0, 0.0]))
+        problem = dense_problem(np.eye(3, dtype=complex), np.array([1.0, 2.0, 0.0]))
         sol = omp(problem, max_atoms=2, residual_tol=1.0)
         assert sol.support.size == 0 and sol.iterations == 0 and sol.converged
         np.testing.assert_array_equal(sol.coefficients, 0)
@@ -170,10 +177,10 @@ class TestOmp:
         a = np.ones((4, 2), dtype=complex)
         y = np.ones(4) + np.array([1e-3, -1e-3, 1e-3, -1e-3])
         with pytest.raises(NumericalRankError):
-            omp(SparseProblem(a, y), max_atoms=2)
+            omp(dense_problem(a, y), max_atoms=2)
 
     def test_requires_stopping_rule(self):
-        problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
+        problem = dense_problem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError):
             omp(problem)
 
@@ -184,13 +191,13 @@ class TestSblEm:
     def test_scalar_fixed_point(self):
         a = np.ones((5, 1), dtype=complex) / np.sqrt(5)
         y = 3.0 * a[:, 0]
-        sol, state = sbl_em(SparseProblem(a, y), sigma2=1e-8)
+        sol, state = sbl_em(dense_problem(a, y), sigma2=1e-8)
         assert abs(sol.coefficients[0] - 3.0) < 1e-6
         assert state.gamma[0] == pytest.approx(9.0, rel=1e-3)
 
     def test_zero_observation_collapses(self):
         a = np.eye(4, dtype=complex)
-        sol, state = sbl_em(SparseProblem(a, np.zeros(4)), sigma2=0.1)
+        sol, state = sbl_em(dense_problem(a, np.zeros(4)), sigma2=0.1)
         np.testing.assert_array_equal(sol.coefficients, 0)
         assert state.gamma.max() < 1e-2
 
@@ -199,7 +206,7 @@ class TestSblEm:
         rng = np.random.default_rng(5)
         atom = separated_atoms(rng, d, 1)[0]
         y = (1.3 - 0.4j) * d.atoms([atom])[:, 0]
-        problem = SparseProblem(d.atoms(slice(None)), y)
+        problem = dense_problem(d.atoms(slice(None)), y)
         omp_sol = omp(problem, max_atoms=1)
         sbl_sol, _ = sbl_em(problem, sigma2=1e-6)
         assert np.argmax(np.abs(sbl_sol.coefficients)) == omp_sol.support[0]
@@ -211,7 +218,7 @@ class TestSblEm:
         problem, _x, _s = _random_problem(rng, p, q, sparsity=3, sigma=0.05)
         sigma2 = 0.05 ** 2
         _sol, state = sbl_em(problem, sigma2=sigma2)
-        a = problem.sensing_matrix[:, state.active]
+        a = problem.operator.matrix[:, state.active]
         gamma = state.gamma[state.active]
         lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / gamma)) @ state.mean[state.active]
         rhs = a.conj().T @ problem.observation / sigma2
@@ -227,14 +234,18 @@ class TestSblEm:
         assert np.linalg.eigvalsh(cov).min() > 0
 
     def test_rejects_missing_noise_variance(self):
-        problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
-        with pytest.raises(ValueError):
+        # a required argument, and a positive one
+        problem = dense_problem(np.eye(2, dtype=complex), np.ones(2))
+        with pytest.raises(TypeError):
             sbl_em(problem)
+        for sigma2 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive noise variance"):
+                sbl_em(problem, sigma2=sigma2)
 
     @pytest.mark.parametrize("max_iters", [-1, 2.5])
     def test_rejects_negative_max_iters(self, max_iters):
         # a negative cap, or a fractional one the step count never equals, would lift the limit
-        problem = SparseProblem(np.eye(2, dtype=complex), np.ones(2))
+        problem = dense_problem(np.eye(2, dtype=complex), np.ones(2))
         with pytest.raises(ValueError, match="max_iters"):
             sbl_em(problem, sigma2=0.1, max_iters=max_iters)
 
@@ -251,7 +262,7 @@ def _log_evidence(a, y, gamma, sigma2):
 def _em_reference(problem, sigma2, gamma_floor, max_iters=2000, tol=1e-6):
     """Batch EM SBL (Wipf & Rao, IEEE TSP 2004), formed densely: the posterior
     mean with atoms below ``gamma_floor * max(gamma)`` zeroed."""
-    a, y = problem.sensing_matrix, problem.observation
+    a, y = problem.operator.matrix, problem.observation
 
     def posterior(gamma):
         c = sigma2 * np.eye(a.shape[0]) + (a * gamma) @ a.conj().T
@@ -280,7 +291,7 @@ class TestSblSequential:
         # which the first step reaches exactly
         a = np.ones((5, 1), dtype=complex) / np.sqrt(5)
         y = 3.0 * a[:, 0]
-        sol, state = sbl_em(SparseProblem(a, y), sigma2=0.5)
+        sol, state = sbl_em(dense_problem(a, y), sigma2=0.5)
         assert sol.converged and sol.iterations == 1
         assert state.gamma[0] == pytest.approx(8.5, rel=1e-12)
         # posterior mean gamma / (gamma + sigma^2) * a^H y
@@ -294,7 +305,7 @@ class TestSblSequential:
         assert sol.converged
         assert set(planted) <= set(sol.support)
         assert sol.support.size <= 3 + 2
-        a = problem.sensing_matrix[:, state.active]
+        a = problem.operator.matrix[:, state.active]
         mean = state.mean[state.active]
         lhs = (a.conj().T @ a / sigma2 + np.diag(1.0 / state.gamma[state.active])) @ mean
         rhs = a.conj().T @ problem.observation / sigma2
@@ -309,7 +320,7 @@ class TestSblSequential:
             ev = np.array(state.evidence)
             assert ev.size == state.iterations + 1
             assert np.all(np.diff(ev) >= -1e-9)
-            dense = _log_evidence(problem.sensing_matrix, problem.observation, state.gamma, 0.01)
+            dense = _log_evidence(problem.operator.matrix, problem.observation, state.gamma, 0.01)
             assert ev[-1] == pytest.approx(dense, rel=1e-10)
 
     def test_finds_the_em_support_on_a_planted_problem(self):
@@ -328,7 +339,7 @@ class TestSblSequential:
         angles = np.linspace(-1.0, 1.0, 200)
         a = np.exp(1j * np.pi * np.outer(np.arange(16), np.sin(angles)))
         y = a @ (np.exp(1j * np.arange(200)) * (np.abs(angles - 0.3) < 0.02))
-        sol, state = sbl_em(SparseProblem(a, y), sigma2=sigma2)
+        sol, state = sbl_em(dense_problem(a, y), sigma2=sigma2)
         assert np.all(np.isfinite(sol.coefficients))
         assert sol.residual_history[-1] < 1e-3 * sol.residual_history[0]
         assert state.covariance.shape == (state.active.size,) * 2
@@ -347,7 +358,7 @@ class TestSblSequential:
         assert peak < 5e6, peak / 1e6
 
     def test_zero_observation_is_the_empty_model(self):
-        sol, state = sbl_em(SparseProblem(np.eye(4, dtype=complex), np.zeros(4)), sigma2=0.1)
+        sol, state = sbl_em(dense_problem(np.eye(4, dtype=complex), np.zeros(4)), sigma2=0.1)
         assert sol.converged and sol.iterations == 0
         assert sol.support.size == 0 and state.active.size == 0
         np.testing.assert_array_equal(sol.coefficients, 0)

@@ -138,9 +138,10 @@ def test_serial_sweep_of_every_method_loads_neither_scipy_nor_the_pool():
         "import json, sys\n"
         "import numpy as np\n"
         "from nearmimo.harness import METHODS, desk_profile, run_sweep\n"
-        "from nearmimo.solvers import SparseProblem, sbl_em\n"
+        "from nearmimo.solvers import MatrixOperator, SparseProblem, sbl_em\n"
         "table = run_sweep(desk_profile(methods=METHODS, snr_db=(15.0,), trials=1))\n"
-        "sbl_em(SparseProblem(np.eye(4, dtype=complex), np.ones(4)), sigma2=0.1)\n"
+        "sbl_em(SparseProblem(MatrixOperator(np.eye(4, dtype=complex), np.ones(4)), np.ones(4)),\n"
+        "       sigma2=0.1)\n"
         "print(json.dumps({'statuses': [r.status for r in table.rows], 'loaded': sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
         "    or m.startswith('concurrent.futures.process'))}))\n"
