@@ -19,7 +19,7 @@ design = design_combiner(t_slots=6, tiling=tiling, m_rf_per_tile=16)
 print(f"array {bs.m_h}x{bs.m_v} = {bs.size} antennas, "
       f"{design.m_rf_total} RF chains, M_s = {design.m_s}, T = {design.t_slots}")
 
-v = design.matrix()
+v = design.apply(np.eye(design.num_antennas))  # the dense combiner V
 print("|V^H V - I|_F          =", np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 slc = design.apply_tile(0, np.eye(tiling.tiles[0].geometry.size))
 print("|V_i^H V_i - I|_F      =", np.linalg.norm(slc.conj().T @ slc - np.eye(slc.shape[1])))
@@ -38,7 +38,7 @@ print(f"\nexact effective noise covariance sigma^2 V_t V_t^H over all {design.t_
 # random phases are white only in expectation; the designed combiner is
 # orthogonal per realization, which is what preserves signal geometry
 rand = random_combiner(6, tiling, 16, seed=0)
-vr = rand.matrix()
+vr = rand.apply(np.eye(rand.num_antennas))
 print("\nper-realization column Gram error |V^H V - I|_F:")
 print(f"  designed {np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])):.2e}")
 print(f"  random   {np.linalg.norm(vr.conj().T @ vr - np.eye(vr.shape[1])):.2e}")

@@ -39,8 +39,8 @@ scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
 realization = synthesize(scene, rng_seed=0)
 
 record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
-solutions, channels = stage1(record, dictionary)
-estimate, _directions = stage2(channels, tiling, WAVELENGTH)
+solutions, h_sub = stage1(record, dictionary)
+estimate, _directions = stage2(h_sub, tiling, WAVELENGTH)
 # stage 3 on the paper's location grid and SBL run
 solution, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH, paper_profile().stages)
 

@@ -38,9 +38,9 @@ from .pipeline import (
     StageOptions,
     baseline_antenna_wise,
     baseline_eigen_dictionary,
+    baseline_subarray_antenna_wise,
     simulate_reception,
     stage1,
-    stage1_only_estimate,
     stage2,
     stage3,
 )
@@ -81,7 +81,7 @@ def _timed(timings, key, stage, *args, **kwargs):
 
 
 def _stage1(ctx, draw, combiner, timings):
-    """The trial's single-block uniform-precoder record, and stage 1's solutions and channels."""
+    """The trial's single-block uniform-precoder record, and stage 1's solutions and ``h_sub``."""
     record = simulate_reception(
         draw.scene, draw.realization, combiner, uniform_precoder(ctx.config.n_ue),
         draw.noise_seed,
@@ -92,8 +92,8 @@ def _stage1(ctx, draw, combiner, timings):
 def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
     timings = {}
     scene = draw.scene
-    record, sols, channels = _stage1(ctx, draw, combiner, timings)
-    estimate, directions = _timed(timings, "stage2", stage2, channels, ctx.tiling,
+    record, sols, h_sub = _stage1(ctx, draw, combiner, timings)
+    estimate, directions = _timed(timings, "stage2", stage2, h_sub, ctx.tiling,
                                   scene.wavelength)
     sol3, h_hat = _timed(timings, "stage3", stage3, record, estimate.point, scene.bs,
                          scene.ue, scene.wavelength, ctx.config.stages, solver=stage3_solver)
@@ -114,28 +114,28 @@ def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
 
 def _stage1_only(ctx, draw) -> TrialResult:
     timings = {}
-    _record, sols, channels = _stage1(ctx, draw, ctx.combiner, timings)
-    h_hat = stage1_only_estimate(channels, ctx.tiling, ctx.config.n_ue)
+    _record, sols, h_sub = _stage1(ctx, draw, ctx.combiner, timings)
+    # stage 1 estimates each tile's column sum H_i 1_N; it is attributed equally
+    h_hat = np.outer(h_sub, np.ones(ctx.config.n_ue)) / ctx.config.n_ue
     return TrialResult(h_hat, timings=timings,
                        detail={"stage1_supports": [s.support.tolist() for s in sols]})
 
 
-def _antenna_wise(ctx, draw, dictionary, per_subarray=False) -> TrialResult:
+def _antenna_wise(ctx, draw, baseline, dictionary) -> TrialResult:
     """The N-block DFT-precoded record at ``p/N`` per block, and the baseline on it as stage 1."""
     timings = {}
     scene = draw.scene
     record = simulate_reception(scene, draw.realization, ctx.combiner, ctx.dft_precoder,
                                 draw.noise_seed, power=scene.power / ctx.config.n_ue)
-    h_hat = _timed(timings, "stage1", baseline_antenna_wise, record, dictionary,
-                   per_subarray=per_subarray)
+    h_hat = _timed(timings, "stage1", baseline, record, dictionary)
     return TrialResult(h_hat, timings=timings)
 
 
 def _eigen_dictionary(ctx, draw) -> TrialResult:
     timings = {}
     scene = draw.scene
-    record, _sols, channels = _stage1(ctx, draw, ctx.combiner, timings)
-    estimate, _dirs = _timed(timings, "stage2", stage2, channels, ctx.tiling, scene.wavelength)
+    record, _sols, h_sub = _stage1(ctx, draw, ctx.combiner, timings)
+    estimate, _dirs = _timed(timings, "stage2", stage2, h_sub, ctx.tiling, scene.wavelength)
     h_hat = _timed(timings, "stage3", baseline_eigen_dictionary, record, estimate.point,
                    scene.bs, scene.ue, scene.wavelength)
     return TrialResult(h_hat, estimate.point, timings,
@@ -150,11 +150,11 @@ _RUNNERS = {
     "proposed-omp3": lambda ctx, draw: _three_stage(ctx, draw, ctx.combiner, "omp"),
     "stage1-only": _stage1_only,
     "antenna-wise-dft": lambda ctx, draw: _antenna_wise(
-        ctx, draw, ctx.full_array_dictionary().operator()),
+        ctx, draw, baseline_antenna_wise, ctx.full_array_dictionary().operator()),
     "antenna-wise-spherical": lambda ctx, draw: _antenna_wise(
-        ctx, draw, ctx.spherical_dictionary()),
+        ctx, draw, baseline_antenna_wise, ctx.spherical_dictionary()),
     "antenna-wise-subarray-dft": lambda ctx, draw: _antenna_wise(
-        ctx, draw, ctx.tile_dictionary, per_subarray=True),
+        ctx, draw, baseline_subarray_antenna_wise, ctx.tile_dictionary),
     "eigen-dictionary": _eigen_dictionary,
     "random-combiner": lambda ctx, draw: _three_stage(ctx, draw, random_combiner(
         ctx.config.t_slots, ctx.tiling, ctx.m_rf_per_tile, seed=draw.extra_seed)),
@@ -553,6 +553,8 @@ def simulate_once(
     include_timings: bool = False,
 ) -> dict:
     """Run one scene + one method; returns a JSON-able report and matrices."""
+    if seed < 0:  # it seeds the trial's SeedSequence as is; a sweep derives its own
+        raise ValueError(f"simulate needs a non-negative seed, got {seed}")
     draw, result, value, loc_error, status = _trial(SweepContext(config), method, snr_db, seed)
     nmse_db = _db(value)
     report = {

@@ -39,6 +39,8 @@ def load_matrix(path) -> tuple[np.ndarray, float]:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a matrix file (bad magic)")
+    if len(raw) < 4 + _HEADER.size:
+        raise ValueError(f"{path}: truncated matrix file")
     rows, cols, wavelength = _HEADER.unpack_from(raw, 4)
     body = raw[4 + _HEADER.size:]
     expected = rows * cols * 16

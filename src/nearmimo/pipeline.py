@@ -4,18 +4,18 @@ Only ``simulate_reception`` sees the true channel; the stages and the
 baselines work from its record, and ``harness`` composes them.
 Stage 1 slices the single-block observation per subarray and recovers
 each subarray channel over the angular dictionary by Kronecker-OMP, which
-never forms a tile's sensing operator ``V_i D``.  Stage 2 turns those
-reconstructions into refined LoS direction cosines (MUSIC on the
+never forms a tile's sensing operator ``V_i D``; its estimate is one
+M-vector ``h_sub``.  Stage 2 reads it tile by tile, turns each tile's
+reconstruction into refined LoS direction cosines (MUSIC on the
 Kronecker covariance factors) and triangulates the user center by
 least squares.  Stage 3 builds a location-aided dictionary around the
 estimate and recovers the full MIMO channel, by SBL by default.
 ``StageOptions`` holds stage 3's grid and SBL knobs; the rest are constants.
 
-Baselines: antenna-wise SIMO estimation over full-array dictionaries
-(B = N pilot blocks, DFT precoder), its per-subarray variant, a
-stage-1-only assembly, and a single-location eigen-dictionary LS fit.
-All baselines spend the same total pilot energy as the single-block
-schemes.
+Baselines: antenna-wise SIMO estimation (B = N pilot blocks, DFT
+precoder) over a full-array dictionary, or tile by tile through stage
+1's tile-OMP loop, and a single-location eigen-dictionary LS fit.  All
+baselines spend the same total pilot energy as the single-block schemes.
 """
 
 from __future__ import annotations
@@ -144,50 +144,59 @@ def _effective_noise_var(record: ReceptionRecord) -> float:
     return _NOISELESS_SBL_FLOOR * float(np.mean(np.abs(y) ** 2))
 
 
+def _tile_omp(combiner: CombinerDesign, dictionary: AngularDictionary, y: np.ndarray,
+              scale: float, max_atoms: int) -> tuple[list[SparseSolution], np.ndarray]:
+    """OMP over each tile's never formed ``scale * V_i D`` on its rows of every column of ``y``.
+
+    ``y`` is (T*M_RF, K).  Returns the solutions, tile-major, and the M x K
+    estimate that holds each tile's ``D x_hat`` at that tile's antennas.
+    """
+    solutions = []
+    h_hat = np.zeros((combiner.num_antennas, y.shape[1]), dtype=complex)
+    for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
+        antennas = combiner.tiling.tiles[i].antenna_indices
+        for k, y_k in enumerate(y[combiner.tile_rows(i)].T):
+            sol = omp(SparseProblem(op, y_k), max_atoms=max_atoms, residual_tol=OMP_TOL)
+            solutions.append(sol)
+            # support-only product: against the dense D x it moved no support, finite-SNR
+            # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
+            # (noiseless SBL rows move by up to 14 dB under any change of rounding)
+            h_hat[antennas, k] = dictionary.atoms(sol.support) @ sol.coefficients[sol.support]
+    return solutions, h_hat
+
+
 def stage1(
     record: ReceptionRecord, dictionary: AngularDictionary,
-) -> tuple[list[SparseSolution], list[np.ndarray]]:
-    """Per-subarray OMP over the angular dictionary.
+) -> tuple[list[SparseSolution], np.ndarray]:
+    """Per-subarray OMP over the angular dictionary, on the single-block uniform-precoder record.
 
-    Expects the single-block uniform-precoder record; returns the sparse
-    solutions and the reconstructed subarray channels ``A x_hat``.  OMP
-    sees each tile's ``scale * V_i D`` as a Kronecker operator, which is
-    never formed; tiles with equal chain blocks share its column norms.
+    Returns each tile's solution and ``h_sub`` (M,), which holds every
+    tile's estimate ``D x_hat`` of its column sum ``H_i 1_N``.
     """
     if record.precoder.kind != "uniform" or record.num_blocks != 1:
         raise ValueError("stage 1 runs on the single-block uniform-precoder record")
-    combiner = record.combiner
-    n_ue = record.precoder.w.shape[0]
-    scale = np.sqrt(record.power / n_ue)
-    y = record.observations[:, 0]
-    solutions = []
-    channels = []
-    for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
-        sol = omp(SparseProblem(op, y[combiner.tile_rows(i)]),
-                  max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
-        solutions.append(sol)
-        # support-only product: against the dense D x it moved no support, finite-SNR
-        # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
-        # (noiseless SBL rows move by up to 14 dB under any change of rounding)
-        channels.append(dictionary.atoms(sol.support) @ sol.coefficients[sol.support])
-    return solutions, channels
+    scale = np.sqrt(record.power / record.precoder.w.shape[0])
+    solutions, h_sub = _tile_omp(record.combiner, dictionary, record.observations, scale,
+                                 STAGE1_MAX_ATOMS)
+    return solutions, h_sub[:, 0]
 
 
 def stage2(
-    subarray_channels, tiling: SubarrayTiling, wavelength: float,
+    h_sub: np.ndarray, tiling: SubarrayTiling, wavelength: float,
 ) -> tuple[LocationEstimate, list]:
     """Refine per-subarray LoS directions and triangulate the user center.
 
-    Returns the estimate and each tile's direction cosines, ``None`` for
-    a tile whose covariance degenerates or whose cosines leave the unit
-    disk; at least two usable rays are required.
+    ``h_sub`` (M,) is stage 1's estimate, read tile by tile.  Returns the
+    estimate and each tile's direction cosines, ``None`` for a tile whose
+    covariance degenerates or whose cosines leave the unit disk; at least
+    two usable rays are required.
     """
     directions = []
     rays = []
-    for h_i, tile in zip(subarray_channels, tiling.tiles):
+    for tile in tiling.tiles:
         geom = tile.geometry
         try:
-            cov = subarray_covariance(h_i)
+            cov = subarray_covariance(h_sub[tile.antenna_indices])
             c_h, c_v = extract_axis_factors(cov, geom.m_h, geom.m_v)
             k_y = music_1d(c_h, geom.m_h, geom.d_h, wavelength).peak
             k_z = music_1d(c_v, geom.m_v, geom.d_v, wavelength).peak
@@ -256,70 +265,54 @@ def stage3(
     return sol, h_hat.reshape(bs.size, ue_template.size, order="F")
 
 
-def stage1_only_estimate(
-    subarray_channels, tiling: SubarrayTiling, n_ue: int
-) -> np.ndarray:
-    """Assemble a full M x N estimate from stage-1 reconstructions alone.
-
-    Stage 1 estimates the column sum ``H_i 1_N`` of each tile; lacking
-    any per-column information, the sum is attributed equally:
-    ``H_i ≈ h_i 1_N^T / N``.
-    """
-    m = tiling.parent.size
-    h_hat = np.zeros((m, n_ue), dtype=complex)
-    for h_i, tile in zip(subarray_channels, tiling.tiles):
-        h_hat[tile.antenna_indices, :] = np.outer(h_i, np.ones(n_ue)) / n_ue
-    return h_hat
-
-
-def baseline_antenna_wise(
-    record: ReceptionRecord,
-    dictionary: AngularDictionary | KroneckerOperator | MatrixOperator,
-    per_subarray: bool = False,
-) -> np.ndarray:
-    """Antenna-wise SIMO estimation over a full-array dictionary's operator.
+def _dft_per_antenna(record: ReceptionRecord) -> np.ndarray:
+    """``Y W^H``, whose column n observes user antenna n alone: ``sqrt(p) V h_n`` plus noise.
 
     Expects the B = N block record of the DFT precoder at per-block power
     ``p/N``, so the total pilot energy matches the single-block schemes.
-    Right-multiplying by W^H separates the user antennas; each SIMO
-    channel is recovered independently with OMP and the estimate is
-    assembled column by column from the atoms on its support.  The
-    full-array variant needs ``V^H V = I`` (else ``ValueError``) and runs
-    OMP on the operator against ``V^H y / sqrt(p)``, as if on the never
-    formed ``sqrt(p) V D``; the angular dictionary's operator scores it as
-    ``A_h^H unvec(V^H y) conj(A_v)``.  With ``per_subarray=True``
-    ``dictionary`` is the tile ``AngularDictionary``, and OMP runs tile by
-    tile on its tile operators, as in ``stage1``.
     """
-    combiner, precoder = record.combiner, record.precoder
-    n = precoder.w.shape[0]
-    if precoder.kind != "dft" or precoder.num_blocks != n:
+    precoder = record.precoder
+    if precoder.kind != "dft" or precoder.num_blocks != precoder.w.shape[0]:
         raise ValueError("antenna-wise baseline needs the N-block DFT precoder")
-    per_antenna = record.observations @ precoder.w.conj().T  # (T*M_RF, N)
+    return record.observations @ precoder.w.conj().T
+
+
+def baseline_antenna_wise(
+    record: ReceptionRecord, operator: KroneckerOperator | MatrixOperator,
+) -> np.ndarray:
+    """Antenna-wise SIMO estimation over a full-array dictionary's operator.
+
+    Right-multiplying the DFT-precoded record by W^H separates the user
+    antennas; each SIMO channel is recovered independently with OMP and
+    the estimate is assembled column by column from the atoms on its
+    support.  Needs ``V^H V = I`` (else ``ValueError``) and runs OMP on the
+    operator against ``V^H y / sqrt(p)``, as if on the never formed
+    ``sqrt(p) V D``; the angular dictionary's operator scores it as
+    ``A_h^H unvec(V^H y) conj(A_v)``.
+    """
+    per_antenna = _dft_per_antenna(record)
+    combiner = record.combiner
+    combiner.verify_blocks()  # InfeasibleDesignError is a ValueError
+    z = combiner.adjoint(per_antenna)
     scale = np.sqrt(record.power)
-    h_hat = np.zeros((combiner.num_antennas, n), dtype=complex)
-    if per_subarray:
-        for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
-            antennas = combiner.tiling.tiles[i].antenna_indices
-            rows = combiner.tile_rows(i)
-            for col in range(n):
-                sol = omp(SparseProblem(op, per_antenna[rows, col]),
-                          max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
-                h_hat[antennas, col] = \
-                    dictionary.atoms(sol.support) @ sol.coefficients[sol.support]
-    else:
-        combiner.verify_blocks()  # InfeasibleDesignError is a ValueError
-        z = combiner.adjoint(per_antenna)
-        # ||y - sVDx||² = ||z - sDx||² + ||y - Vz||²: the stop rule's residual
-        # keeps the energy outside V's range, which a tall V (T > M_s) leaves
-        y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
-        outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
-        tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
-        for col in range(n):
-            sol = omp(SparseProblem(dictionary, z[:, col] / scale),
-                      max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
-            h_hat[:, col] = dictionary.columns(sol.support) @ sol.coefficients[sol.support]
+    # ||y - sVDx||² = ||z - sDx||² + ||y - Vz||²: the stop rule's residual
+    # keeps the energy outside V's range, which a tall V (T > M_s) leaves
+    y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
+    outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
+    tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
+    h_hat = np.zeros((combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
+    for col in range(h_hat.shape[1]):
+        sol = omp(SparseProblem(operator, z[:, col] / scale),
+                  max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
+        h_hat[:, col] = operator.columns(sol.support) @ sol.coefficients[sol.support]
     return h_hat
+
+
+def baseline_subarray_antenna_wise(record: ReceptionRecord,
+                                   dictionary: AngularDictionary) -> np.ndarray:
+    """Per-subarray SIMO estimation, any combiner: stage 1's tile OMP on ``Y W^H`` at sqrt(p)."""
+    return _tile_omp(record.combiner, dictionary, _dft_per_antenna(record),
+                     np.sqrt(record.power), BASELINE_MAX_ATOMS)[1]
 
 
 def baseline_eigen_dictionary(

@@ -116,10 +116,6 @@ class CombinerDesign:
             out[tile.antenna_indices] = self.adjoint_tile(i, per_tile[:, i])
         return out
 
-    def matrix(self) -> np.ndarray:
-        """The dense (T*M_RF) x M combiner ``V``, for checks only."""
-        return self.apply(np.eye(self.num_antennas))
-
     def verify_blocks(self, tol: float = _ORTHO_TOL) -> None:
         """The build-time check: unit-modulus entries and every chain's Gram.
 

@@ -1,9 +1,14 @@
-"""Plane-wave references and a dense sparse problem, for the tests only."""
+"""Plane-wave references, the dense combiner and a dense sparse problem, for the tests only."""
 
 import numpy as np
 
 from nearmimo.channel import far_field_steering
 from nearmimo.solvers import MatrixOperator, SparseProblem
+
+
+def dense_combiner(design) -> np.ndarray:
+    """The dense (T*M_RF) x M combiner ``V`` of a ``CombinerDesign``."""
+    return design.apply(np.eye(design.num_antennas))
 
 
 def dense_problem(a, y) -> SparseProblem:

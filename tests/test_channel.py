@@ -197,8 +197,9 @@ def test_matrix_file_roundtrip(tmp_path):
     assert wl == WAVELENGTH
 
 
-def test_matrix_file_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("raw", [b"not a matrix", b"CMX1abc"], ids=["bad-magic", "short-header"])
+def test_matrix_file_rejects_garbage(tmp_path, raw):
     path = tmp_path / "bad.cmx"
-    path.write_bytes(b"not a matrix")
+    path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_matrix(path)

@@ -227,6 +227,15 @@ def test_simulate_rejects_nan_and_minus_inf_snr(tmp_path, tiny_config_file, caps
     assert not out.exists()
 
 
+def test_simulate_rejects_negative_seed(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "s"
+    code = main(["simulate", "--config", str(tiny_config_file), "--method", "stage1-only",
+                 "--seed", "-3", "--out", str(out)])
+    assert code == 1
+    assert "non-negative seed, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_method_exits_one(tmp_path, tiny_config_file):
     code = main([
         "simulate", "--config", str(tiny_config_file),

@@ -1,7 +1,7 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from helpers import dense_problem
+from helpers import dense_combiner, dense_problem
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,7 +97,7 @@ def test_kronecker_operators_equal_the_dense_product(case):
     d = build_angular(m_h, m_v, HALF, HALF, WAVELENGTH, z)
     kron = np.kron(d.a_h, d.a_v)
     np.testing.assert_array_equal(d.atoms(slice(None)), kron)
-    v = comb.matrix()
+    v = dense_combiner(comb)
     rng = np.random.default_rng(seed)
     for i, op in enumerate(d.tile_operators(comb, scale)):
         ref = scale * v[np.ix_(comb.tile_rows(i), tiling.tiles[i].antenna_indices)] @ kron

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_problem, wave_vector
+from helpers import dense_combiner, dense_problem, wave_vector
 
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
@@ -21,10 +21,10 @@ from nearmimo.pipeline import (
     STAGE1_MAX_ATOMS,
     baseline_antenna_wise,
     baseline_eigen_dictionary,
+    baseline_subarray_antenna_wise,
     location_operator,
     simulate_reception,
     stage1,
-    stage1_only_estimate,
     stage2,
     stage3,
 )
@@ -70,7 +70,7 @@ class TestSimulateReception:
         scene, real, comb = desk["scene"], desk["real"], desk["combiner"]
         precoder = uniform_precoder(2)
         rec = simulate_reception(scene, real, comb, precoder, seed=5)
-        expected = comb.matrix() @ (real.h @ precoder.w)
+        expected = dense_combiner(comb) @ (real.h @ precoder.w)
         np.testing.assert_allclose(rec.observations, expected, atol=1e-12)
 
     def test_same_seed_identical(self, desk):
@@ -174,7 +174,7 @@ def kron_reference(dictionary) -> np.ndarray:
 
 def tile_reference(comb, i, dictionary, scale) -> np.ndarray:
     """The formed tile operator ``scale * V_i (A_h ⊗ A_v)``, from the dense combiner."""
-    v_i = comb.matrix()[np.ix_(comb.tile_rows(i), comb.tiling.tiles[i].antenna_indices)]
+    v_i = dense_combiner(comb)[np.ix_(comb.tile_rows(i), comb.tiling.tiles[i].antenna_indices)]
     return scale * v_i @ kron_reference(dictionary)
 
 
@@ -227,27 +227,27 @@ class TestSharedTileOperator:
         comb, expected, scene, real, d = case
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=7)
         work = self.record_work(monkeypatch)
-        sols, channels = stage1(rec, d)
+        sols, h_sub = stage1(rec, d)
         assert len(work["grams"]) == expected
         assert max(work["columns"]) < d.num_atoms
         monkeypatch.undo()
 
         scale = np.sqrt(rec.power / 2)
         y = rec.observations[:, 0]
-        for i in range(comb.tiling.num_tiles):
+        for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, scale)
             ref = omp(dense_problem(a_bar, y[comb.tile_rows(i)]),
                       max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
             np.testing.assert_array_equal(sols[i].support, ref.support)
             self.assert_close(sols[i].coefficients, ref.coefficients)
-            self.assert_close(channels[i], kron_reference(d) @ ref.coefficients)
+            self.assert_close(h_sub[tile.antenna_indices], kron_reference(d) @ ref.coefficients)
 
     def test_subarray_baseline_forms_no_dense_operator(self, case, monkeypatch):
         comb, expected, scene, real, d = case
         n = scene.ue.size
         rec = dft_record(scene, real, comb, seed=7)
         work = self.record_work(monkeypatch)
-        h_hat = baseline_antenna_wise(rec, d, per_subarray=True)
+        h_hat = baseline_subarray_antenna_wise(rec, d)
         assert len(work["grams"]) == expected
         assert max(work["columns"]) < d.num_atoms
         monkeypatch.undo()
@@ -278,13 +278,13 @@ class TestStage2:
         rec = simulate_reception(
             desk["scene"], desk["real"], desk["combiner"], uniform_precoder(2), seed=1
         )
-        _sols, chans = stage1(rec, desk["dictionary"])
-        est, dirs = stage2(chans, desk["tiling"], WAVELENGTH)
+        _sols, h_sub = stage1(rec, desk["dictionary"])
+        est, dirs = stage2(h_sub, desk["tiling"], WAVELENGTH)
         assert sum(d is not None for d in dirs) == 4
         assert np.linalg.norm(est.point - [2.5, 0.5, -1.0]) < 0.25
 
     def test_all_zero_channels_fail_cleanly(self, desk):
-        zeros = [np.zeros(32, dtype=complex)] * 4
+        zeros = np.zeros(desk["bs"].size, dtype=complex)
         with pytest.raises(StageFailure):
             stage2(zeros, desk["tiling"], WAVELENGTH)
 
@@ -302,7 +302,7 @@ class TestStage3:
         w = rec.precoder.w[:, 0]
         atoms = np.einsum("mns,n->ms", cols.reshape(comb.num_antennas, 2, -1, order="F"), w)
         op = location_operator(rec, atoms)
-        kron_op = np.sqrt(rec.power) * np.kron(w[None, :], comb.matrix())
+        kron_op = np.sqrt(rec.power) * np.kron(w[None, :], dense_combiner(comb))
         np.testing.assert_allclose(op, kron_op @ cols, atol=1e-10)
 
     def test_true_center_on_grid_noiseless(self, desk):
@@ -371,24 +371,24 @@ class TestStage3:
 def run_stages(scene, real, comb, dictionary, seed):
     """Stages 1-3 on one single-block reception, in the order the harness runs them."""
     rec = simulate_reception(scene, real, comb, uniform_precoder(scene.ue.size), seed)
-    _sols, channels = stage1(rec, dictionary)
-    estimate, _dirs = stage2(channels, comb.tiling, scene.wavelength)
+    _sols, h_sub = stage1(rec, dictionary)
+    estimate, _dirs = stage2(h_sub, comb.tiling, scene.wavelength)
     _sol, h_hat = stage3(rec, estimate.point, scene.bs, scene.ue, scene.wavelength,
                          PAPER_STAGES)
-    return channels, estimate, h_hat
+    return h_sub, estimate, h_hat
 
 
 class TestThreeStage:
     def test_deterministic(self, desk):
         scene = desk["scene"].with_noise_var(1e-6)
         args = (scene, desk["real"], desk["combiner"], desk["dictionary"], 9)
-        _ch_a, est_a, h_a = run_stages(*args)
-        _ch_b, est_b, h_b = run_stages(*args)
+        _h_sub_a, est_a, h_a = run_stages(*args)
+        _h_sub_b, est_b, h_b = run_stages(*args)
         np.testing.assert_array_equal(h_a, h_b)
         np.testing.assert_array_equal(est_a.point, est_b.point)
 
     def test_noiseless_los_only_high_accuracy(self, desk):
-        _channels, estimate, h_hat = run_stages(
+        _h_sub, estimate, h_hat = run_stages(
             desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], 9
         )
         nmse = np.linalg.norm(h_hat - desk["real"].h) ** 2 / np.linalg.norm(desk["real"].h) ** 2
@@ -396,10 +396,10 @@ class TestThreeStage:
         assert np.linalg.norm(estimate.point - [2.5, 0.5, -1.0]) < 0.05
 
     def test_beats_stage1_only_assembly(self, desk):
-        channels, _estimate, h_hat = run_stages(
+        h_sub, _estimate, h_hat = run_stages(
             desk["scene"], desk["real"], desk["combiner"], desk["dictionary"], 9
         )
-        h1 = stage1_only_estimate(channels, desk["tiling"], 2)
+        h1 = np.outer(h_sub, np.ones(2)) / 2  # stage 1's column sum, split equally
         h = desk["real"].h
         nmse3 = np.linalg.norm(h_hat - h) ** 2 / np.linalg.norm(h) ** 2
         nmse1 = np.linalg.norm(h1 - h) ** 2 / np.linalg.norm(h) ** 2
@@ -476,11 +476,16 @@ class TestFullArrayAntennaWise:
         with pytest.raises(ValueError):
             baseline_antenna_wise(rec, dictionaries["dft"])
 
-    def test_single_block_record_rejected(self, desk, dictionaries):
+    @pytest.mark.parametrize("variant", ["full-array", "per-subarray"])
+    def test_single_block_record_rejected(self, desk, dictionaries, variant):
+        # both antenna-wise baselines need the N-block DFT-precoded record
         rec = simulate_reception(desk["scene"], desk["real"], desk["combiner"],
                                  uniform_precoder(2), seed=0)
-        with pytest.raises(ValueError):
-            baseline_antenna_wise(rec, dictionaries["dft"])
+        with pytest.raises(ValueError, match="N-block DFT precoder"):
+            if variant == "full-array":
+                baseline_antenna_wise(rec, dictionaries["dft"])
+            else:
+                baseline_subarray_antenna_wise(rec, desk["dictionary"])
 
 
 class TestBaselines:
@@ -493,7 +498,7 @@ class TestBaselines:
         rec = simulate_reception(scene, real, comb, precoder, seed=0, power=p_b)
         per_antenna = rec.observations @ precoder.w.conj().T
         for col in range(n):
-            expected = np.sqrt(p_b) * (comb.matrix() @ real.h[:, col])
+            expected = np.sqrt(p_b) * (dense_combiner(comb) @ real.h[:, col])
             np.testing.assert_allclose(per_antenna[:, col], expected, atol=1e-10)
 
     def test_far_field_on_grid_user_recovered(self):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import dense_combiner
 
 from nearmimo.errors import InfeasibleDesignError
 from nearmimo.geometry import build_upa, partition
@@ -87,20 +88,20 @@ class TestDesignCombiner:
 
     def test_global_orthogonality(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
-        v = design.matrix()
+        v = dense_combiner(design)
         err = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
         assert err < 1e-10
 
     def test_slot_rows_orthonormal_when_t_equals_ms(self):
         design = design_combiner(4, desk_tiling(), m_rf_per_tile=8)
         assert design.m_s == 4
-        for v_t in design.matrix().reshape(4, design.m_rf_total, -1):
+        for v_t in dense_combiner(design).reshape(4, design.m_rf_total, -1):
             err = np.linalg.norm(v_t @ v_t.conj().T - np.eye(v_t.shape[0]))
             assert err < 1e-10
 
     def test_entry_modulus_is_inverse_sqrt_t(self):
         design = design_combiner(6, paper_tiling(), m_rf_per_tile=16)
-        v = design.matrix()
+        v = dense_combiner(design)
         nz = np.abs(v[np.abs(v) > 0])
         np.testing.assert_allclose(nz, 1.0 / np.sqrt(6), atol=1e-14)
 
@@ -125,7 +126,7 @@ class TestDesignCombiner:
     @pytest.mark.parametrize("name", ["designed-desk", "random-desk"])
     def test_tile_slice_matches_combiner_submatrix(self, name):
         design = COMBINERS[name]()
-        v = design.matrix()
+        v = dense_combiner(design)
         eye = np.eye(design.tiling.tiles[0].geometry.size)
         for i, tile in enumerate(design.tiling.tiles):
             sub = v[np.ix_(design.tile_rows(i), tile.antenna_indices)]
@@ -164,7 +165,7 @@ class TestStructuredApply:
 
     def test_matrix_equals_reference(self, case):
         design, (_slots, stacked, _tiles) = case
-        np.testing.assert_array_equal(design.matrix(), stacked)
+        np.testing.assert_array_equal(dense_combiner(design), stacked)
 
     def test_apply_common_input(self, case):
         design, (_slots, stacked, _tiles) = case
@@ -202,7 +203,7 @@ class TestStructuredApply:
         z = rng.standard_normal((stacked.shape[0], 3)) \
             + 1j * rng.standard_normal((stacked.shape[0], 3))
         np.testing.assert_allclose(
-            design.adjoint(z), design.matrix().conj().T @ z, rtol=1e-12, atol=1e-12)
+            design.adjoint(z), dense_combiner(design).conj().T @ z, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("design", [
@@ -220,7 +221,7 @@ def test_adjoint_inverts_designed_apply(design):
 class TestRandomCombiner:
     def test_entry_modulus(self):
         design = random_combiner(4, desk_tiling(), m_rf_per_tile=8, seed=0)
-        v = design.matrix()
+        v = dense_combiner(design)
         nz = np.abs(v[np.abs(v) > 0])
         np.testing.assert_allclose(nz, 1.0 / np.sqrt(design.m_s), atol=1e-14)
 
