@@ -41,7 +41,7 @@ _EXPORTS = {
         "CombinerDesign", "PrecoderDesign", "design_combiner", "design_precoder_dft",
         "random_combiner", "uniform_precoder",
     ),
-    "solvers": ("MatrixOperator", "SblState", "SparseProblem", "SparseSolution", "omp", "sbl_em"),
+    "solvers": ("MatrixOperator", "SblState", "SparseSolution", "omp", "sbl_em"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

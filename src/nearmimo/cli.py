@@ -164,9 +164,9 @@ def _cmd_export_dict(args) -> int:
     if args.kind == "angular":
         tile = ctx.tiling.tiles[0].geometry
         d = ctx.tile_dictionary
-        matrix = d.atoms(slice(None))  # the Kronecker product, formed only here
+        matrix = d.columns(slice(None))  # the Kronecker product, formed only here
         manifest = (
-            f"kind angular\nsubarray {tile.m_h}x{tile.m_v}\nz {d.z}\n"
+            f"kind angular\nsubarray {tile.m_h}x{tile.m_v}\nz {d.cosines.size}\n"
             f"cosine_grid {' '.join(format(c, '.10g') for c in d.cosines)}\n"
         )
     elif args.kind == "spherical":

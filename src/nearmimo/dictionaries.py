@@ -4,8 +4,9 @@ Three families:
 
 * angular: plane-wave Kronecker atoms ``a_h ⊗ a_v`` over uniform
   direction-cosine grids ``(2z - Z - 1)/Z`` per axis, kept as the two
-  axis factors.  OMP sees them through ``KroneckerOperator``, which
-  scores all Z^2 atoms by two small matrix products and forms only a
+  axis factors.  The dictionary is itself an OMP operator, and
+  ``KroneckerOperator`` is its view through one combiner tile; both
+  score all Z^2 atoms by two small matrix products and form only a
   support's columns; no Z^2-column matrix is held,
 * location-aided: LoS channels through the precoder, ``H(p) w``, over a
   small 3D grid of candidate user-center positions,
@@ -28,7 +29,7 @@ from .channel import _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
 from .geometry import ArrayGeometry, build_ula
 from .sensing import CombinerDesign
-from .solvers import MatrixOperator
+from .solvers import MatrixOperator, _check_operator
 
 # grid x-coordinates are kept in the physical half-space in front of the array
 MIN_GRID_X = 0.1
@@ -40,30 +41,36 @@ class AngularDictionary:
 
     Columns are ordered g1-major: column ``(z1, z2)`` sits at index
     ``z1 * Z + z2``.  ``a_h`` (m_h x Z) and ``a_v`` (m_v x Z) hold the
-    axis steering vectors; ``atoms`` forms the columns of a support, and
-    ``operator`` / ``tile_operators`` serve the dictionary to OMP without
-    forming its (m_h*m_v) x Z^2 matrix.
+    axis steering vectors.  The dictionary is an OMP operator on
+    antenna-order residuals (``shape``, ``scores``, ``columns``), and
+    ``tile_operators`` serves its view through each combiner tile,
+    neither forming its (m_h*m_v) x Z^2 matrix.
     """
 
     a_h: np.ndarray
     a_v: np.ndarray
     column_norms: np.ndarray
     cosines: np.ndarray
-    z: int
+
+    def __post_init__(self):
+        _check_operator(self.shape, self.column_norms)
 
     @property
-    def num_atoms(self) -> int:
-        return self.z * self.z
+    def shape(self) -> tuple[int, int]:
+        return self.a_h.shape[0] * self.a_v.shape[0], self.a_h.shape[1] * self.a_v.shape[1]
 
-    def atoms(self, support) -> np.ndarray:
+    def scores(self, residual: np.ndarray) -> np.ndarray:
+        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with ``residual``."""
+        return np.abs(self._correlations(residual)).ravel() / self.column_norms
+
+    def columns(self, support) -> np.ndarray:
         """(m_h*m_v, K) Kronecker columns ``a_h ⊗ a_v`` of the atoms ``support`` indexes."""
-        z1, z2 = np.divmod(np.arange(self.num_atoms)[support], self.z)
-        rows = self.a_h.shape[0] * self.a_v.shape[0]
-        return (self.a_h[:, None, z1] * self.a_v[None, :, z2]).reshape(rows, -1)
+        z1, z2 = np.divmod(np.arange(self.shape[1])[support], self.a_v.shape[1])
+        return (self.a_h[:, None, z1] * self.a_v[None, :, z2]).reshape(self.shape[0], -1)
 
-    def operator(self) -> KroneckerOperator:
-        """The dictionary itself as an OMP operator, on antenna-order residuals."""
-        return KroneckerOperator(self, self.column_norms)
+    def _correlations(self, x: np.ndarray) -> np.ndarray:
+        """The Z x Z correlations ``A_h^H unvec(x) conj(A_v)`` of every atom with ``x``."""
+        return self.a_h.conj().T @ x.reshape(self.a_h.shape[0], self.a_v.shape[0]) @ self.a_v.conj()
 
     def tile_operators(self, combiner: CombinerDesign, scale: float):
         """Yield the OMP operator ``scale * V_i D`` of every tile ``i`` of ``combiner``, in order.
@@ -91,7 +98,7 @@ class AngularDictionary:
 
 @dataclass(frozen=True)
 class KroneckerOperator:
-    """OMP's view of ``scale * V_i (A_h ⊗ A_v)``, or of the bare dictionary with no combiner.
+    """OMP's view of ``scale * V_i (A_h ⊗ A_v)``: the dictionary through combiner tile ``i``.
 
     Kronecker-OMP (Caiafa & Cichocki, Neural Computation 2013): the scores
     ``|A_bar^H r| / norms`` are ``scale * |A_h^H unvec(V_i^H r) conj(A_v)|``,
@@ -100,31 +107,25 @@ class KroneckerOperator:
 
     dictionary: AngularDictionary
     column_norms: np.ndarray
-    combiner: CombinerDesign | None = None
-    tile: int = 0
-    scale: float = 1.0
+    combiner: CombinerDesign
+    tile: int
+    scale: float
+
+    def __post_init__(self):
+        _check_operator(self.shape, self.column_norms)
 
     @property
     def shape(self) -> tuple[int, int]:
-        d = self.dictionary
-        rows = d.a_h.shape[0] * d.a_v.shape[0] if self.combiner is None \
-            else self.combiner.t_slots * self.combiner.m_rf_per_tile
-        return rows, d.num_atoms
+        return self.combiner.t_slots * self.combiner.m_rf_per_tile, self.dictionary.shape[1]
 
     def scores(self, residual: np.ndarray) -> np.ndarray:
         """Normalized correlations ``|a_q^H r| / ||a_q||`` of every column with ``residual``."""
-        d = self.dictionary
-        x = residual if self.combiner is None \
-            else self.combiner.adjoint_tile(self.tile, residual[:, None])
-        corr = d.a_h.conj().T @ x.reshape(d.a_h.shape[0], d.a_v.shape[0]) @ d.a_v.conj()
-        return self.scale * np.abs(corr).ravel() / self.column_norms
+        x = self.combiner.adjoint_tile(self.tile, residual[:, None])
+        return self.scale * np.abs(self.dictionary._correlations(x)).ravel() / self.column_norms
 
     def columns(self, support) -> np.ndarray:
         """The (P, K) operator columns of the atoms ``support`` indexes."""
-        atoms = self.dictionary.atoms(support)
-        if self.combiner is not None:
-            atoms = self.combiner.apply_tile(self.tile, atoms)
-        return self.scale * atoms
+        return self.scale * self.combiner.apply_tile(self.tile, self.dictionary.columns(support))
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def build_angular(
     g = cosine_grid(z)
     a_h = np.column_stack([far_field_steering(m_ih, d_h, c, wavelength) for c in g])
     a_v = np.column_stack([far_field_steering(m_iv, d_v, c, wavelength) for c in g])
-    return AngularDictionary(a_h, a_v, np.full(z * z, np.sqrt(m_ih * m_iv)), g, z)
+    return AngularDictionary(a_h, a_v, np.full(z * z, np.sqrt(m_ih * m_iv)), g)
 
 
 def _axis_grid(center: float, half_width: float, count: int, label: str) -> np.ndarray:

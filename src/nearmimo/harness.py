@@ -150,7 +150,7 @@ _RUNNERS = {
     "proposed-omp3": lambda ctx, draw: _three_stage(ctx, draw, ctx.combiner, "omp"),
     "stage1-only": _stage1_only,
     "antenna-wise-dft": lambda ctx, draw: _antenna_wise(
-        ctx, draw, baseline_antenna_wise, ctx.full_array_dictionary().operator()),
+        ctx, draw, baseline_antenna_wise, ctx.full_array_dictionary()),
     "antenna-wise-spherical": lambda ctx, draw: _antenna_wise(
         ctx, draw, baseline_antenna_wise, ctx.spherical_dictionary()),
     "antenna-wise-subarray-dft": lambda ctx, draw: _antenna_wise(
@@ -225,6 +225,9 @@ class ExperimentConfig:
         if not (_is_real(self.carrier_freq_hz) and 0 < self.carrier_freq_hz < np.inf):
             raise ValueError(f"carrier_freq_hz must be finite and > 0, got {self.carrier_freq_hz!r}")
         _check_db("los_nlos_ratio_db", self.los_nlos_ratio_db)
+        for name in ("methods", "snr_db"):  # a string would be read character by character
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         for snr_db in self.snr_db:
             _check_db("SNR", snr_db)
         for name, box in (("user_box", self.user_box), ("scatter_box", self.scatter_box)):
@@ -437,7 +440,7 @@ def _write_csv(path, columns, records) -> None:
 def _fmt(x) -> str:
     if isinstance(x, (str, int, np.integer)):
         return str(x)
-    return format(float(x), ".10g") if np.isfinite(x) else "nan"
+    return format(float(x), ".10g")  # a noiseless SNR reads "inf", a NaN "nan"
 
 
 def _json_default(obj):

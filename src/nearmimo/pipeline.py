@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scene, los_channel
-from .dictionaries import AngularDictionary, KroneckerOperator, build_location
+from .dictionaries import AngularDictionary, build_location
 from .doa import extract_axis_factors, music_1d, subarray_covariance
 from .errors import (
     DegenerateGeometryError,
@@ -36,9 +36,7 @@ from .errors import (
 from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
 from .sensing import CombinerDesign, PrecoderDesign
-from .solvers import (
-    MatrixOperator, SparseProblem, SparseSolution, _is_integer, _is_real, omp, sbl_em,
-)
+from .solvers import MatrixOperator, SparseSolution, _is_integer, _is_real, omp, sbl_em
 
 # noise-variance floor used when solving noiseless problems with SBL,
 # relative to the per-sample observation energy
@@ -156,12 +154,12 @@ def _tile_omp(combiner: CombinerDesign, dictionary: AngularDictionary, y: np.nda
     for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
         antennas = combiner.tiling.tiles[i].antenna_indices
         for k, y_k in enumerate(y[combiner.tile_rows(i)].T):
-            sol = omp(SparseProblem(op, y_k), max_atoms=max_atoms, residual_tol=OMP_TOL)
+            sol = omp(op, y_k, max_atoms=max_atoms, residual_tol=OMP_TOL)
             solutions.append(sol)
             # support-only product: against the dense D x it moved no support, finite-SNR
             # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
             # (noiseless SBL rows move by up to 14 dB under any change of rounding)
-            h_hat[antennas, k] = dictionary.atoms(sol.support) @ sol.coefficients[sol.support]
+            h_hat[antennas, k] = dictionary.columns(sol.support) @ sol.coefficients[sol.support]
     return solutions, h_hat
 
 
@@ -249,16 +247,16 @@ def stage3(
     loc_dict = build_location(p_hat, dx, dy, dz, sx, sy, sz, bs, ue_template, wavelength,
                               record.precoder.w[:, 0])
     a_bar = location_operator(record, loc_dict.matrix)
-    problem = SparseProblem(MatrixOperator(a_bar, np.linalg.norm(a_bar, axis=0)),
-                            record.observations[:, 0])
+    op = MatrixOperator(a_bar, np.linalg.norm(a_bar, axis=0))
+    y = record.observations[:, 0]
     if solver == "sbl":
         sol, _state = sbl_em(
-            problem, sigma2=_effective_noise_var(record),
+            op, y, sigma2=_effective_noise_var(record),
             max_iters=options.sbl_max_iters, tol=options.sbl_tol,
             gamma_floor=SBL_GAMMA_FLOOR,
         )
     elif solver == "omp":
-        sol = omp(problem, max_atoms=STAGE3_OMP_ATOMS, residual_tol=OMP_TOL)
+        sol = omp(op, y, max_atoms=STAGE3_OMP_ATOMS, residual_tol=OMP_TOL)
     else:
         raise ValueError(f"unknown stage-3 solver {solver!r}")
     h_hat = loc_dict.channels(sol.support) @ sol.coefficients[sol.support]
@@ -278,16 +276,16 @@ def _dft_per_antenna(record: ReceptionRecord) -> np.ndarray:
 
 
 def baseline_antenna_wise(
-    record: ReceptionRecord, operator: KroneckerOperator | MatrixOperator,
+    record: ReceptionRecord, operator: AngularDictionary | MatrixOperator,
 ) -> np.ndarray:
-    """Antenna-wise SIMO estimation over a full-array dictionary's operator.
+    """Antenna-wise SIMO estimation over a full-array dictionary, itself an operator.
 
     Right-multiplying the DFT-precoded record by W^H separates the user
     antennas; each SIMO channel is recovered independently with OMP and
     the estimate is assembled column by column from the atoms on its
     support.  Needs ``V^H V = I`` (else ``ValueError``) and runs OMP on the
     operator against ``V^H y / sqrt(p)``, as if on the never formed
-    ``sqrt(p) V D``; the angular dictionary's operator scores it as
+    ``sqrt(p) V D``; the angular dictionary scores it as
     ``A_h^H unvec(V^H y) conj(A_v)``.
     """
     per_antenna = _dft_per_antenna(record)
@@ -302,8 +300,8 @@ def baseline_antenna_wise(
     tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
     h_hat = np.zeros((combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
     for col in range(h_hat.shape[1]):
-        sol = omp(SparseProblem(operator, z[:, col] / scale),
-                  max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols[col])
+        sol = omp(operator, z[:, col] / scale, max_atoms=BASELINE_MAX_ATOMS,
+                  residual_tol=tols[col])
         h_hat[:, col] = operator.columns(sol.support) @ sol.coefficients[sol.support]
     return h_hat
 

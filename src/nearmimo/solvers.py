@@ -1,13 +1,13 @@
 """Generic sparse recovery: orthogonal matching pursuit and SBL.
 
-Both solvers operate on a :class:`SparseProblem` holding an operator for
-the complex sensing matrix ``A`` (P x Q), which carries the column norms
-of ``A`` from the code that built it, and the observation ``y`` (P).  OMP
-greedily selects atoms by normalized correlation with the residual and
-refits by least squares; it reaches ``A`` only through the operator's
-scores and support columns, so a structured operator that never forms
-``A`` (``dictionaries.KroneckerOperator``) runs the same loop as a
-:class:`MatrixOperator`.  SBL places independent
+Both solvers take an operator for the complex sensing matrix ``A``
+(P x Q), which checks the column norms its builder gives once, when it
+is built, and the observation ``y`` (P).  OMP greedily selects atoms by
+normalized correlation with the residual and refits by least squares;
+it reaches ``A`` only through the operator's scores and support
+columns, so a structured operator that never forms ``A`` (the angular
+dictionary and its tile view ``dictionaries.KroneckerOperator``) runs
+the same loop as a :class:`MatrixOperator`.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
 variance held fixed, by the sequential rule of Tipping & Faul (AISTATS
@@ -48,19 +48,35 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _check_operator(shape, column_norms) -> None:
+    """``ValueError`` unless ``shape`` is 2D and non-empty and ``column_norms`` is
+    (Q,) with no zero; OMP divides its correlations by them."""
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError(f"sensing matrix must be 2D and non-empty, got {shape}")
+    norms = np.asarray(column_norms)
+    if norms.shape != (shape[1],):
+        raise ValueError(f"column norms shape {norms.shape} != ({shape[1]},)")
+    if np.any(norms == 0):
+        raise ValueError("sensing matrix contains an all-zero column")
+
+
 @dataclass(frozen=True)
 class MatrixOperator:
     """A formed P x Q matrix with its column norms, behind the operator interface.
 
     An operator gives ``shape`` (P, Q), ``column_norms``, ``scores(r)``
     (the normalized correlations ``|a_q^H r| / ||a_q||``) and
-    ``columns(support)`` (the P x K columns of a support);
-    ``dictionaries.KroneckerOperator`` is the structured one.  The code
-    that builds a matrix gives its norms, which are not recomputed here.
+    ``columns(support)`` (the P x K columns of a support), and checks its
+    shape and norms with :func:`_check_operator` when built; the angular
+    dictionary and its tile view are the structured ones.  The code that
+    builds a matrix gives its norms, which are not recomputed here.
     """
 
     matrix: np.ndarray
     column_norms: np.ndarray
+
+    def __post_init__(self):
+        _check_operator(self.matrix.shape, self.column_norms)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,39 +89,14 @@ class MatrixOperator:
         return self.matrix[:, support]
 
 
-@dataclass(frozen=True)
-class SparseProblem:
-    """A linear observation ``y = A x + n`` with x presumed sparse.
-
-    ``operator`` is a :class:`MatrixOperator` or another operator with its
-    interface (OMP only; SBL needs the matrix).  Its shape must be 2D,
-    non-empty and match ``observation`` (P,), and no column norm may be
-    zero; OMP divides its correlations by them.
-    """
-
-    operator: MatrixOperator | object
-    observation: np.ndarray
-
-    def __post_init__(self):
-        op = self.operator
-        if isinstance(op, np.ndarray):
-            raise TypeError("pass a sensing matrix as MatrixOperator(matrix, column_norms)")
-        shape = op.shape
-        if len(shape) != 2 or min(shape) < 1:
-            raise ValueError(f"sensing matrix must be 2D and non-empty, got {shape}")
-        norms = np.asarray(op.column_norms)
-        if norms.shape != (shape[1],):
-            raise ValueError(f"column norms shape {norms.shape} != ({shape[1]},)")
-        y = np.asarray(self.observation).reshape(-1)
-        if y.shape[0] != shape[0]:
-            raise ValueError(f"observation length {y.shape[0]} != matrix rows {shape[0]}")
-        if np.any(norms == 0):
-            raise ValueError("sensing matrix contains an all-zero column")
-        object.__setattr__(self, "observation", y)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.operator.shape
+def _observation(operator, observation) -> np.ndarray:
+    """``observation`` as the (P,) vector ``operator`` senses; a bare array is no operator."""
+    if isinstance(operator, np.ndarray):
+        raise TypeError("pass a sensing matrix as MatrixOperator(matrix, column_norms)")
+    y = np.asarray(observation).reshape(-1)
+    if y.shape[0] != operator.shape[0]:
+        raise ValueError(f"observation length {y.shape[0]} != matrix rows {operator.shape[0]}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -137,11 +128,12 @@ class SblState:
 
 
 def omp(
-    problem: SparseProblem,
+    operator,
+    observation: np.ndarray,
     max_atoms: int | None = None,
     residual_tol: float | None = None,
 ) -> SparseSolution:
-    """Orthogonal matching pursuit with normalized-correlation selection.
+    """Orthogonal matching pursuit on ``observation`` through any operator.
 
     Atoms are scored by ``|a_q^H r| / ||a_q||`` against the current
     residual (columns may carry unequal physical amplitudes; the norms
@@ -161,9 +153,8 @@ def omp(
     """
     if max_atoms is None and residual_tol is None:
         raise ValueError("need max_atoms and/or residual_tol as a stopping rule")
-    op = problem.operator
-    y = problem.observation
-    p, q = problem.shape
+    y = _observation(operator, observation)
+    p, q = operator.shape
     if max_atoms is not None and not (1 <= max_atoms <= min(p, q)):
         raise ValueError(f"max_atoms must be in [1, min(P, Q)], got {max_atoms}")
 
@@ -182,10 +173,10 @@ def omp(
     converged = False
     budget = max_atoms if max_atoms is not None else min(p, q)
     while not converged and len(support) < budget:
-        scores = op.scores(residual)
+        scores = operator.scores(residual)
         scores[support] = -1.0  # after an exact fit, rounding must not re-pick an atom
         support.append(int(np.argmax(scores)))
-        basis = op.columns(support)
+        basis = operator.columns(support)
         coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
         if rank < len(support):
             raise NumericalRankError(
@@ -203,7 +194,8 @@ def omp(
 
 
 def sbl_em(
-    problem: SparseProblem,
+    operator: MatrixOperator,
+    observation: np.ndarray,
     sigma2: float,
     max_iters: int = 200,
     tol: float = 1e-6,
@@ -239,8 +231,9 @@ def sbl_em(
 
     Parameters
     ----------
-    problem : SparseProblem
-        Its operator must be a :class:`MatrixOperator`.
+    operator : MatrixOperator
+        SBL needs the formed matrix.
+    observation : (P,) array
     sigma2 : float
         Noise variance, positive.
     max_iters, tol : stopping controls.  The rule converges once every
@@ -268,13 +261,13 @@ def sbl_em(
         raise ValueError(f"SBL needs a positive noise variance, got {sigma2}")
     if not _is_integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if not isinstance(problem.operator, MatrixOperator):
-        raise ValueError("SBL needs a formed sensing matrix: a MatrixOperator problem")
-    a = problem.operator.matrix
-    y = problem.observation
+    if not isinstance(operator, MatrixOperator):
+        raise ValueError("SBL needs a formed sensing matrix: a MatrixOperator")
+    a = operator.matrix
+    y = _observation(operator, observation)
     p, q_full = a.shape
     b = (y.conj() @ a).conj()  # A^H y
-    norms2 = problem.operator.column_norms ** 2
+    norms2 = operator.column_norms ** 2
     y_energy = float(np.vdot(y, y).real)
     gamma_cap = _GAMMA_CAP * y_energy / norms2
     sigma = np.sqrt(sigma2)

@@ -1,9 +1,9 @@
-"""Plane-wave references, the dense combiner and a dense sparse problem, for the tests only."""
+"""Plane-wave references, the dense combiner and a dense sensing operator, for the tests only."""
 
 import numpy as np
 
 from nearmimo.channel import far_field_steering
-from nearmimo.solvers import MatrixOperator, SparseProblem
+from nearmimo.solvers import MatrixOperator
 
 
 def dense_combiner(design) -> np.ndarray:
@@ -11,10 +11,10 @@ def dense_combiner(design) -> np.ndarray:
     return design.apply(np.eye(design.num_antennas))
 
 
-def dense_problem(a, y) -> SparseProblem:
-    """``y = A x`` over a formed matrix, with its column norms from ``np.linalg.norm``."""
+def dense_operator(a) -> MatrixOperator:
+    """A formed matrix as an operator, with its column norms from ``np.linalg.norm``."""
     a = np.asarray(a)
-    return SparseProblem(MatrixOperator(a, np.linalg.norm(a, axis=0)), y)
+    return MatrixOperator(a, np.linalg.norm(a, axis=0))
 
 
 def wave_vector(theta: float, phi: float) -> np.ndarray:

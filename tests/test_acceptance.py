@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import dense_combiner, dense_problem
+from helpers import dense_combiner, dense_operator
 from scipy.optimize import minimize
 from test_sensing import dense_reference, noise_gram
 
@@ -76,26 +76,26 @@ def test_acceptance_3_solver_oracles():
     # sampled under the exact-recovery condition max ||A_S^+ a_j||_1 < 1
     # (the standard well-separatedness notion on a coherent grid).
     dictionary = build_angular(4, 4, HALF, HALF, WAVELENGTH, 8)
-    matrix = dictionary.atoms(slice(None))
+    matrix = dictionary.columns(slice(None))
     rng = np.random.default_rng(7)
 
     def erc_holds(atoms):
         a_s = matrix[:, atoms]
-        rest = np.delete(np.arange(dictionary.num_atoms), atoms)
+        rest = np.delete(np.arange(dictionary.shape[1]), atoms)
         scores = np.sum(np.abs(np.linalg.pinv(a_s) @ matrix[:, rest]), axis=0)
         return scores.max() < 1.0
 
     recovered = 0
     instances = 0
     while instances < 100:
-        atoms = rng.choice(dictionary.num_atoms, size=2, replace=False)
+        atoms = rng.choice(dictionary.shape[1], size=2, replace=False)
         if not erc_holds(atoms):
             continue
         instances += 1
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = matrix[:, atoms] @ coeffs
-        sol = omp(dense_problem(matrix, y), max_atoms=2)
-        x_true = np.zeros(dictionary.num_atoms, dtype=complex)
+        sol = omp(dense_operator(matrix), y, max_atoms=2)
+        x_true = np.zeros(dictionary.shape[1], dtype=complex)
         x_true[atoms] = coeffs
         err = np.linalg.norm(sol.coefficients - x_true) / np.linalg.norm(x_true)
         recovered += err < 1e-10
@@ -109,7 +109,7 @@ def test_acceptance_3_solver_oracles():
         x[rng.choice(q, 2, replace=False)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         sigma = 0.05
         y = a @ x + sigma * (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2)
-        _sol, state = sbl_em(dense_problem(a, y), sigma2=sigma ** 2)
+        _sol, state = sbl_em(dense_operator(a), y, sigma2=sigma ** 2)
         m, gamma = a[:, state.active], state.gamma[state.active]
         lhs = (m.conj().T @ m / sigma ** 2 + np.diag(1.0 / gamma)) @ state.mean[state.active]
         rhs = m.conj().T @ y / sigma ** 2

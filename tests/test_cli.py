@@ -91,6 +91,14 @@ _BAD_CONFIGS = {
     "nan-snr": (lambda d: d.update(snr_db=[float("nan")]), "SNR must be"),
     "minus-inf-snr": (lambda d: d.update(snr_db=[10.0, float("-inf")]), "SNR must be"),
     "string-snr": (lambda d: d.update(snr_db=["10"]), "SNR must be"),
+    # a bare value would fail as a TypeError in the sweep, or be read character by character
+    "number-snr": (lambda d: d.update(snr_db=5), "snr_db must be a list, got 5"),
+    "null-snr": (lambda d: d.update(snr_db=None), "snr_db must be a list, got None"),
+    "bare-string-snr": (lambda d: d.update(snr_db="10"), "snr_db must be a list, got '10'"),
+    "number-methods": (lambda d: d.update(methods=1), "methods must be a list, got 1"),
+    "null-methods": (lambda d: d.update(methods=None), "methods must be a list, got None"),
+    "bare-string-methods": (lambda d: d.update(methods="stage1-only"),
+                            "methods must be a list, got 'stage1-only'"),
     # a count below its least value: a scene the config does not describe, or a failed sweep
     "negative-num-nlos": (lambda d: d.update(num_nlos=-1), "num_nlos must be at least 0"),
     "no-ue-antennas": (lambda d: d.update(n_ue=0), "n_ue must be at least 1"),
@@ -142,6 +150,19 @@ def test_config_layout_errors_exit_one(tmp_path, tiny_config_file, capsys, layou
     assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_noiseless_cells_read_inf_in_the_sweep_csvs(tmp_path, tiny_config_file):
+    # "nan" would make a noiseless cell look like a NaN SNR, which the config refuses
+    data = json.loads(tiny_config_file.read_text())
+    data.update(snr_db=[10.0, float("inf")], trials=1)
+    config = tmp_path / "noiseless.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("sweep_rows.csv", "sweep_aggregate.csv"):
+        with open(out / name, newline="") as fh:
+            assert [row["snr_db"] for row in csv.DictReader(fh)] == ["10", "inf"] * 2
 
 
 def test_context_failure_leaves_no_output_directory(tmp_path, tiny_config_file, capsys):

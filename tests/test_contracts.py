@@ -1,7 +1,7 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from helpers import dense_combiner, dense_problem
+from helpers import dense_combiner, dense_operator
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -96,7 +96,7 @@ def test_kronecker_operators_equal_the_dense_product(case):
         else random_combiner(t_slots, tiling, m_rf, seed)
     d = build_angular(m_h, m_v, HALF, HALF, WAVELENGTH, z)
     kron = np.kron(d.a_h, d.a_v)
-    np.testing.assert_array_equal(d.atoms(slice(None)), kron)
+    np.testing.assert_array_equal(d.columns(slice(None)), kron)
     v = dense_combiner(comb)
     rng = np.random.default_rng(seed)
     for i, op in enumerate(d.tile_operators(comb, scale)):
@@ -111,11 +111,10 @@ def test_kronecker_operators_equal_the_dense_product(case):
         full = build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, z)
         ref = v @ np.kron(full.a_h, full.a_v)
         y = rng.standard_normal(v.shape[0]) + 1j * rng.standard_normal(v.shape[0])
-        op = full.operator()
-        assert _relative(op.column_norms, np.linalg.norm(ref, axis=0)) <= 1e-12
-        assert _relative(op.scores(comb.adjoint(y[:, None])[:, 0]),
+        assert _relative(full.column_norms, np.linalg.norm(ref, axis=0)) <= 1e-12
+        assert _relative(full.scores(comb.adjoint(y[:, None])[:, 0]),
                          np.abs(y.conj() @ ref) / np.linalg.norm(ref, axis=0)) <= 1e-12
-        assert _relative(v @ op.columns(support), ref[:, support]) <= 1e-12
+        assert _relative(v @ full.columns(support), ref[:, support]) <= 1e-12
 
 
 @st.composite
@@ -131,7 +130,7 @@ def sbl_problems(draw):
     y = a @ x
     sigma2 = float(np.vdot(y, y).real) / p * 10 ** (-snr_db / 10)
     y = y + np.sqrt(sigma2 / 2) * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    return dense_problem(a, y), sigma2
+    return dense_operator(a), y, sigma2
 
 
 def _support_is_sound(sol, state, q):
@@ -145,10 +144,10 @@ def _support_is_sound(sol, state, q):
 @given(case=sbl_problems())
 def test_sequential_sbl_converged_meets_its_stop_rule(case):
     # s, q recomputed from C = sigma^2 I + Phi Gamma Phi^H, formed densely
-    problem, sigma2 = case
-    a, y = problem.operator.matrix, problem.observation
+    op, y, sigma2 = case
+    a = op.matrix
     tol = 1e-6
-    sol, state = sbl_em(problem, sigma2=sigma2, tol=tol)
+    sol, state = sbl_em(op, y, sigma2=sigma2, tol=tol)
     _support_is_sound(sol, state, a.shape[1])
     if not sol.converged:
         return
@@ -159,14 +158,14 @@ def test_sequential_sbl_converged_meets_its_stop_rule(case):
     s, q = big_s.copy(), big_q.copy()
     s[model] = big_s[model] / (1 - gamma * big_s[model])
     q[model] = big_q[model] / (1 - gamma * big_s[model])
-    cap = _GAMMA_CAP * np.vdot(y, y).real / problem.operator.column_norms ** 2
+    cap = _GAMMA_CAP * np.vdot(y, y).real / op.column_norms ** 2
     optimum = np.minimum(np.maximum(np.abs(q) ** 2 - s, 0) / s ** 2, cap)
     np.testing.assert_allclose(optimum[model], gamma, rtol=2 * tol)
     # every atom outside the model that the model does not span stays out
     outside = np.setdiff1d(np.arange(a.shape[1]), model)
     basis = np.linalg.qr(a[:, model])[0]
     rest = a[:, outside] - basis @ (basis.conj().T @ a[:, outside])
-    joinable = np.sum(np.abs(rest) ** 2, axis=0) > 1e3 * _SPAN_RTOL * problem.operator.column_norms[outside] ** 2
+    joinable = np.sum(np.abs(rest) ** 2, axis=0) > 1e3 * _SPAN_RTOL * op.column_norms[outside] ** 2
     assert np.all(np.abs(q[outside][joinable]) ** 2 <= s[outside][joinable] * (1 + 1e-9))
 
 
@@ -184,15 +183,15 @@ def omp_problems(draw):
     x = np.zeros(q, dtype=complex)
     x[rng.choice(q, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     y = a @ x + noise * (rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    return dense_problem(a, y), max_atoms, residual_tol
+    return dense_operator(a), y, max_atoms, residual_tol
 
 
 @CONTRACT
 @given(case=omp_problems())
 def test_omp_converged_iff_tolerance_met_and_support_is_sound(case):
-    problem, max_atoms, residual_tol = case
-    p, q = problem.shape
-    sol = omp(problem, max_atoms=max_atoms, residual_tol=residual_tol)
+    op, y, max_atoms, residual_tol = case
+    p, q = op.shape
+    sol = omp(op, y, max_atoms=max_atoms, residual_tol=residual_tol)
     history = sol.residual_history
     assert sol.converged == (residual_tol is not None and history[-1] / history[0] <= residual_tol)
     support = sol.support

@@ -24,7 +24,7 @@ class TestAngular:
     def test_z2_grid(self):
         np.testing.assert_allclose(cosine_grid(2), [-0.5, 0.5])
         d = build_angular(2, 2, HALF, HALF, WAVELENGTH, 2)
-        assert d.atoms(slice(None)).shape == (4, 4)
+        assert d.columns(slice(None)).shape == (4, 4)
 
     def test_columns_match_kronecker_definition(self):
         d = build_angular(4, 3, HALF, HALF, WAVELENGTH, 8)
@@ -35,17 +35,17 @@ class TestAngular:
                 4, 3, HALF, HALF, d.cosines[z1], d.cosines[z2], WAVELENGTH
             )
             np.testing.assert_allclose(
-                d.atoms([z1 * d.z + z2])[:, 0], expected, atol=1e-13
+                d.columns([z1 * d.cosines.size + z2])[:, 0], expected, atol=1e-13
             )
 
     def test_unit_modulus_entries(self):
         d = build_angular(4, 6, HALF, HALF, WAVELENGTH, 4)
-        np.testing.assert_allclose(np.abs(d.atoms(slice(None))), 1.0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(d.columns(slice(None))), 1.0, atol=1e-13)
 
     def test_coherence_below_one_and_on_grid_match(self):
         d = build_angular(8, 12, HALF, HALF, WAVELENGTH, 32)
         m_i = 8 * 12
-        matrix = d.atoms(slice(None))
+        matrix = d.columns(slice(None))
         gram = np.abs(matrix.conj().T @ matrix) / m_i
         off = gram - np.diag(np.diag(gram))
         assert off.max() < 0.999
@@ -55,7 +55,7 @@ class TestAngular:
             8, 12, HALF, HALF, d.cosines[z1], d.cosines[z2], WAVELENGTH
         )
         corr = np.abs(matrix.conj().T @ probe) / m_i
-        assert corr.argmax() == z1 * d.z + z2
+        assert corr.argmax() == z1 * d.cosines.size + z2
         assert corr.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_on_grid_mixture_is_sparse_representable(self):
@@ -63,12 +63,12 @@ class TestAngular:
         # (L+1)-sparse in the dictionary
         d = build_angular(8, 12, HALF, HALF, WAVELENGTH, 16)
         rng = np.random.default_rng(2)
-        atoms = rng.choice(d.num_atoms, size=3, replace=False)
+        atoms = rng.choice(d.shape[1], size=3, replace=False)
         coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        h = d.atoms(atoms) @ coeffs
-        x = np.zeros(d.num_atoms, dtype=complex)
+        h = d.columns(atoms) @ coeffs
+        x = np.zeros(d.shape[1], dtype=complex)
         x[atoms] = coeffs
-        assert np.linalg.norm(h - d.atoms(slice(None)) @ x) / np.linalg.norm(h) < 1e-10
+        assert np.linalg.norm(h - d.columns(slice(None)) @ x) / np.linalg.norm(h) < 1e-10
 
 
 W2 = np.array([0.6, 0.8j])
@@ -270,7 +270,7 @@ def test_channel_helpers_bit_identical_to_one_expression():
 
 def test_angular_column_norms_match_matrix():
     d = build_angular(6, 10, HALF, HALF, WAVELENGTH, 16)
-    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.atoms(slice(None)), axis=0),
+    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.columns(slice(None)), axis=0),
                                rtol=1e-14)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_combiner, dense_problem, wave_vector
+from helpers import dense_combiner, dense_operator, wave_vector
 
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
@@ -141,7 +141,7 @@ class TestStage1:
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=0)
         sols, _ = stage1(rec, d)
         for sol in sols:
-            assert sol.support[0] == z1 * d.z + z2
+            assert sol.support[0] == z1 * d.cosines.size + z2
 
     def test_requires_uniform_precoder(self, desk):
         rec = simulate_reception(
@@ -229,14 +229,14 @@ class TestSharedTileOperator:
         work = self.record_work(monkeypatch)
         sols, h_sub = stage1(rec, d)
         assert len(work["grams"]) == expected
-        assert max(work["columns"]) < d.num_atoms
+        assert max(work["columns"]) < d.shape[1]
         monkeypatch.undo()
 
         scale = np.sqrt(rec.power / 2)
         y = rec.observations[:, 0]
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, scale)
-            ref = omp(dense_problem(a_bar, y[comb.tile_rows(i)]),
+            ref = omp(dense_operator(a_bar), y[comb.tile_rows(i)],
                       max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
             np.testing.assert_array_equal(sols[i].support, ref.support)
             self.assert_close(sols[i].coefficients, ref.coefficients)
@@ -249,7 +249,7 @@ class TestSharedTileOperator:
         work = self.record_work(monkeypatch)
         h_hat = baseline_subarray_antenna_wise(rec, d)
         assert len(work["grams"]) == expected
-        assert max(work["columns"]) < d.num_atoms
+        assert max(work["columns"]) < d.shape[1]
         monkeypatch.undo()
 
         per_antenna = rec.observations @ rec.precoder.w.conj().T
@@ -257,7 +257,7 @@ class TestSharedTileOperator:
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, np.sqrt(rec.power))
             for col in range(n):
-                sol = omp(dense_problem(a_bar, per_antenna[comb.tile_rows(i), col]),
+                sol = omp(dense_operator(a_bar), per_antenna[comb.tile_rows(i), col],
                           max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
                 ref[tile.antenna_indices, col] = kron_reference(d) @ sol.coefficients
         self.assert_close(h_hat, ref)
@@ -407,8 +407,8 @@ class TestThreeStage:
 
 
 def dense_dictionary(op) -> np.ndarray:
-    """A full-array dictionary's operator as a matrix: the spherical one's, or ``A_h ⊗ A_v``."""
-    return op.matrix if isinstance(op, MatrixOperator) else kron_reference(op.dictionary)
+    """A full-array dictionary as a matrix: the spherical one's, or ``A_h ⊗ A_v``."""
+    return op.matrix if isinstance(op, MatrixOperator) else kron_reference(op)
 
 
 def explicit_operator_baseline(rec, dictionary):
@@ -418,7 +418,7 @@ def explicit_operator_baseline(rec, dictionary):
     a_bar = np.sqrt(rec.power) * rec.combiner.apply(d)
     h_hat = np.zeros((rec.combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
     for col in range(h_hat.shape[1]):
-        sol = omp(dense_problem(a_bar, per_antenna[:, col]),
+        sol = omp(dense_operator(a_bar), per_antenna[:, col],
                   max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
         h_hat[:, col] = d @ sol.coefficients
     return h_hat
@@ -431,7 +431,7 @@ class TestFullArrayAntennaWise:
     def dictionaries(self, desk):
         bs = desk["bs"]
         return {
-            "dft": build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, 32).operator(),
+            "dft": build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, 32),
             "spherical": build_spherical_baseline(
                 bs, 16, reciprocal_distance_rings(1.5, 8.0, 3), WAVELENGTH),
         }
@@ -516,7 +516,7 @@ class TestBaselines:
         ue = build_ula(2, HALF, center)
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full.operator())
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
         for col in range(2):
             err = np.linalg.norm(h_hat[:, col] - real.h[:, col]) / np.linalg.norm(real.h[:, col])
             assert err < 1e-5
@@ -532,7 +532,7 @@ class TestBaselines:
         scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
         real = synthesize(scene, rng_seed=0)
         full = build_angular(16, 48, HALF, HALF, WAVELENGTH, 64)
-        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full.operator())
+        h_hat = baseline_antenna_wise(dft_record(scene, real, comb, 0), full)
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
         assert 10 * np.log10(nmse) > -10
 
