@@ -3,7 +3,8 @@
 LoS-only noiseless scene with the user at (8, 1, -1): stage 1 recovers
 each subarray channel on the angular grid, stage 2 triangulates the
 user to centimeter level, and stage 3 rebuilds the full MIMO channel
-from the location-aided dictionary.
+from the location-aided dictionary.  Only the simulation sees the scene;
+the stages know the user array by its antenna offsets from its center.
 """
 
 import numpy as np
@@ -37,12 +38,13 @@ user_center = np.array([8.0, 1.0, -1.0])
 ue = build_ula(4, HALF, user_center)
 scene = Scene(bs=bs, ue=ue, wavelength=WAVELENGTH, noise_var=0.0)
 realization = synthesize(scene, rng_seed=0)
+ue_offsets = build_ula(4, HALF, (0, 0, 0)).positions
 
 record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
 solutions, h_sub = stage1(record, dictionary)
 estimate, _directions = stage2(h_sub, tiling, WAVELENGTH)
 # stage 3 on the paper's location grid and SBL run
-solution, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH, paper_profile().stages)
+solution, h_hat = stage3(record, estimate.point, ue_offsets, WAVELENGTH, paper_profile().stages)
 
 print("stage 1: per-subarray supports", [sol.support.size for sol in solutions])
 print("stage 2: estimated center", np.round(estimate.point, 4))

@@ -32,7 +32,6 @@ from pathlib import Path  # noqa: E402
 
 from .dictionaries import build_location, reciprocal_distance_rings  # noqa: E402
 from .errors import NearMimoError  # noqa: E402
-from .geometry import build_ula  # noqa: E402
 from .harness import (  # noqa: E402
     METHODS, SPHERICAL_ANGLE_GRID, ExperimentConfig, SweepContext, desk_profile,
     paper_profile, run_sweep, run_trial, simulate_once,
@@ -52,23 +51,19 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
         cfg = paper_profile() if args.profile == "paper" else desk_profile()
-    return cfg if args.seed is None else replace(cfg, base_seed=args.seed)
+    return cfg if getattr(args, "seed", None) is None else replace(cfg, base_seed=args.seed)
 
 
-def _add_common(p, with_method=False):
+def _add_common(p, runs=True):
     p.add_argument("--config", help="path to a JSON experiment config")
     p.add_argument("--profile", choices=("desk", "paper"), default="desk",
                    help="built-in profile when --config is omitted")
-    p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings in output files "
-                        "(breaks byte-reproducibility)")
-    if with_method:
-        p.add_argument("--method", default="proposed-sbl",
-                       help="method name ('proposed' = proposed-sbl)")
-        p.add_argument("--snr-db", type=float, default=10.0,
-                       help="SNR in dB ('inf' for noiseless)")
+    if runs:  # export-dict draws no scene and times nothing
+        p.add_argument("--seed", type=int, help="override the base seed")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in output files "
+                            "(breaks byte-reproducibility)")
 
 
 def finite_xyz(text: str) -> tuple[float, float, float]:
@@ -87,7 +82,10 @@ def build_parser() -> _Parser:
     sub.add_parser("verify", help="run one desk trial of every method")
 
     p = sub.add_parser("simulate", help="run one scene + one method")
-    _add_common(p, with_method=True)
+    _add_common(p)
+    p.add_argument("--method", default="proposed-sbl",
+                   help="method name ('proposed' = proposed-sbl)")
+    p.add_argument("--snr-db", type=float, default=10.0, help="SNR in dB ('inf' for noiseless)")
 
     p = sub.add_parser("sweep", help="run the Monte-Carlo sweep")
     _add_common(p)
@@ -97,7 +95,7 @@ def build_parser() -> _Parser:
                    default="angular")
     p.add_argument("--center", type=finite_xyz, default=None,
                    help="location-grid center 'x,y,z' (location kind)")
-    _add_common(p)
+    _add_common(p, runs=False)
     return parser
 
 
@@ -179,16 +177,14 @@ def _cmd_export_dict(args) -> int:
         )
     else:
         center = args.center or tuple((lo + hi) / 2 for lo, hi in cfg.user_box)
-        ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center)
-        dx, dy, dz = cfg.stages.grid_half_widths
-        sx, sy, sz = cfg.stages.grid_counts
-        d = build_location(center, dx, dy, dz, sx, sy, sz, ctx.bs, ue, cfg.wavelength,
+        half_widths, counts = cfg.stages.grid_half_widths, cfg.stages.grid_counts
+        d = build_location(center, half_widths, counts, ctx.bs, ctx.ue_offsets, cfg.wavelength,
                            [1] * cfg.n_ue)
         matrix = d.channels(slice(None))  # vec(H) atoms
         manifest = (
             f"kind location\ncenter {center[0]:.10g} {center[1]:.10g} {center[2]:.10g}\n"
-            f"half_widths {dx} {dy} {dz}\ncounts {sx} {sy} {sz}\n"
-            f"atoms {d.num_atoms}\n"
+            f"half_widths {' '.join(map(str, half_widths))}\ncounts {' '.join(map(str, counts))}\n"
+            f"atoms {d.matrix.shape[1]}\n"
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
-from .geometry import ArrayGeometry, build_ula
+from .geometry import ArrayGeometry
 from .sensing import CombinerDesign
 from .solvers import MatrixOperator, _check_operator
 
@@ -141,10 +141,6 @@ class LocationDictionary:
     offsets: np.ndarray  # (N, 3) user antennas relative to the array center
     wavelength: float
 
-    @property
-    def num_atoms(self) -> int:
-        return self.matrix.shape[1]
-
     def channels(self, support) -> np.ndarray:
         """(M*N, K) ``vec(H(p_s))`` of the K atoms ``support`` indexes; antenna n is block n."""
         points = self.points[support]
@@ -182,30 +178,25 @@ def _axis_grid(center: float, half_width: float, count: int, label: str) -> np.n
 
 
 def build_location(
-    center,
-    dx: float, dy: float, dz: float,
-    s_x: int, s_y: int, s_z: int,
-    bs: ArrayGeometry, ue_template: ArrayGeometry, wavelength: float, w,
+    center, half_widths, counts, bs: ArrayGeometry, offsets: np.ndarray, wavelength: float, w,
 ) -> LocationDictionary:
     """Build the location-aided dictionary around an estimated center.
 
-    Each axis is sampled uniformly over ``center ± half_width`` with the
-    stated count (a count of 1 collapses the axis); grid x values are
+    Each axis is sampled uniformly over ``center ± half_widths`` with the
+    stated ``counts`` (a count of 1 collapses the axis); grid x values are
     clamped to stay in front of the array.  Column ``s`` is the LoS
-    channel with the user array moved to grid point ``s``, times the
-    precoder column ``w``, summed over the user antennas inside the
-    kernel's row blocks: no (M*N) x S vec(H) dictionary is formed.
+    channel from the user antennas at grid point ``s`` plus ``offsets``
+    (N, 3), times the precoder column ``w``, summed over the user antennas
+    inside the kernel's row blocks: no (M*N) x S vec(H) dictionary is formed.
     """
     w = np.asarray(w).reshape(-1)
-    if w.size != ue_template.size:
-        raise ValueError(f"precoder drives {w.size} antennas, user array has {ue_template.size}")
+    if w.size != len(offsets):
+        raise ValueError(f"precoder drives {w.size} antennas, user array has {len(offsets)}")
     center = np.asarray(center, dtype=float).reshape(3)
-    gx = np.maximum(_axis_grid(center[0], dx, s_x, "x"), MIN_GRID_X)
-    gy = _axis_grid(center[1], dy, s_y, "y")
-    gz = _axis_grid(center[2], dz, s_z, "z")
-    points = np.stack(np.meshgrid(gx, gy, gz, indexing="ij"), axis=-1).reshape(-1, 3)
-    # user antenna n sits at p + offsets[n]
-    offsets = build_ula(ue_template.m_h, ue_template.d_h, np.zeros(3)).positions
+    gx, gy, gz = (_axis_grid(c, hw, n, label)
+                  for c, hw, n, label in zip(center, half_widths, counts, "xyz"))
+    points = np.stack(np.meshgrid(np.maximum(gx, MIN_GRID_X), gy, gz, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
     matrix = _spherical_wave(bs.positions, points + offsets[:, None], wavelength,
                              divide=True, weights=w)
     return LocationDictionary(matrix, points, bs.positions, offsets, wavelength)
@@ -224,7 +215,7 @@ def build_spherical_baseline(
     rings = np.asarray(distance_rings, dtype=float)
     if angle_grid < 1 or rings.size == 0:
         raise ValueError("need a non-empty angle and distance grid")
-    g = cosine_grid(angle_grid) if angle_grid > 1 else np.array([0.0])
+    g = cosine_grid(angle_grid)
     directions = []
     for ky in g:
         for kz in g:

@@ -91,12 +91,11 @@ def _stage1(ctx, draw, combiner, timings):
 
 def _three_stage(ctx, draw, combiner, stage3_solver="sbl") -> TrialResult:
     timings = {}
-    scene = draw.scene
+    wavelength = ctx.config.wavelength
     record, sols, h_sub = _stage1(ctx, draw, combiner, timings)
-    estimate, directions = _timed(timings, "stage2", stage2, h_sub, ctx.tiling,
-                                  scene.wavelength)
-    sol3, h_hat = _timed(timings, "stage3", stage3, record, estimate.point, scene.bs,
-                         scene.ue, scene.wavelength, ctx.config.stages, solver=stage3_solver)
+    estimate, directions = _timed(timings, "stage2", stage2, h_sub, ctx.tiling, wavelength)
+    sol3, h_hat = _timed(timings, "stage3", stage3, record, estimate.point, ctx.ue_offsets,
+                         wavelength, ctx.config.stages, solver=stage3_solver)
     detail = {
         "location": {
             "point": estimate.point.tolist(),
@@ -133,11 +132,11 @@ def _antenna_wise(ctx, draw, baseline, dictionary) -> TrialResult:
 
 def _eigen_dictionary(ctx, draw) -> TrialResult:
     timings = {}
-    scene = draw.scene
+    wavelength = ctx.config.wavelength
     record, _sols, h_sub = _stage1(ctx, draw, ctx.combiner, timings)
-    estimate, _dirs = _timed(timings, "stage2", stage2, h_sub, ctx.tiling, scene.wavelength)
+    estimate, _dirs = _timed(timings, "stage2", stage2, h_sub, ctx.tiling, wavelength)
     h_hat = _timed(timings, "stage3", baseline_eigen_dictionary, record, estimate.point,
-                   scene.bs, scene.ue, scene.wavelength)
+                   ctx.ue_offsets, wavelength)
     return TrialResult(h_hat, estimate.point, timings,
                        detail={"location": {"point": estimate.point.tolist()}})
 
@@ -236,9 +235,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be 3 finite (low, high) pairs, low <= high: {box}")
         if self.user_box[0][0] <= 0:  # behind the array a user has its mirror image's channel
             raise ValueError(f"user_box must lie in front of the array, x > 0: {self.user_box}")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [m for m in self.methods if m not in METHODS]  # a set() fails on a dict
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {unknown}")
         # a repeated value would run its cells twice on the same seeds
         for name in ("methods", "snr_db"):
             values = getattr(self, name)
@@ -452,8 +451,9 @@ def _json_default(obj):
 class SweepContext:
     """Immutable per-config assets shared by every trial.
 
-    The two baseline dictionaries are built on first use, once per
-    process: a pool worker builds its own from the context it receives.
+    ``ue_offsets`` (N, 3), the user antennas about their center, is all the
+    estimators know of the user array.  The two baseline dictionaries are
+    built on first use, once per process: a pool worker builds its own.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -467,6 +467,7 @@ class SweepContext:
         self.tile_dictionary = build_angular(tile.m_h, tile.m_v, tile.d_h, tile.d_v,
                                              config.wavelength, config.z_grid)
         self.dft_precoder = design_precoder_dft(config.n_ue)
+        self.ue_offsets = build_ula(config.n_ue, half, (0.0, 0.0, 0.0)).positions
         self._lazy = {}
 
     def full_array_dictionary(self):

@@ -1,7 +1,8 @@
 """Reception simulation, the three estimator stages and the baselines.
 
-Only ``simulate_reception`` sees the true channel; the stages and the
-baselines work from its record, and ``harness`` composes them.
+Only ``simulate_reception`` sees the scene.  The stages and baselines
+work from its record (whose combiner tiles the array), the wavelength
+and the user antennas' offsets from their center; ``harness`` composes them.
 Stage 1 slices the single-block observation per subarray and recovers
 each subarray channel over the angular dictionary by Kronecker-OMP, which
 never forms a tile's sensing operator ``V_i D``; its estimate is one
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, Scene, los_channel
+from .channel import ChannelRealization, Scene, _spherical_wave
 from .dictionaries import AngularDictionary, build_location
 from .doa import extract_axis_factors, music_1d, subarray_covariance
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     InvalidDirectionError,
     StageFailure,
 )
-from .geometry import ArrayGeometry, SubarrayTiling, build_ula, recover_kx
+from .geometry import SubarrayTiling, recover_kx
 from .localization import LocationEstimate, Ray, ls_intersect
 from .sensing import CombinerDesign, PrecoderDesign
 from .solvers import MatrixOperator, SparseSolution, _is_integer, _is_real, omp, sbl_em
@@ -94,6 +95,9 @@ class StageOptions:
                 or not all(0 <= w < np.inf for w in self.grid_half_widths):
             raise ValueError(f"need 3 grid_counts >= 1 and 3 finite grid_half_widths >= 0, got "
                              f"{self.grid_counts} and {self.grid_half_widths}")
+        for axis, half_width, count in zip("xyz", self.grid_half_widths, self.grid_counts):
+            if count > 1 and half_width == 0:  # every sample would be the center
+                raise ValueError(f"grid axis {axis}: {count} samples need a grid_half_width > 0")
         if self.sbl_max_iters < 1 or not self.sbl_tol >= 0:
             raise ValueError(f"need sbl_max_iters >= 1 and sbl_tol >= 0, got "
                              f"{self.sbl_max_iters} and {self.sbl_tol}")
@@ -225,27 +229,25 @@ def location_operator(record: ReceptionRecord, atoms: np.ndarray) -> np.ndarray:
 def stage3(
     record: ReceptionRecord,
     p_hat,
-    bs: ArrayGeometry,
-    ue_template: ArrayGeometry,
+    ue_offsets: np.ndarray,
     wavelength: float,
     options: StageOptions,
     solver: str = "sbl",
 ) -> tuple[SparseSolution, np.ndarray]:
     """Location-aided recovery of the full MIMO channel.
 
-    Builds the received-channel atoms ``H(p_s) w`` of the ``options``
-    location grid around ``p_hat``, maps them through the combiner into
-    the sensing matrix of the single-block record, and solves with
-    ``solver`` (``"sbl"`` with the ``options`` stopping controls, or
-    ``"omp"`` for the ablation).  The channel estimate ``unvec(A_L x_hat)``
-    is rebuilt from the vec(H) columns of the support alone.
+    Builds the received-channel atoms ``H(p_s) w``, user antennas at ``p_s
+    + ue_offsets``, of the ``options`` grid around ``p_hat``, maps them
+    through the combiner into the sensing matrix of the single-block record,
+    and solves with ``solver`` (``"sbl"`` with the ``options`` stopping
+    controls, or ``"omp"`` for the ablation).  The channel estimate
+    ``unvec(A_L x_hat)`` is rebuilt from the vec(H) columns of the support alone.
     """
     if record.num_blocks != 1:
         raise ValueError("stage 3 consumes the single-block record")
-    dx, dy, dz = options.grid_half_widths
-    sx, sy, sz = options.grid_counts
-    loc_dict = build_location(p_hat, dx, dy, dz, sx, sy, sz, bs, ue_template, wavelength,
-                              record.precoder.w[:, 0])
+    bs = record.combiner.tiling.parent
+    loc_dict = build_location(p_hat, options.grid_half_widths, options.grid_counts, bs,
+                              ue_offsets, wavelength, record.precoder.w[:, 0])
     a_bar = location_operator(record, loc_dict.matrix)
     op = MatrixOperator(a_bar, np.linalg.norm(a_bar, axis=0))
     y = record.observations[:, 0]
@@ -260,7 +262,7 @@ def stage3(
     else:
         raise ValueError(f"unknown stage-3 solver {solver!r}")
     h_hat = loc_dict.channels(sol.support) @ sol.coefficients[sol.support]
-    return sol, h_hat.reshape(bs.size, ue_template.size, order="F")
+    return sol, h_hat.reshape(bs.size, len(ue_offsets), order="F")
 
 
 def _dft_per_antenna(record: ReceptionRecord) -> np.ndarray:
@@ -314,22 +316,18 @@ def baseline_subarray_antenna_wise(record: ReceptionRecord,
 
 
 def baseline_eigen_dictionary(
-    record: ReceptionRecord,
-    p_hat,
-    bs: ArrayGeometry,
-    ue_template: ArrayGeometry,
-    wavelength: float,
+    record: ReceptionRecord, p_hat, ue_offsets: np.ndarray, wavelength: float,
 ) -> np.ndarray:
     """LS fit over the eigenbasis of the LoS channel at one location.
 
-    Builds ``H_los(p_hat)`` with all its singular triplets ``u_k s_k v_k^H``
-    and fits the single-block observation over their received images
-    ``u_k (v_k^H w)``; the estimate is ``sum_k c_k u_k v_k^H``, so no
-    vec(H) basis is formed.
+    Builds ``H_los(p_hat)``, user antennas at ``p_hat + ue_offsets``, with
+    all its singular triplets ``u_k s_k v_k^H`` and fits the single-block
+    observation over their received images ``u_k (v_k^H w)``; the estimate
+    is ``sum_k c_k u_k v_k^H``, so no vec(H) basis is formed.
     """
-    p_hat = np.asarray(p_hat, dtype=float).reshape(3)
-    ue = build_ula(ue_template.m_h, ue_template.d_h, p_hat)
-    h0 = los_channel(bs, ue, wavelength)
+    antennas = np.asarray(p_hat, dtype=float).reshape(3) + ue_offsets
+    h0 = _spherical_wave(record.combiner.tiling.parent.positions, antennas, wavelength,
+                         divide=True)
     u, _s, vh = np.linalg.svd(h0, full_matrices=False)
     g = location_operator(record, u * (vh @ record.precoder.w[:, 0]))
     coef, *_ = np.linalg.lstsq(g, record.observations[:, 0], rcond=None)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from nearmimo.channel import far_field_steering
+from nearmimo.geometry import build_ula
 from nearmimo.solvers import MatrixOperator
 
 
@@ -15,6 +16,11 @@ def dense_operator(a) -> MatrixOperator:
     """A formed matrix as an operator, with its column norms from ``np.linalg.norm``."""
     a = np.asarray(a)
     return MatrixOperator(a, np.linalg.norm(a, axis=0))
+
+
+def ula_offsets(n: int, spacing: float) -> np.ndarray:
+    """The (n, 3) antenna offsets of a y-axis ULA from its center, as ``SweepContext`` keeps them."""
+    return build_ula(n, spacing, (0.0, 0.0, 0.0)).positions
 
 
 def wave_vector(theta: float, phi: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import dense_combiner, dense_operator
+from helpers import dense_combiner, dense_operator, ula_offsets
 from scipy.optimize import minimize
 from test_sensing import dense_reference, noise_gram
 
@@ -195,7 +195,8 @@ def test_acceptance_6_end_to_end_noiseless(paper_setup):
     record = simulate_reception(scene, realization, combiner, uniform_precoder(4), seed=1)
     _sols, h_sub = stage1(record, dictionary)
     estimate, _dirs = stage2(h_sub, tiling, WAVELENGTH)
-    _sol, h_hat = stage3(record, estimate.point, bs, ue, WAVELENGTH, paper_profile().stages)
+    _sol, h_hat = stage3(record, estimate.point, ula_offsets(4, HALF), WAVELENGTH,
+                         paper_profile().stages)
     loc_error = float(np.linalg.norm(estimate.point - center))
     nmse_db = 10 * np.log10(
         np.linalg.norm(h_hat - realization.h) ** 2

@@ -135,6 +135,11 @@ _BAD_CONFIGS = {
     "nan-sbl-tol": (lambda d: d["stages"].update(sbl_tol=float("nan")), "sbl_tol >= 0"),
     "nan-grid-half-width": (lambda d: d["stages"].update(grid_half_widths=[0.4, float("nan"), 0.05]),
                             "3 finite grid_half_widths"),
+    # it loaded, then every stage-3 row failed as DegenerateGridError and the sweep exited 0
+    "zero-width-grid-axis": (lambda d: d["stages"].update(grid_half_widths=[0.0, 0.4, 0.05]),
+                             "grid axis x: 5 samples need a grid_half_width > 0"),
+    # an unhashable entry crashed the check for unknown names with a TypeError
+    "dict-method": (lambda d: d.update(methods=[{}]), "unknown methods: [{}]"),
 }
 
 
@@ -292,6 +297,16 @@ def test_export_dict_angular(tmp_path, tiny_config_file):
     assert matrix.shape == (6 * 12, 32 * 32)
     manifest = (out / "dictionary_angular.manifest.txt").read_text()
     assert "kind angular" in manifest
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--timings"]])
+def test_export_dict_rejects_the_run_options(tmp_path, tiny_config_file, capsys, flag):
+    # a dictionary draws no scene and times nothing: these flags were accepted and ignored
+    out = tmp_path / "d"
+    code = main(["export-dict", *flag, "--config", str(tiny_config_file), "--out", str(out)])
+    assert code == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_dict_location(tmp_path, tiny_config_file):

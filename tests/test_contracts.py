@@ -1,14 +1,14 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from helpers import dense_combiner, dense_operator
+from helpers import dense_combiner, dense_operator, ula_offsets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearmimo import errors
 from nearmimo.channel import _spherical_wave
 from nearmimo.dictionaries import build_angular, build_location
-from nearmimo.geometry import build_ula, build_upa, partition
+from nearmimo.geometry import build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
 from nearmimo.sensing import design_combiner, random_combiner
 from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, omp, sbl_em
@@ -54,9 +54,9 @@ def test_precoded_atoms_equal_the_per_antenna_sum(problem):
     shape, w, counts = problem
     center = (5.0, 0.5, -1.0)
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(w.size, HALF, center)
-    d = build_location(center, 0.2, 0.2, 0.02, *counts, bs, ue, WAVELENGTH, w)
-    expected = np.zeros((bs.size, d.num_atoms), dtype=complex)
+    d = build_location(center, (0.2, 0.2, 0.02), counts, bs, ula_offsets(w.size, HALF),
+                       WAVELENGTH, w)
+    expected = np.zeros((bs.size, d.matrix.shape[1]), dtype=complex)
     for offset, w_n in zip(d.offsets, w):
         expected += _spherical_wave(bs.positions, d.points + offset, WAVELENGTH, divide=True) * w_n
     np.testing.assert_array_equal(d.matrix, expected)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import planar_far_field_steering
+from helpers import planar_far_field_steering, ula_offsets
 
 from nearmimo.channel import los_channel, near_field_steering
 from nearmimo.dictionaries import (
@@ -78,11 +78,11 @@ class TestLocation:
     def _bs_ue(self):
         bs = build_upa(4, 6, HALF, HALF, (0, 0, 0))
         ue = build_ula(2, HALF, (8, 1, -1))
-        return bs, ue
+        return bs, ue, ula_offsets(2, HALF)
 
     def test_single_point_grid(self):
-        bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0, 0, 0, 1, 1, 1, bs, ue, WAVELENGTH, W2)
+        bs, ue, offsets = self._bs_ue()
+        d = build_location((8, 1, -1), (0, 0, 0), (1, 1, 1), bs, offsets, WAVELENGTH, W2)
         assert d.matrix.shape == (bs.size, 1)
         h = los_channel(bs, ue, WAVELENGTH)
         np.testing.assert_allclose(d.matrix[:, 0], h @ W2, atol=1e-13)
@@ -90,9 +90,9 @@ class TestLocation:
         np.testing.assert_allclose(d.channels([0])[:, 0], h.ravel(order="F"), atol=1e-13)
 
     def test_paper_grid_size_and_spacing(self):
-        bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0.2, 0.2, 0.02, 11, 11, 3, bs, ue, WAVELENGTH, W2)
-        assert d.num_atoms == 363
+        bs, ue, offsets = self._bs_ue()
+        d = build_location((8, 1, -1), (0.2, 0.2, 0.02), (11, 11, 3), bs, offsets, WAVELENGTH, W2)
+        assert d.matrix.shape[1] == 363
         xs = np.unique(d.points[:, 0])
         assert xs.size == 11
         np.testing.assert_allclose(np.diff(xs), 2 * 0.2 / 10, atol=1e-12)
@@ -100,8 +100,8 @@ class TestLocation:
         np.testing.assert_allclose(np.diff(zs), 2 * 0.02 / 2, atol=1e-12)
 
     def test_true_center_on_grid_is_a_column(self):
-        bs, ue = self._bs_ue()
-        d = build_location((8, 1, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
+        bs, ue, offsets = self._bs_ue()
+        d = build_location((8, 1, -1), (0.1, 0.1, 0.01), (3, 3, 3), bs, offsets, WAVELENGTH, W2)
         truth = los_channel(bs, ue, WAVELENGTH)
         idx = np.argmin(np.linalg.norm(d.points - np.array([8, 1, -1]), axis=1))
         np.testing.assert_allclose(d.channels([idx])[:, 0], truth.ravel(order="F"),
@@ -109,19 +109,19 @@ class TestLocation:
         np.testing.assert_allclose(d.matrix[:, idx], truth @ W2, atol=1e-13)
 
     def test_precoder_length_must_match_user_array(self):
-        bs, ue = self._bs_ue()
+        bs, ue, offsets = self._bs_ue()
         with pytest.raises(ValueError, match="precoder"):
-            build_location((8, 1, -1), 0.1, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH,
+            build_location((8, 1, -1), (0.1, 0.1, 0.01), (3, 3, 3), bs, offsets, WAVELENGTH,
                            np.ones(3))
 
     def test_degenerate_grid_rejected(self):
-        bs, ue = self._bs_ue()
+        bs, ue, offsets = self._bs_ue()
         with pytest.raises(DegenerateGridError):
-            build_location((8, 1, -1), 0.0, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
+            build_location((8, 1, -1), (0.0, 0.1, 0.01), (3, 3, 3), bs, offsets, WAVELENGTH, W2)
 
     def test_x_grid_clamped_to_front_halfspace(self):
-        bs, ue = self._bs_ue()
-        d = build_location((0.15, 0, -1), 0.2, 0.1, 0.01, 3, 3, 3, bs, ue, WAVELENGTH, W2)
+        bs, ue, offsets = self._bs_ue()
+        d = build_location((0.15, 0, -1), (0.2, 0.1, 0.01), (3, 3, 3), bs, offsets, WAVELENGTH, W2)
         assert d.points[:, 0].min() >= 0.1
 
 
@@ -223,10 +223,10 @@ def random_precoder(n, seed):
 def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
     ue = build_ula(n_ue, HALF, center)
-    d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH,
+    d = build_location(center, half_widths, counts, bs, ula_offsets(n_ue, HALF), WAVELENGTH,
                        random_precoder(n_ue, 0))
     np.testing.assert_array_equal(
-        d.channels(np.arange(d.num_atoms)),
+        d.channels(np.arange(d.matrix.shape[1])),
         location_reference(center, half_widths, counts, bs, ue))
 
 
@@ -237,10 +237,10 @@ def test_precoded_atoms_bit_identical_to_contracted_reference(
     ue = build_ula(n_ue, HALF, center)
     reference = location_reference(center, half_widths, counts, bs, ue)
     for w in (random_precoder(n_ue, 1), np.full(n_ue, 1 / np.sqrt(n_ue), dtype=complex)):
-        d = build_location(center, *half_widths, *counts, bs, ue, WAVELENGTH, w)
+        d = build_location(center, half_widths, counts, bs, ula_offsets(n_ue, HALF), WAVELENGTH, w)
         assert d.matrix.shape == (bs.size, reference.shape[1])
         np.testing.assert_array_equal(d.matrix, precoded_reference(reference, w))
-    idx = np.array([d.num_atoms - 1, 0, d.num_atoms // 2])
+    idx = np.array([d.matrix.shape[1] - 1, 0, d.matrix.shape[1] // 2])
     np.testing.assert_array_equal(d.channels(idx), reference[:, idx])
     assert d.channels(np.array([], dtype=int)).shape == (reference.shape[0], 0)
 
@@ -289,11 +289,11 @@ def test_desk_builds_peak_near_their_output():
     cfg = desk_profile()
     half = cfg.wavelength / 2
     bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
-    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, (4.0, 0.5, -1.0))
+    offsets = ula_offsets(cfg.n_ue, half)
     r_min, r_max, count = cfg.spherical_rings
     builds = {
         "location": lambda: build_location(
-            (4.0, 0.5, -1.0), *cfg.stages.grid_half_widths, *cfg.stages.grid_counts, bs, ue,
+            (4.0, 0.5, -1.0), cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, offsets,
             cfg.wavelength, np.full(cfg.n_ue, 1 / np.sqrt(cfg.n_ue), dtype=complex)),
         "spherical": lambda: build_spherical_baseline(
             bs, SPHERICAL_ANGLE_GRID,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -122,6 +123,7 @@ class TestConfig:
         ({"sbl_max_iters": -1}, "sbl_max_iters >= 1"),
         ({"sbl_max_iters": 0}, "sbl_max_iters >= 1"),
         ({"sbl_tol": -1e-5}, "sbl_tol >= 0"),
+        ({"grid_half_widths": [0.4, 0.0, 0.05]}, "grid axis y: 5 samples"),
     ])
     def test_rejects_bad_stages(self, stages, message):
         data = desk_profile().to_dict()
@@ -295,6 +297,24 @@ class TestSweep:
         row = run_trial(SweepContext(tiny_config()), "proposed-sbl", 10.0, 0)
         assert row.status == "DivergenceError"
         assert np.isnan(row.nmse) and np.isnan(row.loc_error_m)
+
+    @pytest.mark.parametrize(
+        "method", ["proposed-sbl", "proposed-omp3", "random-combiner", "eigen-dictionary"])
+    def test_locating_runners_never_read_the_scene_geometry(self, method):
+        # the estimators get the array from the record and the user layout from the context
+        ctx = SweepContext(tiny_config())
+        draw = harness._trial(ctx, method, 25.0, 11)[0]
+        blind = draw._replace(scene=replace(draw.scene, ue=None, bs=None, wavelength=None))
+        seen, unseen = harness._RUNNERS[method](ctx, draw), harness._RUNNERS[method](ctx, blind)
+        np.testing.assert_array_equal(unseen.h_hat, seen.h_hat)
+        np.testing.assert_array_equal(unseen.location, seen.location)
+        assert unseen.detail == seen.detail
+
+    def test_context_keeps_the_user_offsets_read_only(self):
+        cfg = tiny_config()
+        offsets = SweepContext(cfg).ue_offsets
+        assert offsets.shape == (cfg.n_ue, 3) and not offsets.flags.writeable
+        np.testing.assert_array_equal(offsets.mean(axis=0), 0.0)
 
     def test_simulate_once_report(self):
         cfg = tiny_config()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_combiner, dense_operator, wave_vector
+from helpers import dense_combiner, dense_operator, ula_offsets, wave_vector
 
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
@@ -311,7 +311,7 @@ class TestStage3:
             scene, real, desk["combiner"], uniform_precoder(2), seed=3
         )
         sol, h_hat = stage3(
-            rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
+            rec, scene.ue.center, ula_offsets(2, HALF), WAVELENGTH,
             replace(PAPER_STAGES, grid_counts=(3, 3, 3), grid_half_widths=(0.05, 0.05, 0.01)),
         )
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
@@ -324,7 +324,7 @@ class TestStage3:
             scene.with_noise_var(noise_var), real, desk["combiner"], uniform_precoder(2),
             seed=3,
         )
-        sol, h_hat = stage3(rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH, PAPER_STAGES)
+        sol, h_hat = stage3(rec, scene.ue.center, ula_offsets(2, HALF), WAVELENGTH, PAPER_STAGES)
         assert sol.converged
         assert sol.support.size < np.prod(PAPER_STAGES.grid_counts) / 4
         nmse = np.linalg.norm(h_hat - real.h) ** 2 / np.linalg.norm(real.h) ** 2
@@ -344,7 +344,8 @@ class TestStage3:
         p_hat = scene.ue.center + np.array([0.03, -0.02, 0.0])
         tracemalloc.start()
         try:
-            sol, h_hat = stage3(rec, p_hat, bs, scene.ue, cfg.wavelength, cfg.stages)
+            sol, h_hat = stage3(rec, p_hat, ula_offsets(cfg.n_ue, cfg.wavelength / 2),
+                                cfg.wavelength, cfg.stages)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +360,7 @@ class TestStage3:
             scene, real, desk["combiner"], uniform_precoder(2), seed=3
         )
         sol, h_hat = stage3(
-            rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH,
+            rec, scene.ue.center, ula_offsets(2, HALF), WAVELENGTH,
             replace(PAPER_STAGES, grid_counts=(1, 1, 1), grid_half_widths=(0, 0, 0)),
         )
         assert sol.coefficients.size == 1
@@ -373,8 +374,8 @@ def run_stages(scene, real, comb, dictionary, seed):
     rec = simulate_reception(scene, real, comb, uniform_precoder(scene.ue.size), seed)
     _sols, h_sub = stage1(rec, dictionary)
     estimate, _dirs = stage2(h_sub, comb.tiling, scene.wavelength)
-    _sol, h_hat = stage3(rec, estimate.point, scene.bs, scene.ue, scene.wavelength,
-                         PAPER_STAGES)
+    _sol, h_hat = stage3(rec, estimate.point, ula_offsets(scene.ue.size, scene.ue.d_h),
+                         scene.wavelength, PAPER_STAGES)
     return h_sub, estimate, h_hat
 
 
@@ -539,22 +540,17 @@ class TestBaselines:
     def test_eigen_dictionary_exact_at_true_location(self, desk):
         scene, real, comb = desk["scene"], desk["real"], desk["combiner"]
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=0)
-        h_hat = baseline_eigen_dictionary(
-            rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH
-        )
+        h_hat = baseline_eigen_dictionary(rec, scene.ue.center, ula_offsets(2, HALF), WAVELENGTH)
         err = np.linalg.norm(h_hat - real.h) / np.linalg.norm(real.h)
         assert err < 1e-8
 
     def test_eigen_dictionary_degrades_off_location(self, desk):
         scene, real, comb = desk["scene"], desk["real"], desk["combiner"]
         rec = simulate_reception(scene, real, comb, uniform_precoder(2), seed=0)
-        h_exact = baseline_eigen_dictionary(
-            rec, scene.ue.center, desk["bs"], scene.ue, WAVELENGTH
-        )
+        offsets = ula_offsets(2, HALF)
+        h_exact = baseline_eigen_dictionary(rec, scene.ue.center, offsets, WAVELENGTH)
         h_off = baseline_eigen_dictionary(
-            rec, scene.ue.center + np.array([0.1, 0.0, 0.0]),
-            desk["bs"], scene.ue, WAVELENGTH,
-        )
+            rec, scene.ue.center + np.array([0.1, 0.0, 0.0]), offsets, WAVELENGTH)
         h = real.h
         err_exact = np.linalg.norm(h_exact - h) / np.linalg.norm(h)
         err_off = np.linalg.norm(h_off - h) / np.linalg.norm(h)
