@@ -12,6 +12,8 @@ wall-clock timings are zeroed in files unless --timings is passed.
 
 BLAS and OpenMP run one thread unless one of the thread variables
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, ...) is set.
+Those variables do not govern the spherical-wave kernel, which splits
+large calls over the CPUs the process may run on (see ``nearmimo.threads``).
 """
 
 from __future__ import annotations
