@@ -20,8 +20,8 @@ _EXPORTS = {
         "los_channel", "near_field_steering", "synthesize",
     ),
     "dictionaries": (
-        "AngularDictionary", "LocationDictionary", "build_angular", "build_location",
-        "build_spherical_baseline",
+        "AngularDictionary", "LocationDictionary", "SphericalDictionary", "build_angular",
+        "build_location", "build_spherical_baseline",
     ),
     "doa": ("extract_axis_factors", "music_1d", "subarray_covariance"),
     "geometry": (

@@ -170,7 +170,7 @@ def _cmd_export_dict(args) -> int:
             f"cosine_grid {' '.join(format(c, '.10g') for c in d.cosines)}\n"
         )
     elif args.kind == "spherical":
-        matrix = ctx.spherical_dictionary().matrix
+        matrix = ctx.spherical_dictionary().columns(slice(None))  # every atom, formed only here
         rings = reciprocal_distance_rings(*cfg.spherical_rings)
         manifest = (
             f"kind spherical\narray {cfg.bs_m_h}x{cfg.bs_m_v}\n"

@@ -11,7 +11,8 @@ Three families:
 * location-aided: LoS channels through the precoder, ``H(p) w``, over a
   small 3D grid of candidate user-center positions,
 * spherical (baseline): full-array spherical steering vectors over a
-  joint angle/distance grid, formed as a ``MatrixOperator``.
+  joint angle/distance grid, kept as the quarter of the atoms with
+  non-negative cosines, whose mirrors are the rest; also an OMP operator.
 
 One kernel, ``channel._spherical_wave``, builds the location and spherical
 atoms (and any location atom's vec(H), on demand); angular and spherical
@@ -27,9 +28,9 @@ import numpy as np
 
 from .channel import _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, build_upa
 from .sensing import CombinerDesign
-from .solvers import MatrixOperator, _check_operator
+from .solvers import _check_operator
 
 # grid x-coordinates are kept in the physical half-space in front of the array
 MIN_GRID_X = 0.1
@@ -129,6 +130,39 @@ class KroneckerOperator:
 
 
 @dataclass(frozen=True)
+class SphericalDictionary:
+    """Spherical atoms over a (ky, kz, r) grid, kept as the quarter with ``ky, kz >= 0``.
+
+    Atom ``q`` is column ``column[q]`` of ``quarter`` read in the antenna
+    order ``orders[mirror[q]]``: as is, mirrored in y, in z, or in both.
+    The dictionary is an OMP operator on antenna-order residuals that
+    scores every atom with one (4, M) x (M, Q/4) product.
+    """
+
+    quarter: np.ndarray
+    orders: np.ndarray
+    mirror: np.ndarray
+    column: np.ndarray
+    column_norms: np.ndarray
+
+    def __post_init__(self):
+        _check_operator(self.shape, self.column_norms)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.quarter.shape[0], self.column.size
+
+    def scores(self, residual: np.ndarray) -> np.ndarray:
+        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with ``residual``."""
+        correlations = residual[self.orders].conj() @ self.quarter
+        return np.abs(correlations[self.mirror, self.column]) / self.column_norms
+
+    def columns(self, support) -> np.ndarray:
+        """The (M, K) atoms ``support`` indexes."""
+        return self.quarter[self.orders[self.mirror[support]].T, self.column[support]]
+
+
+@dataclass(frozen=True)
 class LocationDictionary:
     """Column s of ``matrix`` (M x S) is ``H(p_s) w``: the LoS channel from grid point s.
 
@@ -204,26 +238,36 @@ def build_location(
 
 def build_spherical_baseline(
     bs: ArrayGeometry, angle_grid: int, distance_rings, wavelength: float
-) -> MatrixOperator:
+) -> SphericalDictionary:
     """Full-array near-field dictionary over a joint angle/distance grid.
 
     One atom per (ky, kz, r) tuple, column ``(iy * G + iz) * R + ir`` over
     the ``G = angle_grid`` cosines and ``R`` rings; grid corners whose
     cosine pair leaves the unit disk are projected onto it (kx = 0),
-    keeping the stated ``G**2 * R`` atom count.
+    keeping the stated ``G**2 * R`` atom count.  Atoms are built about the
+    array center from the layout's own offsets, so any center gives the
+    origin-centered array's bits, and only those with ``ky, kz >= 0`` are
+    formed: the offsets and the cosine grid are exactly symmetric.
     """
     rings = np.asarray(distance_rings, dtype=float)
     if angle_grid < 1 or rings.size == 0:
         raise ValueError("need a non-empty angle and distance grid")
     g = cosine_grid(angle_grid)
+    half = angle_grid // 2  # g[half:] >= 0, and g[i] == -g[G - 1 - i]
     directions = []
-    for ky in g:
-        for kz in g:
+    for ky in g[half:]:
+        for kz in g[half:]:
             kx = np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz))
             directions.append(np.array([kx, ky, kz]) / np.linalg.norm([kx, ky, kz]))
-    points = (bs.center + np.array(directions)[:, None] * rings[:, None]).reshape(-1, 3)
-    return MatrixOperator(_spherical_wave(bs.positions, points, wavelength),
-                          np.full(len(points), np.sqrt(bs.size)))
+    points = (np.array(directions)[:, None] * rings[:, None]).reshape(-1, 3)
+    offsets = build_upa(bs.m_h, bs.m_v, bs.d_h, bs.d_v, (0.0, 0.0, 0.0)).positions
+    grid = np.arange(bs.size).reshape(bs.m_h, bs.m_v)
+    orders = np.stack([grid, grid[::-1], grid[:, ::-1], grid[::-1, ::-1]]).reshape(4, -1)
+    iy, iz, ir = np.indices((angle_grid, angle_grid, rings.size)).reshape(3, -1)
+    jy, jz = (np.maximum(i, angle_grid - 1 - i) - half for i in (iy, iz))  # quarter grid
+    return SphericalDictionary(
+        _spherical_wave(offsets, points, wavelength), orders, (iy < half) + 2 * (iz < half),
+        (jy * (angle_grid - half) + jz) * rings.size + ir, np.full(iy.size, np.sqrt(bs.size)))
 
 
 def reciprocal_distance_rings(r_min: float, r_max: float, count: int) -> np.ndarray:

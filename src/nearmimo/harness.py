@@ -454,6 +454,9 @@ class SweepContext:
     ``ue_offsets`` (N, 3), the user antennas about their center, is all the
     estimators know of the user array.  The two baseline dictionaries are
     built on first use, once per process: a pool worker builds its own.
+    Neither is a formed matrix: the full-array angular one is its two axis
+    factors, the spherical one the quarter of its atoms with non-negative
+    cosines (12.6 MB at paper scale).
     """
 
     def __init__(self, config: ExperimentConfig):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scene, _spherical_wave
-from .dictionaries import AngularDictionary, build_location
+from .dictionaries import AngularDictionary, SphericalDictionary, build_location
 from .doa import extract_axis_factors, music_1d, subarray_covariance
 from .errors import (
     DegenerateGeometryError,
@@ -278,7 +278,7 @@ def _dft_per_antenna(record: ReceptionRecord) -> np.ndarray:
 
 
 def baseline_antenna_wise(
-    record: ReceptionRecord, operator: AngularDictionary | MatrixOperator,
+    record: ReceptionRecord, operator: AngularDictionary | SphericalDictionary,
 ) -> np.ndarray:
     """Antenna-wise SIMO estimation over a full-array dictionary, itself an operator.
 
@@ -288,7 +288,8 @@ def baseline_antenna_wise(
     support.  Needs ``V^H V = I`` (else ``ValueError``) and runs OMP on the
     operator against ``V^H y / sqrt(p)``, as if on the never formed
     ``sqrt(p) V D``; the angular dictionary scores it as
-    ``A_h^H unvec(V^H y) conj(A_v)``.
+    ``A_h^H unvec(V^H y) conj(A_v)``, the spherical one as the four
+    mirrors of ``V^H y`` against its quarter of the atoms.
     """
     per_antenna = _dft_per_antenna(record)
     combiner = record.combiner

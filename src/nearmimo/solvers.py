@@ -6,7 +6,7 @@ is built, and the observation ``y`` (P).  OMP greedily selects atoms by
 normalized correlation with the residual and refits by least squares;
 it reaches ``A`` only through the operator's scores and support
 columns, so a structured operator that never forms ``A`` (the angular
-dictionary and its tile view ``dictionaries.KroneckerOperator``) runs
+dictionary, its tile view ``KroneckerOperator``, the spherical one) runs
 the same loop as a :class:`MatrixOperator`.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
@@ -68,7 +68,7 @@ class MatrixOperator:
     (the normalized correlations ``|a_q^H r| / ||a_q||``) and
     ``columns(support)`` (the P x K columns of a support), and checks its
     shape and norms with :func:`_check_operator` when built; the angular
-    dictionary and its tile view are the structured ones.  The code that
+    dictionary, its tile view and the spherical one are structured.  The code that
     builds a matrix gives its norms, which are not recomputed here.
     """
 

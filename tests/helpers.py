@@ -1,8 +1,10 @@
-"""Plane-wave references, the dense combiner and a dense sensing operator, for the tests only."""
+"""Plane- and spherical-wave references, the dense combiner and a dense sensing operator,
+for the tests only."""
 
 import numpy as np
 
 from nearmimo.channel import far_field_steering
+from nearmimo.dictionaries import cosine_grid
 from nearmimo.geometry import build_ula
 from nearmimo.solvers import MatrixOperator
 
@@ -38,3 +40,22 @@ def planar_far_field_steering(
         far_field_steering(m_h, d_h, cos_h, wavelength),
         far_field_steering(m_v, d_v, cos_v, wavelength),
     )
+
+
+def steering_reference(bs, pos, wavelength: float) -> np.ndarray:
+    """The steering vector with its distances from ``np.linalg.norm``."""
+    r = np.linalg.norm(bs.positions - pos, axis=1)
+    return np.exp(-2j * np.pi * r / wavelength)
+
+
+def spherical_reference(bs, angle_grid: int, rings, wavelength: float) -> np.ndarray:
+    """``build_spherical_baseline``'s atoms, one steering vector each, about ``bs.center``."""
+    g = cosine_grid(angle_grid) if angle_grid > 1 else np.array([0.0])
+    cols = []
+    for ky in g:
+        for kz in g:
+            direction = np.array([np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz)), ky, kz])
+            direction = direction / np.linalg.norm(direction)
+            for r in rings:
+                cols.append(steering_reference(bs, bs.center + r * direction, wavelength))
+    return np.column_stack(cols)

@@ -1,17 +1,17 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from helpers import dense_combiner, dense_operator, ula_offsets
+from helpers import dense_combiner, dense_operator, spherical_reference, ula_offsets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearmimo import errors
 from nearmimo.channel import _spherical_wave
-from nearmimo.dictionaries import build_angular, build_location
+from nearmimo.dictionaries import build_angular, build_location, build_spherical_baseline
 from nearmimo.geometry import build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
 from nearmimo.sensing import design_combiner, random_combiner
-from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, omp, sbl_em
+from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, MatrixOperator, omp, sbl_em
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -115,6 +115,31 @@ def test_kronecker_operators_equal_the_dense_product(case):
         assert _relative(full.scores(comb.adjoint(y[:, None])[:, 0]),
                          np.abs(y.conj() @ ref) / np.linalg.norm(ref, axis=0)) <= 1e-12
         assert _relative(v @ full.columns(support), ref[:, support]) <= 1e-12
+
+
+@CONTRACT
+@given(m_h=st.integers(1, 9), m_v=st.integers(1, 9), angle_grid=st.integers(1, 9),
+       rings=st.lists(st.floats(1.0, 20.0), min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(m_h=5, m_v=7, angle_grid=5, rings=[2.0, 3.5, 9.0], seed=1)
+@example(m_h=4, m_v=1, angle_grid=6, rings=[3.0, 6.0], seed=2)
+@example(m_h=1, m_v=9, angle_grid=9, rings=[1.5], seed=3)
+def test_spherical_quarter_equals_the_formed_dictionary(m_h, m_v, angle_grid, rings, seed):
+    # odd and even grids and sides, one-row arrays: every atom is a stored one, mirrored
+    bs = build_upa(m_h, m_v, HALF, HALF, (0, 0, 0))
+    d = build_spherical_baseline(bs, angle_grid, rings, WAVELENGTH)
+    formed = spherical_reference(bs, angle_grid, rings, WAVELENGTH)
+    np.testing.assert_array_equal(d.columns(slice(None)), formed)
+    dense = MatrixOperator(formed, d.column_norms)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(bs.size) + 1j * rng.standard_normal(bs.size)
+    reference = dense.scores(r)
+    assert np.abs(d.scores(r) - reference).max() <= 1e-13 * reference.max()
+    k = min(3, *formed.shape)
+    y = formed[:, rng.choice(formed.shape[1], k, replace=False)] @ (
+        rng.standard_normal(k) + 1j * rng.standard_normal(k)) + 0.01 * r
+    np.testing.assert_array_equal(omp(d, y, max_atoms=k).support,
+                                  omp(dense, y, max_atoms=k).support)
 
 
 @st.composite

@@ -2,7 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import planar_far_field_steering, ula_offsets
+from helpers import (
+    planar_far_field_steering,
+    spherical_reference,
+    steering_reference,
+    ula_offsets,
+)
 
 from nearmimo.channel import los_channel, near_field_steering
 from nearmimo.dictionaries import (
@@ -14,7 +19,7 @@ from nearmimo.dictionaries import (
 )
 from nearmimo.errors import DegenerateGridError
 from nearmimo.geometry import build_ula, build_upa
-from nearmimo.harness import SPHERICAL_ANGLE_GRID, desk_profile
+from nearmimo.harness import SPHERICAL_ANGLE_GRID, desk_profile, paper_profile
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -129,20 +134,22 @@ class TestSpherical:
     def test_single_atom(self):
         bs = build_upa(4, 4, HALF, HALF, (0, 0, 0))
         d = build_spherical_baseline(bs, 1, [10.0], WAVELENGTH)
-        assert d.matrix.shape == (16, 1)
-        np.testing.assert_allclose(np.abs(d.matrix), 1.0, atol=1e-13)
+        assert d.shape == (16, 1)
+        np.testing.assert_allclose(np.abs(d.columns(slice(None))), 1.0, atol=1e-13)
 
     def test_atom_count(self):
         bs = build_upa(4, 4, HALF, HALF, (0, 0, 0))
         d = build_spherical_baseline(bs, 5, [5.0, 10.0, 20.0], WAVELENGTH)
-        assert d.matrix.shape[1] == 5 * 5 * 3
+        assert d.shape == (16, 5 * 5 * 3)
+        assert d.columns(slice(None)).shape == d.shape
+        assert d.quarter.shape == (16, 3 * 3 * 3)  # -0.8 ... 0.8 fold onto 0, 0.4, 0.8
 
     def test_far_ring_matches_plane_wave_model(self):
         bs = build_upa(6, 8, HALF, HALF, (0, 0, 0))
         d = build_spherical_baseline(bs, 8, [1e6], WAVELENGTH)
         # an interior grid pair well inside the unit disk: column iy * 8 + iz of the one ring
         g = cosine_grid(8)
-        col = d.matrix[:, 4 * 8 + 5]
+        col = d.columns([4 * 8 + 5])[:, 0]
         model = planar_far_field_steering(6, 8, HALF, HALF, g[4], g[5], WAVELENGTH)
         phase = np.angle(col * model.conj())
         phase -= phase.mean()
@@ -161,12 +168,6 @@ def los_reference(bs, ue):
     return np.exp(-2j * np.pi * r / WAVELENGTH) / r
 
 
-def steering_reference(bs, pos):
-    """The steering vector with its distances from ``np.linalg.norm``."""
-    r = np.linalg.norm(bs.positions - pos, axis=1)
-    return np.exp(-2j * np.pi * r / WAVELENGTH)
-
-
 def location_reference(center, half_widths, counts, bs, ue):
     """``build_location``'s matrix, one ``build_ula`` and LoS channel per atom."""
     axes = []
@@ -179,19 +180,6 @@ def location_reference(center, half_widths, counts, bs, ue):
             for z in axes[2]:
                 moved = build_ula(ue.m_h, ue.d_h, (x, y, z))
                 cols.append(los_reference(bs, moved).ravel(order="F"))
-    return np.column_stack(cols)
-
-
-def spherical_reference(bs, angle_grid, rings):
-    """``build_spherical_baseline``'s matrix, one steering vector per atom."""
-    g = cosine_grid(angle_grid) if angle_grid > 1 else np.array([0.0])
-    cols = []
-    for ky in g:
-        for kz in g:
-            direction = np.array([np.sqrt(max(0.0, 1.0 - ky * ky - kz * kz)), ky, kz])
-            direction = direction / np.linalg.norm(direction)
-            for r in rings:
-                cols.append(steering_reference(bs, bs.center + r * direction))
     return np.column_stack(cols)
 
 
@@ -252,11 +240,35 @@ def test_precoded_atoms_bit_identical_to_contracted_reference(
     ((4, 1), 5, [3.0, 6.0, 12.0]),
 ])
 def test_spherical_bit_identical_to_per_atom_loop(shape, angle_grid, rings):
+    # the atoms depend only on the array's layout about its center
     bs = build_upa(*shape, HALF, HALF, (0.5, -0.2, 1.0))
+    at_origin = build_upa(*shape, HALF, HALF, (0, 0, 0))
     d = build_spherical_baseline(bs, angle_grid, rings, WAVELENGTH)
-    np.testing.assert_array_equal(d.matrix, spherical_reference(bs, angle_grid, rings))
-    np.testing.assert_allclose(d.column_norms, np.linalg.norm(d.matrix, axis=0),
-                               rtol=1e-14)
+    atoms = d.columns(slice(None))
+    np.testing.assert_array_equal(
+        atoms, build_spherical_baseline(at_origin, angle_grid, rings, WAVELENGTH).columns(
+            slice(None)))
+    np.testing.assert_array_equal(atoms, spherical_reference(at_origin, angle_grid, rings,
+                                                             WAVELENGTH))
+    reference = spherical_reference(bs, angle_grid, rings, WAVELENGTH)
+    assert np.abs(atoms - reference).max() <= 1e-12
+    np.testing.assert_allclose(d.column_norms, np.linalg.norm(atoms, axis=0), rtol=1e-14)
+
+
+def held_bytes(operator) -> int:
+    """Bytes of the arrays an operator holds in its fields."""
+    return sum(v.nbytes for v in vars(operator).values() if isinstance(v, np.ndarray))
+
+
+def test_spherical_holds_about_a_quarter_of_its_matrix():
+    cfg = paper_profile()
+    half = cfg.wavelength / 2
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
+    d = build_spherical_baseline(bs, SPHERICAL_ANGLE_GRID,
+                                 reciprocal_distance_rings(*cfg.spherical_rings), cfg.wavelength)
+    formed = d.shape[0] * d.shape[1] * np.dtype(complex).itemsize
+    assert d.shape == (768, 4096)
+    assert held_bytes(d) <= 0.26 * formed, held_bytes(d) / formed
 
 
 def test_channel_helpers_bit_identical_to_one_expression():
@@ -265,7 +277,8 @@ def test_channel_helpers_bit_identical_to_one_expression():
     np.testing.assert_array_equal(los_channel(bs, ue, WAVELENGTH), los_reference(bs, ue))
     for pos in ([3.0, -2.0, 0.5], [12.0, 4.0, -3.0]):
         np.testing.assert_array_equal(
-            near_field_steering(bs, pos, WAVELENGTH), steering_reference(bs, np.array(pos)))
+            near_field_steering(bs, pos, WAVELENGTH),
+            steering_reference(bs, np.array(pos), WAVELENGTH))
 
 
 def test_angular_column_norms_match_matrix():
@@ -301,4 +314,5 @@ def test_desk_builds_peak_near_their_output():
     }
     for name, build in builds.items():
         d, peak = traced_peak(build)
-        assert peak <= 1.25 * d.matrix.nbytes, (name, peak / d.matrix.nbytes)
+        output = d.matrix.nbytes if name == "location" else held_bytes(d)
+        assert peak <= 1.25 * output, (name, peak / output)

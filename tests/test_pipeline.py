@@ -7,6 +7,7 @@ from helpers import dense_combiner, dense_operator, ula_offsets, wave_vector
 
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
+    SphericalDictionary,
     build_angular,
     build_spherical_baseline,
     reciprocal_distance_rings,
@@ -35,7 +36,7 @@ from nearmimo.sensing import (
     random_combiner,
     uniform_precoder,
 )
-from nearmimo.solvers import MatrixOperator, omp
+from nearmimo.solvers import omp
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
@@ -408,8 +409,8 @@ class TestThreeStage:
 
 
 def dense_dictionary(op) -> np.ndarray:
-    """A full-array dictionary as a matrix: the spherical one's, or ``A_h ⊗ A_v``."""
-    return op.matrix if isinstance(op, MatrixOperator) else kron_reference(op)
+    """A full-array dictionary as a matrix: the spherical one's every atom, or ``A_h ⊗ A_v``."""
+    return op.columns(slice(None)) if isinstance(op, SphericalDictionary) else kron_reference(op)
 
 
 def explicit_operator_baseline(rec, dictionary):
