@@ -58,51 +58,49 @@ class ChannelRealization:
     h_nlos: np.ndarray
 
 
-def _spherical_wave(antennas, points, wavelength, divide=False, weights=None):
+def _fill_waves(near, points, wavelength, divide, w, r):
+    """Write ``exp(-j*2*pi*r/λ)`` (over ``r`` if ``divide``) into the (K, S) block ``w``.
+
+    Entry (k, s) is the wave from ``points[s]`` at ``near[k]``; ``r`` is a
+    (K, S) float scratch for the distances.
+    """
+    d = w.real  # a square lands there before the wave overwrites it
+    # r summed as (dx^2 + dy^2) + dz^2, the same order for every block
+    np.subtract(near[:, 0, None], points[:, 0], out=r)
+    np.multiply(r, r, out=r)
+    for k in (1, 2):
+        np.subtract(near[:, k, None], points[:, k], out=d)
+        np.multiply(d, d, out=d)
+        r += d
+    np.sqrt(r, out=r)
+    if np.any(r <= 0):
+        raise SingularGeometryError("a point coincides with an antenna")
+    np.multiply(-2j * np.pi, r, out=w)
+    w /= wavelength
+    np.exp(w, out=w)
+    if divide:
+        w /= r
+
+
+def _spherical_wave(antennas, points, wavelength, divide=False):
     """Return the complex (M, S) array of ``exp(-j*2*pi*r/λ)``.
 
     Over ``r`` if ``divide``.  Entry (m, s), from ``points[s]`` at ``antennas[m]``, is
-    bit-identical to a one-point call; row blocks of 2,048-16,384 entries and one
-    block-sized buffer for ``r`` bound the temporaries.  With ``weights`` (N,) and (N, S, 3)
-    ``points``, entry (m, s) sums ``weights[n]`` times the wave from ``points[n, s]`` in order
-    of n; a complex scratch holds each later wave.  The blocks go in contiguous groups to
-    ``threads.kernel_threads`` threads, each with its own buffers and rows of the output, so
-    the thread count changes no bit.
+    bit-identical to a one-point call: row blocks of 2,048-16,384 entries go through
+    :func:`_fill_waves` with one block-sized buffer for ``r``, which bounds the
+    temporaries.  The blocks go in contiguous groups to ``threads.kernel_threads`` threads,
+    each with its own buffer and rows of the output, so the thread count changes no bit.
     """
-    sets = [points] if weights is None else points
-    out = np.empty((len(antennas), len(sets[0])), dtype=complex)
+    out = np.empty((len(antennas), len(points)), dtype=complex)
     m, s = out.shape
-    rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1) // min(len(sets), 2))
+    rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1))
 
     def fill(lo, hi):
         r_buf = np.empty((min(rows, hi - lo), s))
-        scratch = np.empty_like(r_buf, dtype=complex) if len(sets) > 1 else None
         for start in range(lo, hi, rows):
-            near = antennas[start:start + rows]
             block = out[start:start + rows]
-            r = r_buf[:len(block)]
-            for n, pts in enumerate(sets):
-                w = block if n == 0 else scratch[:len(block)]
-                d = w.real  # a square lands there before the wave overwrites it
-                # r summed as (dx^2 + dy^2) + dz^2, the same order for every block
-                np.subtract(near[:, 0, None], pts[:, 0], out=r)
-                np.multiply(r, r, out=r)
-                for k in (1, 2):
-                    np.subtract(near[:, k, None], pts[:, k], out=d)
-                    np.multiply(d, d, out=d)
-                    r += d
-                np.sqrt(r, out=r)
-                if np.any(r <= 0):
-                    raise SingularGeometryError("a point coincides with an antenna")
-                np.multiply(-2j * np.pi, r, out=w)
-                w /= wavelength
-                np.exp(w, out=w)
-                if divide:
-                    w /= r
-                if weights is not None:
-                    w *= weights[n]
-                    if n:
-                        block += w
+            _fill_waves(antennas[start:start + rows], points, wavelength, divide, block,
+                        r_buf[:len(block)])
 
     blocks = -(-m // rows)
     groups = threads.kernel_threads(blocks)

@@ -4,7 +4,7 @@ for the tests only."""
 import numpy as np
 
 from nearmimo.channel import far_field_steering
-from nearmimo.dictionaries import cosine_grid
+from nearmimo.dictionaries import GROUP_TOLERANCE, cosine_grid
 from nearmimo.geometry import build_ula
 from nearmimo.solvers import MatrixOperator
 
@@ -59,3 +59,67 @@ def spherical_reference(bs, angle_grid: int, rings, wavelength: float) -> np.nda
             for r in rings:
                 cols.append(steering_reference(bs, bs.center + r * direction, wavelength))
     return np.column_stack(cols)
+
+
+def wave_reference(displacements, points, wavelength: float) -> np.ndarray:
+    """``exp(-j*2*pi*r/λ)/r`` from each of the (S, 3) ``points`` to each (..., 3) displacement,
+    as one array expression: shape (..., S)."""
+    diff = displacements[..., None, :] - points
+    d0, d1, d2 = diff[..., 0], diff[..., 1], diff[..., 2]
+    r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    return np.exp(-2j * np.pi * r / wavelength) / r
+
+
+def location_reference(center, half_widths, counts, bs, ue, wavelength: float) -> np.ndarray:
+    """``build_location``'s vec(H) atoms in absolute coordinates: one ``build_ula`` and LoS
+    channel ``|b_m - (p_s + u_n)|`` per grid point."""
+    axes = []
+    for c, w, k in zip(center, half_widths, counts):
+        axes.append(np.array([c]) if k == 1 else np.linspace(c - w, c + w, k))
+    axes[0] = np.maximum(axes[0], 0.1)
+    cols = []
+    for x in axes[0]:
+        for y in axes[1]:
+            for z in axes[2]:
+                moved = build_ula(ue.m_h, ue.d_h, (x, y, z))
+                cols.append(wave_reference(bs.positions, moved.positions, wavelength)
+                            .ravel(order="F"))
+    return np.column_stack(cols)
+
+
+def grouped_reference(antennas, offsets, points, wavelength: float, w):
+    """``build_location``'s vec(H) atoms and precoded atoms, pair by pair, from its grouping.
+
+    Pair (m, n) takes the displacement ``antennas[m] - offsets[n]`` of the first pair, in the
+    order ``m * N + n``, that rounds to the same multiple of ``GROUP_TOLERANCE`` wavelengths.
+    Row m of the precoded atoms adds ``w[n]`` times its pairs' waves in the lexicographic
+    (x, y, z) order of their rounded displacements.
+    """
+    pairs = antennas[:, None] - offsets
+    keys = [[tuple(np.round(v / (GROUP_TOLERANCE * wavelength)).astype(int).tolist())
+             for v in row] for row in pairs]
+    first = {}
+    for m, row in enumerate(keys):
+        for n, key in enumerate(row):
+            first.setdefault(key, pairs[m, n])
+    waves = wave_reference(np.array([[first[key] for key in row] for row in keys]),
+                           points, wavelength)
+    atoms = np.zeros((len(antennas), len(points)), dtype=complex)
+    for m, row in enumerate(keys):
+        for n in sorted(range(len(offsets)), key=row.__getitem__):
+            atoms[m] += waves[m, n] * w[n]
+    return np.concatenate(waves.transpose(1, 0, 2)), atoms
+
+
+def assert_near_absolute(channels, atoms, reference, w, rtol=1e-12):
+    """vec(H) atoms within ``rtol`` of the absolute-coordinate ``reference`` in Frobenius norm,
+    and precoded atoms within ``rtol`` of the norm of the magnitudes of the terms they sum.
+
+    The two differ by the rounding of ``b_m - u_n - p_s`` against ``b_m - (p_s + u_n)``: a
+    few ulps of a distance, which a single entry 15 m out reads as up to about 1e-12.
+    """
+    assert np.linalg.norm(channels - reference) <= rtol * np.linalg.norm(reference)
+    blocks = reference.reshape(len(w), -1, reference.shape[1])
+    exact = np.einsum("n,nms->ms", w, blocks)
+    scale = np.einsum("n,nms->ms", np.abs(w), np.abs(blocks))
+    assert np.linalg.norm(atoms - exact) <= rtol * np.linalg.norm(scale)

@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
-from test_dictionaries import location_reference
+from helpers import assert_near_absolute, grouped_reference, location_reference, ula_offsets
 
 from nearmimo import harness, pipeline
 from nearmimo.cli import main
+from nearmimo.dictionaries import build_location
 from nearmimo.errors import StageFailure
 from nearmimo.geometry import build_ula, build_upa
 from nearmimo.harness import METHODS, desk_profile
@@ -316,14 +317,21 @@ def test_export_dict_location(tmp_path, tiny_config_file):
     assert code == 0
     matrix, _ = load_matrix(out / "dictionary_location.cmx")
     assert matrix.shape == (12 * 24 * 2, 5 * 5 * 3)
-    # the vec(H) atoms, bit for bit, as one LoS channel per grid point
+    # the vec(H) atoms, bit for bit, as the waves of their grouped displacements, and
+    # within 1e-12 of one LoS channel per grid point in absolute coordinates
     cfg = desk_profile()
     half = cfg.wavelength / 2
     bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
     center = (2.5, 0.5, -1.0)
-    ue = build_ula(cfg.n_ue, cfg.wavelength / 2, center)
-    np.testing.assert_array_equal(matrix, location_reference(
-        center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, ue))
+    w = np.ones(cfg.n_ue)
+    points = build_location(center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs,
+                            ula_offsets(cfg.n_ue, half), cfg.wavelength, w).points
+    channels, atoms = grouped_reference(bs.positions, ula_offsets(cfg.n_ue, half), points,
+                                        cfg.wavelength, w)
+    np.testing.assert_array_equal(matrix, channels)
+    assert_near_absolute(matrix, atoms, location_reference(
+        center, cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs,
+        build_ula(cfg.n_ue, half, center), cfg.wavelength), w)
 
 
 def test_verify_exits_zero(capsys):

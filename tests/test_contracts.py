@@ -1,14 +1,22 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
-from helpers import dense_combiner, dense_operator, spherical_reference, ula_offsets
+from helpers import (
+    assert_near_absolute,
+    dense_combiner,
+    dense_operator,
+    grouped_reference,
+    location_reference,
+    spherical_reference,
+    ula_offsets,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearmimo import errors
 from nearmimo.channel import _spherical_wave
 from nearmimo.dictionaries import build_angular, build_location, build_spherical_baseline
-from nearmimo.geometry import build_upa, partition
+from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
 from nearmimo.sensing import design_combiner, random_combiner
 from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, MatrixOperator, omp, sbl_em
@@ -40,26 +48,41 @@ def test_spherical_wave_bit_identical_to_per_point_calls(m, s, divide, seed):
 
 @st.composite
 def location_problems(draw):
+    """A UPA, a user ULA, a complex precoder, grid counts and a center 0.3-15 m away."""
     n_ue = draw(st.integers(1, 5))
     parts = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-    w = [complex(draw(parts), draw(parts)) for _ in range(n_ue)]
+    w = np.array([complex(draw(parts), draw(parts)) for _ in range(n_ue)])
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 20)))
     counts = tuple(draw(st.integers(1, 4)) for _ in range(3))
-    return shape, np.array(w), counts
+    distance = draw(st.floats(0.3, 15.0))
+    azimuth, elevation = draw(st.floats(-1.2, 1.2)), draw(st.floats(-0.6, 0.6))
+    center = distance * np.array([np.cos(elevation) * np.cos(azimuth),
+                                  np.cos(elevation) * np.sin(azimuth), np.sin(elevation)])
+    support = draw(st.lists(st.integers(0, int(np.prod(counts)) - 1), max_size=4, unique=True))
+    return shape, w, counts, center, support
 
 
 @CONTRACT
 @given(problem=location_problems())
+@example(problem=((12, 20), np.array([1.0, -2j, 0.5 + 0.5j, 3.0, -1.0]), (4, 4, 4),
+                  np.array([15.0, 0.0, 0.0]), [63, 0]))
 def test_precoded_atoms_equal_the_per_antenna_sum(problem):
-    shape, w, counts = problem
-    center = (5.0, 0.5, -1.0)
+    # bit for bit the documented per-pair sum over grouped displacements, and within 1e-12
+    # of the per-antenna sum in absolute coordinates
+    shape, w, counts, center, support = problem
+    half_widths = (0.2, 0.2, 0.02)
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    d = build_location(center, (0.2, 0.2, 0.02), counts, bs, ula_offsets(w.size, HALF),
-                       WAVELENGTH, w)
-    expected = np.zeros((bs.size, d.matrix.shape[1]), dtype=complex)
-    for offset, w_n in zip(d.offsets, w):
-        expected += _spherical_wave(bs.positions, d.points + offset, WAVELENGTH, divide=True) * w_n
-    np.testing.assert_array_equal(d.matrix, expected)
+    offsets = ula_offsets(w.size, HALF)
+    d = build_location(center, half_widths, counts, bs, offsets, WAVELENGTH, w)
+    channels, atoms = grouped_reference(bs.positions, offsets, d.points, WAVELENGTH, w)
+    np.testing.assert_array_equal(d.matrix, atoms)
+    reference = location_reference(center, half_widths, counts, bs,
+                                   build_ula(w.size, HALF, center), WAVELENGTH)
+    assert_near_absolute(channels, d.matrix, reference, w)
+    chosen = d.channels(support).reshape(w.size, bs.size, len(support))
+    for n, block in enumerate(chosen):
+        np.testing.assert_array_equal(block, channels[n * bs.size:(n + 1) * bs.size, support])
+    assert len(d.displacements) <= bs.size * w.size
 
 
 @st.composite

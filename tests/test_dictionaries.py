@@ -3,12 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    assert_near_absolute,
+    grouped_reference,
+    location_reference,
     planar_far_field_steering,
     spherical_reference,
     steering_reference,
     ula_offsets,
+    wave_reference,
 )
 
+from nearmimo import dictionaries
+from nearmimo.channel import _fill_waves as fill_waves
 from nearmimo.channel import los_channel, near_field_steering
 from nearmimo.dictionaries import (
     build_angular,
@@ -17,7 +23,7 @@ from nearmimo.dictionaries import (
     cosine_grid,
     reciprocal_distance_rings,
 )
-from nearmimo.errors import DegenerateGridError
+from nearmimo.errors import DegenerateGridError, SingularGeometryError
 from nearmimo.geometry import build_ula, build_upa
 from nearmimo.harness import SPHERICAL_ANGLE_GRID, desk_profile, paper_profile
 
@@ -160,46 +166,13 @@ class TestSpherical:
         np.testing.assert_allclose(1.0 / rings, np.linspace(0.2, 0.04, 4))
 
 
-def los_reference(bs, ue):
-    """The LoS channel as one array expression over all antenna pairs."""
-    diff = bs.positions[:, None, :] - ue.positions[None, :, :]
-    d0, d1, d2 = diff[..., 0], diff[..., 1], diff[..., 2]
-    r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    return np.exp(-2j * np.pi * r / WAVELENGTH) / r
-
-
-def location_reference(center, half_widths, counts, bs, ue):
-    """``build_location``'s matrix, one ``build_ula`` and LoS channel per atom."""
-    axes = []
-    for c, w, k in zip(center, half_widths, counts):
-        axes.append(np.array([c]) if k == 1 else np.linspace(c - w, c + w, k))
-    axes[0] = np.maximum(axes[0], 0.1)
-    cols = []
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                moved = build_ula(ue.m_h, ue.d_h, (x, y, z))
-                cols.append(los_reference(bs, moved).ravel(order="F"))
-    return np.column_stack(cols)
-
-
-# antenna counts that the kernel's row blocks do not divide (35 = 27 + 8,
-# 150 = 16 * 9 + 6 rows), odd atom counts and count-1 grid axes
+# antenna counts that the group blocks do not divide, odd atom counts and count-1 grid axes
 LOCATION_CASES = [
     ((5, 7), 2, (4.0, 0.5, -1.0), (0.2, 0.2, 0.02), (5, 5, 3)),
     ((5, 7), 3, (6.0, -1.0, -1.0), (0.3, 0.0, 0.05), (3, 1, 5)),
     ((10, 15), 2, (8.0, 1.0, -1.0), (0.2, 0.2, 0.02), (11, 11, 3)),
     ((10, 15), 1, (0.12, 1.0, -1.0), (0.2, 0.2, 0.0), (7, 3, 1)),
 ]
-
-
-def precoded_reference(reference, w):
-    """Contract vec(H) columns with ``w``: antenna n's block times ``w[n]``, summed in order."""
-    blocks = reference.reshape(len(w), -1, reference.shape[1])
-    atoms = np.zeros(blocks.shape[1:], dtype=complex)
-    for block, w_n in zip(blocks, w):
-        atoms += block * w_n
-    return atoms
 
 
 def random_precoder(n, seed):
@@ -210,27 +183,60 @@ def random_precoder(n, seed):
 @pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
 def test_location_bit_identical_to_per_atom_loop(shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(n_ue, HALF, center)
-    d = build_location(center, half_widths, counts, bs, ula_offsets(n_ue, HALF), WAVELENGTH,
-                       random_precoder(n_ue, 0))
-    np.testing.assert_array_equal(
-        d.channels(np.arange(d.matrix.shape[1])),
-        location_reference(center, half_widths, counts, bs, ue))
+    offsets = ula_offsets(n_ue, HALF)
+    w = random_precoder(n_ue, 0)
+    d = build_location(center, half_widths, counts, bs, offsets, WAVELENGTH, w)
+    channels, atoms = grouped_reference(bs.positions, offsets, d.points, WAVELENGTH, w)
+    np.testing.assert_array_equal(d.channels(np.arange(d.matrix.shape[1])), channels)
+    np.testing.assert_array_equal(d.matrix, atoms)
+    assert_near_absolute(channels, atoms, location_reference(
+        center, half_widths, counts, bs, build_ula(n_ue, HALF, center), WAVELENGTH), w)
 
 
 @pytest.mark.parametrize("shape,n_ue,center,half_widths,counts", LOCATION_CASES)
 def test_precoded_atoms_bit_identical_to_contracted_reference(
         shape, n_ue, center, half_widths, counts):
     bs = build_upa(*shape, HALF, HALF, (0, 0, 0))
-    ue = build_ula(n_ue, HALF, center)
-    reference = location_reference(center, half_widths, counts, bs, ue)
+    offsets = ula_offsets(n_ue, HALF)
+    reference = location_reference(center, half_widths, counts, bs,
+                                   build_ula(n_ue, HALF, center), WAVELENGTH)
     for w in (random_precoder(n_ue, 1), np.full(n_ue, 1 / np.sqrt(n_ue), dtype=complex)):
-        d = build_location(center, half_widths, counts, bs, ula_offsets(n_ue, HALF), WAVELENGTH, w)
+        d = build_location(center, half_widths, counts, bs, offsets, WAVELENGTH, w)
+        channels, atoms = grouped_reference(bs.positions, offsets, d.points, WAVELENGTH, w)
         assert d.matrix.shape == (bs.size, reference.shape[1])
-        np.testing.assert_array_equal(d.matrix, precoded_reference(reference, w))
+        np.testing.assert_array_equal(d.matrix, atoms)
+        assert_near_absolute(channels, d.matrix, reference, w)
     idx = np.array([d.matrix.shape[1] - 1, 0, d.matrix.shape[1] // 2])
-    np.testing.assert_array_equal(d.channels(idx), reference[:, idx])
+    np.testing.assert_array_equal(d.channels(idx), channels[:, idx])
     assert d.channels(np.array([], dtype=int)).shape == (reference.shape[0], 0)
+
+
+@pytest.mark.parametrize("profile", [desk_profile, paper_profile])
+def test_kernel_rows_are_the_difference_co_array(profile, monkeypatch):
+    # a y-axis user ULA at the BS's horizontal pitch: (m_h + N - 1) * m_v displacements
+    cfg = profile()
+    half = cfg.wavelength / 2
+    bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
+    rows = []
+
+    def counted(near, *args):
+        rows.append(len(near))
+        fill_waves(near, *args)
+
+    monkeypatch.setattr(dictionaries, "_fill_waves", counted)
+    d = build_location((6.0, 0.5, -1.0), cfg.stages.grid_half_widths, cfg.stages.grid_counts,
+                       bs, ula_offsets(cfg.n_ue, half), cfg.wavelength, np.ones(cfg.n_ue))
+    assert sum(rows) == len(d.displacements) == (cfg.bs_m_h + cfg.n_ue - 1) * cfg.bs_m_v
+    assert d.groups.shape == (bs.size, cfg.n_ue)
+
+
+def test_a_grid_point_on_a_displacement_raises():
+    # pair (0, 0) leads its group, so its displacement is the one the kernel sees
+    bs = build_upa(3, 2, HALF, HALF, (0.5, 0.0, 0.0))
+    offsets = ula_offsets(2, HALF)
+    on = bs.positions[0] - offsets[0]
+    with pytest.raises(SingularGeometryError):
+        build_location(on, (0, 0, 0), (1, 1, 1), bs, offsets, WAVELENGTH, np.ones(2))
 
 
 @pytest.mark.parametrize("shape,angle_grid,rings", [
@@ -274,7 +280,8 @@ def test_spherical_holds_about_a_quarter_of_its_matrix():
 def test_channel_helpers_bit_identical_to_one_expression():
     bs = build_upa(10, 15, HALF, HALF, (0, 0, 0))
     ue = build_ula(4, HALF, (6.0, 1.0, -1.0))
-    np.testing.assert_array_equal(los_channel(bs, ue, WAVELENGTH), los_reference(bs, ue))
+    np.testing.assert_array_equal(los_channel(bs, ue, WAVELENGTH),
+                                  wave_reference(bs.positions, ue.positions, WAVELENGTH))
     for pos in ([3.0, -2.0, 0.5], [12.0, 4.0, -3.0]):
         np.testing.assert_array_equal(
             near_field_steering(bs, pos, WAVELENGTH),
@@ -304,15 +311,22 @@ def test_desk_builds_peak_near_their_output():
     bs = build_upa(cfg.bs_m_h, cfg.bs_m_v, half, half, (0, 0, 0))
     offsets = ula_offsets(cfg.n_ue, half)
     r_min, r_max, count = cfg.spherical_rings
+    paper = paper_profile()
+    paper_half = paper.wavelength / 2
+    paper_bs = build_upa(paper.bs_m_h, paper.bs_m_v, paper_half, paper_half, (0, 0, 0))
     builds = {
         "location": lambda: build_location(
             (4.0, 0.5, -1.0), cfg.stages.grid_half_widths, cfg.stages.grid_counts, bs, offsets,
             cfg.wavelength, np.full(cfg.n_ue, 1 / np.sqrt(cfg.n_ue), dtype=complex)),
+        "paper location": lambda: build_location(
+            (9.0, 1.0, -1.0), paper.stages.grid_half_widths, paper.stages.grid_counts, paper_bs,
+            ula_offsets(paper.n_ue, paper_half), paper.wavelength,
+            np.full(paper.n_ue, 1 / np.sqrt(paper.n_ue), dtype=complex)),
         "spherical": lambda: build_spherical_baseline(
             bs, SPHERICAL_ANGLE_GRID,
             reciprocal_distance_rings(r_min, r_max, int(count)), cfg.wavelength),
     }
     for name, build in builds.items():
         d, peak = traced_peak(build)
-        output = d.matrix.nbytes if name == "location" else held_bytes(d)
+        output = held_bytes(d) if name == "spherical" else d.matrix.nbytes
         assert peak <= 1.25 * output, (name, peak / output)

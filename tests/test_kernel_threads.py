@@ -18,8 +18,7 @@ from nearmimo.channel import _spherical_wave
 from nearmimo.errors import SingularGeometryError
 
 WAVELENGTH = 299792458.0 / 6.8e9
-# plain calls split from 32 blocks of 16,384 / s rows, i.e. from m = 125 at s = 4,000;
-# weighted calls halve their blocks and split from m = 64 at s = 350
+# calls split from 32 blocks of 16,384 / s rows, i.e. from m = 125 at s = 4,000
 SPLIT = settings(derandomize=True, max_examples=20, deadline=None)
 
 
@@ -40,13 +39,10 @@ def budget(n):
         threads.kernel_budget, threads.run_spans = saved_budget, saved_run
 
 
-def scatter(seed, m, s, sets=0):
-    """Antennas near the origin, points 2-9 m away; ``sets`` > 0 gives weighted (N, S, 3) points."""
+def scatter(seed, m, s):
+    """Antennas near the origin, points 2-9 m away."""
     rng = np.random.default_rng(seed)
-    antennas = rng.uniform(-1.0, 1.0, (m, 3))
-    points = rng.uniform(2.0, 9.0, (sets, s, 3) if sets else (s, 3))
-    weights = rng.standard_normal(sets) + 1j * rng.standard_normal(sets) if sets else None
-    return antennas, points, weights
+    return rng.uniform(-1.0, 1.0, (m, 3)), rng.uniform(2.0, 9.0, (s, 3))
 
 
 def both_budgets(antennas, points, **kw):
@@ -64,33 +60,21 @@ def both_budgets(antennas, points, **kw):
 @example(m=127, s=4000, divide=False, seed=1)  # 32 blocks, 4 rows each, the last short
 @example(m=124, s=4000, divide=True, seed=2)  # 31 blocks: serial
 def test_plain_calls_equal_at_two_threads(m, s, divide, seed):
-    antennas, points, _ = scatter(seed, m, s)
+    antennas, points = scatter(seed, m, s)
     one, two, _ = both_budgets(antennas, points, divide=divide)
     np.testing.assert_array_equal(one, two)
 
 
-@SPLIT
-@given(m=st.integers(40, 200), s=st.integers(150, 500), sets=st.integers(2, 4),
-       seed=st.integers(0, 2**32 - 1))
-@example(m=64, s=350, sets=2, seed=3)  # 32 blocks of 2 rows
-@example(m=62, s=350, sets=4, seed=4)  # 31 blocks: serial
-def test_weighted_calls_equal_at_two_threads(m, s, sets, seed):
-    antennas, points, weights = scatter(seed, m, s, sets)
-    one, two, _ = both_budgets(antennas, points, divide=True, weights=weights)
-    np.testing.assert_array_equal(one, two)
-
-
-@pytest.mark.parametrize("m, sets, split", [(124, 0, 1), (127, 0, 2), (62, 2, 1), (64, 2, 2)])
-def test_size_rule_splits_from_32_blocks(m, sets, split):
+@pytest.mark.parametrize("m, split", [(124, 1), (127, 2)])
+def test_size_rule_splits_from_32_blocks(m, split):
     # the examples above sit on both sides of the rule: 16 blocks a thread at least
-    s = 4000 if not sets else 350
-    antennas, points, weights = scatter(5, m, s, sets)
-    _, _, spans = both_budgets(antennas, points, weights=weights)
+    antennas, points = scatter(5, m, 4000)
+    _, _, spans = both_budgets(antennas, points)
     assert spans == split
 
 
 def test_error_in_a_later_group_reaches_the_caller_and_the_next_call_works():
-    antennas, points, _ = scatter(6, 160, 4000)
+    antennas, points = scatter(6, 160, 4000)
     bad = antennas.copy()
     bad[-1] = points[0]  # the last row belongs to the second group
     with budget(2) as spans:
@@ -104,7 +88,7 @@ def test_error_in_a_later_group_reaches_the_caller_and_the_next_call_works():
 
 def test_a_small_call_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threads, "_pool", None)
-    antennas, points, _ = scatter(7, 288, 75)
+    antennas, points = scatter(7, 288, 75)
     before = threading.active_count()
     with budget(2) as spans:
         _spherical_wave(antennas, points, WAVELENGTH, divide=True)
@@ -127,7 +111,7 @@ def _call_and_check(antennas, points, expected):
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_builds_its_own_pool():
     # a pool inherited through fork has no live threads: work handed to it would never run
-    antennas, points, _ = scatter(9, 128, 4000)
+    antennas, points = scatter(9, 128, 4000)
     with budget(1):
         expected = _spherical_wave(antennas, points, WAVELENGTH)
     _call_and_check(antennas, points, expected)  # the parent's pool now has an idle thread
