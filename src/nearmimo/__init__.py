@@ -23,7 +23,7 @@ _EXPORTS = {
         "AngularDictionary", "LocationDictionary", "SphericalDictionary", "build_angular",
         "build_location", "build_spherical_baseline",
     ),
-    "doa": ("extract_axis_factors", "music_1d", "subarray_covariance"),
+    "doa": ("extract_axis_factors", "music_1d"),
     "geometry": (
         "ArrayGeometry", "SubarrayTiling", "build_ula", "build_upa", "partition", "recover_kx",
     ),

@@ -5,15 +5,17 @@ Three families:
 * angular: plane-wave Kronecker atoms ``a_h ⊗ a_v`` over uniform
   direction-cosine grids ``(2z - Z - 1)/Z`` per axis, kept as the two
   axis factors.  The dictionary is itself an OMP operator, and
-  ``KroneckerOperator`` is its view through one combiner tile; both
-  score all Z^2 atoms by two small matrix products and form only a
-  support's columns; no Z^2-column matrix is held,
+  ``TileOperator`` is its view through every combiner tile at once, each
+  OMP problem seen through its own tile; both score a (B, P) stack of
+  residuals, all Z^2 atoms each, by one batched product per axis and form
+  only the picked atoms' columns; no Z^2-column matrix is held,
 * location-aided: LoS channels through the precoder, ``H(p) w``, over a
   small 3D grid of candidate user-center positions, built from the waves
   of the grouped BS-user displacements ``b_m - u_n``,
 * spherical (baseline): full-array spherical steering vectors over a
   joint angle/distance grid, kept as the quarter of the atoms with
-  non-negative cosines, whose mirrors are the rest; also an OMP operator.
+  non-negative cosines, whose mirrors are the rest; also an OMP operator,
+  which scores a stack of B residuals with one (4B, M) x (M, Q/4) product.
 
 One kernel, ``channel._fill_waves``, forms the location atoms' group waves
 block by block, and through ``channel._spherical_wave`` the spherical atoms
@@ -31,7 +33,7 @@ import numpy as np
 from .channel import _fill_waves, _spherical_wave, far_field_steering
 from .errors import DegenerateGridError
 from .geometry import ArrayGeometry, build_upa
-from .sensing import CombinerDesign
+from .sensing import _ORTHO_TOL, CombinerDesign
 from .solvers import _check_operator
 
 # grid x-coordinates are kept in the physical half-space in front of the array
@@ -51,8 +53,8 @@ class AngularDictionary:
     ``z1 * Z + z2``.  ``a_h`` (m_h x Z) and ``a_v`` (m_v x Z) hold the
     axis steering vectors.  The dictionary is an OMP operator on
     antenna-order residuals (``shape``, ``scores``, ``columns``), and
-    ``tile_operators`` serves its view through each combiner tile,
-    neither forming its (m_h*m_v) x Z^2 matrix.
+    ``tile_operator`` serves its view through every combiner tile, neither
+    forming its (m_h*m_v) x Z^2 matrix.
     """
 
     a_h: np.ndarray
@@ -67,56 +69,85 @@ class AngularDictionary:
     def shape(self) -> tuple[int, int]:
         return self.a_h.shape[0] * self.a_v.shape[0], self.a_h.shape[1] * self.a_v.shape[1]
 
-    def scores(self, residual: np.ndarray) -> np.ndarray:
-        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with ``residual``."""
-        return np.abs(self._correlations(residual)).ravel() / self.column_norms
+    def scores(self, residuals: np.ndarray, problems=None) -> np.ndarray:
+        """(n, Q) normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with each
+        of the (n, m_h*m_v) ``residuals``."""
+        scores = np.abs(self._correlations(residuals))
+        scores /= self.column_norms
+        return scores
 
-    def columns(self, support) -> np.ndarray:
+    def columns(self, support, problems=None) -> np.ndarray:
         """(m_h*m_v, K) Kronecker columns ``a_h ⊗ a_v`` of the atoms ``support`` indexes."""
         z1, z2 = np.divmod(np.arange(self.shape[1])[support], self.a_v.shape[1])
         return (self.a_h[:, None, z1] * self.a_v[None, :, z2]).reshape(self.shape[0], -1)
 
     def _correlations(self, x: np.ndarray) -> np.ndarray:
-        """The Z x Z correlations ``A_h^H unvec(x) conj(A_v)`` of every atom with ``x``."""
-        return self.a_h.conj().T @ x.reshape(self.a_h.shape[0], self.a_v.shape[0]) @ self.a_v.conj()
-
-    def tile_operators(self, combiner: CombinerDesign, scale: float):
-        """Yield the OMP operator ``scale * V_i D`` of every tile ``i`` of ``combiner``, in order.
-
-        Column norms ``||scale V_i a_q||`` come from the tile Gram; a tile
-        whose chain blocks equal the previous tile's reuses them, so the
-        designed combiner, whose tiles share one block set, computes them
-        once per call.
-        """
-        blocks = norms = None
-        for i in range(combiner.tiling.num_tiles):
-            if blocks is None or not np.array_equal(combiner.chain_blocks[i], blocks):
-                blocks = combiner.chain_blocks[i]
-                norms = scale * self._gram_norms(combiner.tile_gram(i))
-            yield KroneckerOperator(self, norms, combiner, i, scale)
-
-    def _gram_norms(self, gram: np.ndarray) -> np.ndarray:
-        """``sqrt(a_q^H G a_q)`` of every atom for an (m_h*m_v)-square Gram ``G``, one axis at a time."""
+        """(n, Z^2): the correlations ``A_h^H unvec(x_j) conj(A_v)`` of every atom with each
+        (m_h*m_v) row of ``x``, one batched product per axis, the narrower axis last
+        (``Z^2 m_v`` against ``Z^2 m_h`` products per row)."""
         m_h, m_v = self.a_h.shape[0], self.a_v.shape[0]
-        g = gram.reshape(m_h, m_v, m_h, m_v)
-        per_v = np.einsum("vb,hvgu,ub->bhg", self.a_v.conj(), g, self.a_v, optimize=True)
-        quad = np.einsum("ha,bhg,ga->ab", self.a_h.conj(), per_v, self.a_h, optimize=True)
-        return np.sqrt(quad.real).ravel()
+        x = x.reshape(-1, m_h, m_v)
+        if m_v <= m_h:
+            z = (self.a_h.conj().T @ x) @ self.a_v.conj()
+        else:
+            z = self.a_h.conj().T @ (x @ self.a_v.conj())
+        return z.reshape(z.shape[0], -1)
+
+    def tile_operator(self, combiner: CombinerDesign, scale: float, tiles) -> TileOperator:
+        """The OMP operator of a batch whose problem b is ``scale * V_i D`` for ``i = tiles[b]``.
+
+        Column norms ``||scale V_i a_q||`` come from the combiner's chain
+        Grams.  When every chain Gram is ``c I`` to the combiner's build
+        tolerance, as ``verify_blocks`` checks for the designed combiner,
+        each tile Gram is ``c I`` and the norms are the constant
+        ``scale * sqrt(c) * ||a_q||``, with no product; otherwise all
+        tiles' norms come from one contraction with their Grams.
+        """
+        c = combiner.t_slots * combiner.entry_modulus ** 2
+        if combiner.gram_error <= _ORTHO_TOL:
+            norms = np.broadcast_to(scale * (np.sqrt(c) * self.column_norms),
+                                    (combiner.tiling.num_tiles, self.shape[1]))
+        else:
+            norms = scale * self._gram_norms(combiner.tile_grams())
+        return TileOperator(self, norms, combiner, np.asarray(tiles), scale)
+
+    def _gram_norms(self, grams: np.ndarray) -> np.ndarray:
+        """(I, Z^2) ``sqrt(a_q^H G_i a_q)`` of every atom for I (m_h*m_v)-square Grams.
+
+        With ``G[(h, v), (g, u)]`` regrouped as ``W[(h, g), (v, u)]`` and the
+        axis products ``P_h[(h, g), z1] = conj(a_h[h, z1]) a_h[g, z1]`` (and
+        ``P_v`` alike), the quadratic forms are ``P_h^T W P_v``: one GEMM over
+        all tiles, then one small product per tile.  A Gram is block diagonal
+        in its chains, so only the row pairs (h, g) that some chain spans are
+        kept: the m_h pairs h = g when every chain lies within one row.
+        """
+        (m_h, z_h), (m_v, z_v) = self.a_h.shape, self.a_v.shape
+        tiles = len(grams)
+        w = grams.reshape(tiles, m_h, m_v, m_h, m_v).transpose(0, 1, 3, 2, 4)
+        w = w.reshape(tiles, m_h * m_h, m_v * m_v)
+        spanned = np.flatnonzero(np.any(w != 0, axis=(0, 2)))
+        p_h = (self.a_h.conj()[:, None] * self.a_h).reshape(m_h * m_h, z_h)[spanned]
+        p_v = (self.a_v.conj()[:, None] * self.a_v).reshape(m_v * m_v, z_v)
+        per_v = (w[:, spanned].reshape(-1, m_v * m_v) @ p_v).reshape(tiles, len(spanned), z_v)
+        quad = p_h.T @ per_v  # (I, Z_h, Z_v)
+        return np.sqrt(quad.real).reshape(tiles, z_h * z_v)
 
 
 @dataclass(frozen=True)
-class KroneckerOperator:
-    """OMP's view of ``scale * V_i (A_h ⊗ A_v)``: the dictionary through combiner tile ``i``.
+class TileOperator:
+    """OMP's view of a batch of ``scale * V_i (A_h ⊗ A_v)``: problem b sees tile ``tiles[b]``.
 
     Kronecker-OMP (Caiafa & Cichocki, Neural Computation 2013): the scores
     ``|A_bar^H r| / norms`` are ``scale * |A_h^H unvec(V_i^H r) conj(A_v)|``,
-    a Z x Z product, and only the K columns of a support are formed.
+    two small products per problem, batched over the problems, and only
+    the picked atoms' columns are formed.  ``column_norms`` is (I, Z^2),
+    one row per tile.
     """
 
     dictionary: AngularDictionary
     column_norms: np.ndarray
     combiner: CombinerDesign
-    tile: int
+    tiles: np.ndarray
     scale: float
 
     def __post_init__(self):
@@ -126,14 +157,26 @@ class KroneckerOperator:
     def shape(self) -> tuple[int, int]:
         return self.combiner.t_slots * self.combiner.m_rf_per_tile, self.dictionary.shape[1]
 
-    def scores(self, residual: np.ndarray) -> np.ndarray:
-        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every column with ``residual``."""
-        x = self.combiner.adjoint_tile(self.tile, residual[:, None])
-        return self.scale * np.abs(self.dictionary._correlations(x)).ravel() / self.column_norms
+    def scores(self, residuals: np.ndarray, problems) -> np.ndarray:
+        """(n, Q) normalized correlations of every column with each of the (n, P)
+        ``residuals``, row j through the tile of problem ``problems[j]``."""
+        tiles = self.tiles[problems]
+        comb = self.combiner
+        # chain m of tile i gets F^H z_m: (n, M_rf, M_s, T) @ (n, M_rf, T, 1)
+        blocks_h = comb.chain_blocks[tiles].conj().swapaxes(-1, -2)
+        per_chain = residuals.reshape(-1, comb.t_slots, comb.m_rf_per_tile).swapaxes(1, 2)
+        x = blocks_h @ per_chain[..., None]
+        scores = np.abs(self.dictionary._correlations(x.reshape(len(tiles), -1)))
+        scores *= self.scale
+        scores /= self.column_norms[tiles]
+        return scores
 
-    def columns(self, support) -> np.ndarray:
-        """The (P, K) operator columns of the atoms ``support`` indexes."""
-        return self.scale * self.combiner.apply_tile(self.tile, self.dictionary.columns(support))
+    def columns(self, support, problems) -> np.ndarray:
+        """(P, K): column j is column ``support[j]`` of the operator of problem ``problems[j]``."""
+        comb = self.combiner
+        atoms = self.dictionary.columns(support).T.reshape(-1, comb.m_rf_per_tile, comb.m_s, 1)
+        out = comb.chain_blocks[self.tiles[problems]] @ atoms  # (K, M_rf, T, 1)
+        return self.scale * out[..., 0].swapaxes(1, 2).reshape(len(atoms), -1).T
 
 
 @dataclass(frozen=True)
@@ -143,7 +186,8 @@ class SphericalDictionary:
     Atom ``q`` is column ``column[q]`` of ``quarter`` read in the antenna
     order ``orders[mirror[q]]``: as is, mirrored in y, in z, or in both.
     The dictionary is an OMP operator on antenna-order residuals that
-    scores every atom with one (4, M) x (M, Q/4) product.
+    scores every atom of a stack of n residuals with one (4n, M) x (M, Q/4)
+    product.
     """
 
     quarter: np.ndarray
@@ -159,12 +203,16 @@ class SphericalDictionary:
     def shape(self) -> tuple[int, int]:
         return self.quarter.shape[0], self.column.size
 
-    def scores(self, residual: np.ndarray) -> np.ndarray:
-        """Normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with ``residual``."""
-        correlations = residual[self.orders].conj() @ self.quarter
-        return np.abs(correlations[self.mirror, self.column]) / self.column_norms
+    def scores(self, residuals: np.ndarray, problems=None) -> np.ndarray:
+        """(n, Q) normalized correlations ``|a_q^H r| / ||a_q||`` of every atom with each of
+        the (n, M) ``residuals``: one (4n, M) x (M, Q/4) product."""
+        r = residuals.reshape(-1, self.shape[0]).conj()
+        magnitudes = np.abs(r[:, self.orders].reshape(-1, r.shape[1]) @ self.quarter)
+        scores = magnitudes.reshape(len(r), 4, -1)[:, self.mirror, self.column]
+        scores /= self.column_norms
+        return scores
 
-    def columns(self, support) -> np.ndarray:
+    def columns(self, support, problems=None) -> np.ndarray:
         """The (M, K) atoms ``support`` indexes."""
         return self.quarter[self.orders[self.mirror[support]].T, self.column[support]]
 

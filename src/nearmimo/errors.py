@@ -26,16 +26,12 @@ class DegenerateGridError(NearMimoError, ValueError):
     """A sampling grid collapses (more than one point but zero extent)."""
 
 
-class DegenerateInputError(NearMimoError, ValueError):
-    """An input that must carry signal structure is identically zero."""
-
-
 class DegenerateGeometryError(NearMimoError, ArithmeticError):
     """Ray geometry is rank deficient (e.g. all rays parallel)."""
 
 
 class NumericalRankError(NearMimoError, ArithmeticError):
-    """A least-squares refit hit a rank-deficient support set."""
+    """A sparse refit hit a rank-deficient support set."""
 
 
 class DivergenceError(NearMimoError, ArithmeticError):

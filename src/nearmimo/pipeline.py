@@ -4,19 +4,21 @@ Only ``simulate_reception`` sees the scene.  The stages and baselines
 work from its record (whose combiner tiles the array), the wavelength
 and the user antennas' offsets from their center; ``harness`` composes them.
 Stage 1 slices the single-block observation per subarray and recovers
-each subarray channel over the angular dictionary by Kronecker-OMP, which
-never forms a tile's sensing operator ``V_i D``; its estimate is one
-M-vector ``h_sub``.  Stage 2 reads it tile by tile, turns each tile's
-reconstruction into refined LoS direction cosines (MUSIC on the
-Kronecker covariance factors) and triangulates the user center by
-least squares.  Stage 3 builds a location-aided dictionary around the
-estimate and recovers the full MIMO channel, by SBL by default.
+every subarray channel over the angular dictionary in one lockstep
+Kronecker-OMP batch, which never forms a tile's sensing operator
+``V_i D``; its estimate is one M-vector ``h_sub``.  Stage 2 reads it tile
+by tile, turns all tiles' reconstructions into refined LoS direction
+cosines (one MUSIC scan per axis over the Kronecker covariance factors of
+every tile) and triangulates the user center by least squares.  Stage 3
+builds a location-aided dictionary around the estimate and recovers the
+full MIMO channel, by SBL by default.
 ``StageOptions`` holds stage 3's grid and SBL knobs; the rest are constants.
 
 Baselines: antenna-wise SIMO estimation (B = N pilot blocks, DFT
-precoder) over a full-array dictionary, or tile by tile through stage
-1's tile-OMP loop, and a single-location eigen-dictionary LS fit.  All
-baselines spend the same total pilot energy as the single-block schemes.
+precoder) over a full-array dictionary, one OMP batch over the N SIMO
+columns, or tile by tile through stage 1's tile-OMP batch, and a
+single-location eigen-dictionary LS fit.  All baselines spend the same
+total pilot energy as the single-block schemes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from .channel import ChannelRealization, Scene, _spherical_wave
 from .dictionaries import AngularDictionary, SphericalDictionary, build_location
-from .doa import extract_axis_factors, music_1d, subarray_covariance
+from .doa import extract_axis_factors, music_1d
 from .errors import (
     DegenerateGeometryError,
-    DegenerateInputError,
     InvalidDirectionError,
     StageFailure,
 )
@@ -148,23 +149,25 @@ def _effective_noise_var(record: ReceptionRecord) -> float:
 
 def _tile_omp(combiner: CombinerDesign, dictionary: AngularDictionary, y: np.ndarray,
               scale: float, max_atoms: int) -> tuple[list[SparseSolution], np.ndarray]:
-    """OMP over each tile's never formed ``scale * V_i D`` on its rows of every column of ``y``.
+    """One OMP call over every (tile, column) problem: ``scale * V_i D`` never formed.
 
-    ``y`` is (T*M_RF, K).  Returns the solutions, tile-major, and the M x K
-    estimate that holds each tile's ``D x_hat`` at that tile's antennas.
+    ``y`` is (T*M_RF, K); problem ``i*K + k`` is tile i's rows of column k.
+    Returns the solutions, tile-major, and the M x K estimate that holds
+    each tile's ``D x_hat`` at that tile's antennas.
     """
-    solutions = []
-    h_hat = np.zeros((combiner.num_antennas, y.shape[1]), dtype=complex)
-    for i, op in enumerate(dictionary.tile_operators(combiner, scale)):
-        antennas = combiner.tiling.tiles[i].antenna_indices
-        for k, y_k in enumerate(y[combiner.tile_rows(i)].T):
-            sol = omp(op, y_k, max_atoms=max_atoms, residual_tol=OMP_TOL)
-            solutions.append(sol)
-            # support-only product: against the dense D x it moved no support, finite-SNR
-            # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
-            # (noiseless SBL rows move by up to 14 dB under any change of rounding)
-            h_hat[antennas, k] = dictionary.columns(sol.support) @ sol.coefficients[sol.support]
-    return solutions, h_hat
+    tiles, k = combiner.tiling.num_tiles, y.shape[1]
+    per_tile = y.reshape(combiner.t_slots, tiles, combiner.m_rf_per_tile, k)
+    problems = per_tile.transpose(1, 3, 0, 2).reshape(tiles * k, -1)
+    op = dictionary.tile_operator(combiner, scale, np.repeat(np.arange(tiles), k))
+    solutions = omp(op, problems, max_atoms=max_atoms, residual_tol=OMP_TOL)
+    h_hat = np.zeros((combiner.num_antennas, k), dtype=complex)
+    for b, sol in enumerate(solutions):
+        # support-only product: against the dense D x it moved no support, finite-SNR
+        # NMSE by <= 3.4e-7 dB and centers by <= 7e-13 m on paired desk and paper rows
+        # (noiseless SBL rows move by up to 14 dB under any change of rounding)
+        h_hat[combiner.tiling.tiles[b // k].antenna_indices, b % k] = (
+            dictionary.columns(sol.support) @ sol.coefficients[sol.support])
+    return list(solutions), h_hat
 
 
 def stage1(
@@ -172,8 +175,10 @@ def stage1(
 ) -> tuple[list[SparseSolution], np.ndarray]:
     """Per-subarray OMP over the angular dictionary, on the single-block uniform-precoder record.
 
-    Returns each tile's solution and ``h_sub`` (M,), which holds every
-    tile's estimate ``D x_hat`` of its column sum ``H_i 1_N``.
+    All tiles' problems run as one lockstep OMP batch, each seen through
+    its own tile's chain blocks.  Returns each tile's solution and
+    ``h_sub`` (M,), which holds every tile's estimate ``D x_hat`` of its
+    column sum ``H_i 1_N``.
     """
     if record.precoder.kind != "uniform" or record.num_blocks != 1:
         raise ValueError("stage 1 runs on the single-block uniform-precoder record")
@@ -188,26 +193,29 @@ def stage2(
 ) -> tuple[LocationEstimate, list]:
     """Refine per-subarray LoS directions and triangulate the user center.
 
-    ``h_sub`` (M,) is stage 1's estimate, read tile by tile.  Returns the
-    estimate and each tile's direction cosines, ``None`` for a tile whose
-    covariance degenerates or whose cosines leave the unit disk; at least
-    two usable rays are required.
+    ``h_sub`` (M,) is stage 1's estimate, read tile by tile.  The axis
+    factors of every tile with a nonzero estimate come from one call, and
+    one MUSIC scan per axis covers all of them.  Returns the estimate and
+    each tile's direction cosines, ``None`` for a tile whose estimate is
+    zero or whose cosines leave the unit disk; at least two usable rays
+    are required.
     """
-    directions = []
+    geom = tiling.tiles[0].geometry  # tiles are equally sized
+    h = h_sub[np.stack([tile.antenna_indices for tile in tiling.tiles])]
+    usable = np.flatnonzero(np.linalg.norm(h, axis=1) > 0)
+    directions = [None] * tiling.num_tiles
     rays = []
-    for tile in tiling.tiles:
-        geom = tile.geometry
-        try:
-            cov = subarray_covariance(h_sub[tile.antenna_indices])
-            c_h, c_v = extract_axis_factors(cov, geom.m_h, geom.m_v)
-            k_y = music_1d(c_h, geom.m_h, geom.d_h, wavelength).peak
-            k_z = music_1d(c_v, geom.m_v, geom.d_v, wavelength).peak
-            k = recover_kx(k_y, k_z)
-        except (DegenerateInputError, InvalidDirectionError):
-            directions.append(None)
-            continue
-        directions.append(k)
-        rays.append(Ray(origin=geom.center, direction=k))
+    if usable.size:
+        c_h, c_v = extract_axis_factors(h[usable], geom.m_h, geom.m_v)
+        k_y = music_1d(c_h, geom.m_h, geom.d_h, wavelength).peak
+        k_z = music_1d(c_v, geom.m_v, geom.d_v, wavelength).peak
+        for i, ky, kz in zip(usable, k_y, k_z):
+            try:
+                k = recover_kx(ky, kz)
+            except InvalidDirectionError:
+                continue
+            directions[i] = k
+            rays.append(Ray(origin=tiling.tiles[i].geometry.center, direction=k))
     if len(rays) < 2:
         raise StageFailure("stage2", f"only {len(rays)} usable rays")
     try:
@@ -285,8 +293,9 @@ def baseline_antenna_wise(
     Right-multiplying the DFT-precoded record by W^H separates the user
     antennas; each SIMO channel is recovered independently with OMP and
     the estimate is assembled column by column from the atoms on its
-    support.  Needs ``V^H V = I`` (else ``ValueError``) and runs OMP on the
-    operator against ``V^H y / sqrt(p)``, as if on the never formed
+    support.  Needs ``V^H V = I`` (else ``ValueError``) and runs one OMP
+    batch over the N columns on the operator against ``V^H y / sqrt(p)``,
+    each with its own stop tolerance, as if on the never formed
     ``sqrt(p) V D``; the angular dictionary scores it as
     ``A_h^H unvec(V^H y) conj(A_v)``, the spherical one as the four
     mirrors of ``V^H y`` against its quarter of the atoms.
@@ -301,17 +310,15 @@ def baseline_antenna_wise(
     y_norm, z_norm = np.linalg.norm(per_antenna, axis=0), np.linalg.norm(z, axis=0)
     outside = np.linalg.norm(per_antenna - combiner.apply(z), axis=0)
     tols = np.sqrt(np.maximum((OMP_TOL * y_norm) ** 2 - outside ** 2, 0)) / z_norm
-    h_hat = np.zeros((combiner.num_antennas, per_antenna.shape[1]), dtype=complex)
-    for col in range(h_hat.shape[1]):
-        sol = omp(operator, z[:, col] / scale, max_atoms=BASELINE_MAX_ATOMS,
-                  residual_tol=tols[col])
-        h_hat[:, col] = operator.columns(sol.support) @ sol.coefficients[sol.support]
-    return h_hat
+    solutions = omp(operator, z.T / scale, max_atoms=BASELINE_MAX_ATOMS, residual_tol=tols)
+    return np.column_stack([operator.columns(sol.support) @ sol.coefficients[sol.support]
+                            for sol in solutions])
 
 
 def baseline_subarray_antenna_wise(record: ReceptionRecord,
                                    dictionary: AngularDictionary) -> np.ndarray:
-    """Per-subarray SIMO estimation, any combiner: stage 1's tile OMP on ``Y W^H`` at sqrt(p)."""
+    """Per-subarray SIMO estimation, any combiner: stage 1's one OMP batch over every
+    (tile, column) problem of ``Y W^H`` at sqrt(p)."""
     return _tile_omp(record.combiner, dictionary, _dft_per_antenna(record),
                      np.sqrt(record.power), BASELINE_MAX_ATOMS)[1]
 

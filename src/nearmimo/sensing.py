@@ -18,6 +18,7 @@ the identity, so the effective noise keeps covariance ``sigma^2 I``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,9 +104,31 @@ class CombinerDesign:
         per_chain = z.reshape(self.t_slots, self.m_rf_per_tile, -1).swapaxes(0, 1)
         return (blocks_h @ per_chain).reshape(-1, per_chain.shape[-1])
 
-    def tile_gram(self, i: int) -> np.ndarray:
-        """``V_i^H V_i`` (M_i x M_i, within-tile order): one ``F^H F`` block per chain."""
-        return self.adjoint_tile(i, self.apply_tile(i, np.eye(self.m_rf_per_tile * self.m_s)))
+    def _chain_grams(self) -> np.ndarray:
+        """(I, M_rf_i, M_s, M_s): every chain's ``F^H F``, a diagonal block of ``V^H V``."""
+        return self.chain_blocks.conj().swapaxes(-1, -2) @ self.chain_blocks
+
+    def tile_grams(self) -> np.ndarray:
+        """(I, M_i, M_i) ``V_i^H V_i`` of every tile, within-tile order: block diagonal in
+        its chain Grams."""
+        grams = self._chain_grams()
+        tiles, m_rf, m_s = grams.shape[:3]
+        out = np.zeros((tiles, m_rf, m_s, m_rf, m_s), dtype=grams.dtype)
+        chains = np.arange(m_rf)
+        out[:, chains, :, chains, :] = grams.swapaxes(0, 1)
+        return out.reshape(tiles, m_rf * m_s, m_rf * m_s)
+
+    @cached_property
+    def gram_error(self) -> float:
+        """Frobenius norm of ``V^H V - T modulus^2 I``, computed once per combiner.
+
+        Chains touch disjoint antennas, so ``V^H V`` is block diagonal with
+        the chain Grams ``F^H F`` as its blocks, and this is their error
+        over all chains.
+        """
+        gram = self._chain_grams()
+        gram -= self.t_slots * self.entry_modulus ** 2 * np.eye(self.m_s)
+        return float(np.linalg.norm(gram))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``V^H z`` for a (T*M_RF, K) input, in O(T*M*K); returns (M, K)."""
@@ -119,21 +142,16 @@ class CombinerDesign:
     def verify_blocks(self, tol: float = _ORTHO_TOL) -> None:
         """The build-time check: unit-modulus entries and every chain's Gram.
 
-        Chains touch disjoint antennas, so ``V^H V`` is block diagonal with
-        the chain Grams ``F^H F`` as its blocks, and each ``V_t V_t^H`` is
-        diagonal with the blocks' squared row norms, which unit modulus
-        fixes at ``noise_scale``.  These two checks so imply the dense global,
-        tile and slot Gram identities; the Gram error is the Frobenius norm
-        over all chains, which is the global ``V^H V`` error.  Raises
+        ``V^H V`` is block diagonal in the chain Grams (``gram_error``), and
+        each ``V_t V_t^H`` is diagonal with the blocks' squared row norms,
+        which unit modulus fixes at ``noise_scale``.  These two checks so
+        imply the dense global, tile and slot Gram identities.  Raises
         ``InfeasibleDesignError`` if either fails.
         """
-        blocks = self.chain_blocks
-        modulus_err = float(np.max(np.abs(np.abs(blocks) - self.entry_modulus)))
+        modulus_err = float(np.max(np.abs(np.abs(self.chain_blocks) - self.entry_modulus)))
         if modulus_err > tol:
             raise InfeasibleDesignError(f"entry modulus error {modulus_err:.2e}")
-        gram = blocks.conj().swapaxes(-1, -2) @ blocks  # (I, M_rf_i, M_s, M_s)
-        gram -= self.t_slots * self.entry_modulus ** 2 * np.eye(self.m_s)
-        err = np.linalg.norm(gram)
+        err = self.gram_error
         if err > tol:
             raise InfeasibleDesignError(f"chain block Gram error {err:.2e}")
 

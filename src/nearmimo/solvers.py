@@ -2,12 +2,16 @@
 
 Both solvers take an operator for the complex sensing matrix ``A``
 (P x Q), which checks the column norms its builder gives once, when it
-is built, and the observation ``y`` (P).  OMP greedily selects atoms by
-normalized correlation with the residual and refits by least squares;
-it reaches ``A`` only through the operator's scores and support
-columns, so a structured operator that never forms ``A`` (the angular
-dictionary, its tile view ``KroneckerOperator``, the spherical one) runs
-the same loop as a :class:`MatrixOperator`.  SBL places independent
+is built, and the observation ``y`` (P).  OMP solves a batch of B
+independent problems in lockstep, as Batch-OMP does (Rubinstein,
+Zibulevsky & Elad, Technion CS-2008-08): every step scores all active
+residuals with one operator product, adds one atom per problem and
+refits by updating that problem's QR factor, so no least-squares solve
+runs.  Problem b may see its own matrix (the angular dictionary through
+its own combiner tile, ``TileOperator``); OMP reaches the matrices only
+through the operator's scores and picked atoms, so a structured operator
+that never forms ``A`` (the angular dictionary, its tile view, the
+spherical one) runs the same loop as a :class:`MatrixOperator`.  SBL places independent
 CN(0, gamma_q) priors on the coefficients and maximizes the marginal
 likelihood of y under CN(0, sigma^2 I + A Gamma A^H), with the noise
 variance held fixed, by the sequential rule of Tipping & Faul (AISTATS
@@ -50,11 +54,11 @@ def _is_real(value) -> bool:
 
 def _check_operator(shape, column_norms) -> None:
     """``ValueError`` unless ``shape`` is 2D and non-empty and ``column_norms`` is
-    (Q,) with no zero; OMP divides its correlations by them."""
+    (Q,), or (I, Q) for I matrices, with no zero; OMP divides its correlations by them."""
     if len(shape) != 2 or min(shape) < 1:
         raise ValueError(f"sensing matrix must be 2D and non-empty, got {shape}")
     norms = np.asarray(column_norms)
-    if norms.shape != (shape[1],):
+    if norms.ndim not in (1, 2) or norms.shape[-1] != shape[1]:
         raise ValueError(f"column norms shape {norms.shape} != ({shape[1]},)")
     if np.any(norms == 0):
         raise ValueError("sensing matrix contains an all-zero column")
@@ -64,12 +68,15 @@ def _check_operator(shape, column_norms) -> None:
 class MatrixOperator:
     """A formed P x Q matrix with its column norms, behind the operator interface.
 
-    An operator gives ``shape`` (P, Q), ``column_norms``, ``scores(r)``
-    (the normalized correlations ``|a_q^H r| / ||a_q||``) and
-    ``columns(support)`` (the P x K columns of a support), and checks its
-    shape and norms with :func:`_check_operator` when built; the angular
-    dictionary, its tile view and the spherical one are structured.  The code that
-    builds a matrix gives its norms, which are not recomputed here.
+    An operator gives ``shape`` (P, Q), ``column_norms``, and for a batch
+    of problems, row j of a stack being problem ``problems[j]``:
+    ``scores(residuals, problems)``, the (n, Q) normalized correlations
+    ``|a_q^H r| / ||a_q||`` of each (n, P) residual row with its problem's
+    atoms, and ``columns(support, problems)``, the (P, K) columns whose
+    column j is atom ``support[j]`` of problem ``problems[j]``.  It checks
+    its shape and norms with :func:`_check_operator` when built.  Every
+    problem sees this one matrix, so ``problems`` is not read.  The code
+    that builds a matrix gives its norms, which are not recomputed here.
     """
 
     matrix: np.ndarray
@@ -82,10 +89,10 @@ class MatrixOperator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def scores(self, residual: np.ndarray) -> np.ndarray:
-        return np.abs(residual.conj() @ self.matrix) / self.column_norms
+    def scores(self, residuals: np.ndarray, problems=None) -> np.ndarray:
+        return np.abs(residuals.conj() @ self.matrix) / self.column_norms
 
-    def columns(self, support) -> np.ndarray:
+    def columns(self, support, problems=None) -> np.ndarray:
         return self.matrix[:, support]
 
 
@@ -127,70 +134,142 @@ class SblState:
     evidence: tuple[float, ...]
 
 
+class SparseSolutions(tuple):
+    """The solutions of a batch of OMP problems, in order, with a summary of the batch:
+    ``iterations`` is the number of lockstep steps, ``converged`` holds when every
+    problem met its tolerance, and ``support`` concatenates the supports."""
+
+    @property
+    def iterations(self) -> int:
+        return max((s.iterations for s in self), default=0)
+
+    @property
+    def converged(self) -> bool:
+        return all(s.converged for s in self)
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.concatenate([s.support for s in self] or [np.zeros(0, dtype=int)])
+
+
 def omp(
     operator,
-    observation: np.ndarray,
+    observations: np.ndarray,
     max_atoms: int | None = None,
-    residual_tol: float | None = None,
-) -> SparseSolution:
-    """Orthogonal matching pursuit on ``observation`` through any operator.
+    residual_tol=None,
+) -> SparseSolution | SparseSolutions:
+    """Orthogonal matching pursuit on each row of ``observations`` through any operator.
 
-    Atoms are scored by ``|a_q^H r| / ||a_q||`` against the current
-    residual (columns may carry unequal physical amplitudes; the norms
-    are the operator's ``column_norms``), ties break
-    toward the lowest index, and the coefficients are refit by least
-    squares on the accumulated support after every selection.
+    ``observations`` is one (P,) problem or a (B, P) batch of independent
+    problems, row b seen through problem b's matrix.  They run in
+    lockstep: each step scores every active problem's residual with one
+    ``operator.scores`` call by ``|a_q^H r| / ||a_q||`` (columns may carry
+    unequal physical amplitudes; the norms are the operator's
+    ``column_norms``), picks per problem with ties toward the lowest index
+    and the atoms already chosen masked, and adds the picked atom to that
+    problem's QR factorization ``A_S = Q R`` by two passes of Gram--Schmidt.
+    The residual is ``y`` minus its projection on the columns of ``Q``, and
+    the coefficients solve ``R x = Q^H y`` once a problem stops.
 
-    Stops after ``max_atoms`` selections (``min(P, Q)`` if omitted) or once
-    ``||r|| / ||y|| <= residual_tol``; at least one criterion must be
-    given.  ``converged`` reports whether that tolerance was met.
+    Each problem stops after ``max_atoms`` selections (``min(P, Q)`` if
+    omitted) or once ``||r|| / ||y|| <= residual_tol``, a scalar or one
+    tolerance per problem; at least one criterion must be given.
+    ``converged`` reports whether that tolerance was met.  Returns the
+    problem's :class:`SparseSolution` for a (P,) observation and a
+    :class:`SparseSolutions` for a batch.
 
     Raises
     ------
     NumericalRankError
-        If the support refit becomes rank deficient (duplicate-atom
-        pathology).
+        If a picked atom's remainder outside the span of its support is at
+        most ``max(P, K) * eps * ||a||`` for K atoms with it: the refit
+        would be rank deficient (duplicate-atom pathology).  That is the
+        threshold ``lstsq(rcond=None)`` sets on ``sigma_min / sigma_max``;
+        a repeated atom leaves a remainder of rounding size, a few eps
+        times its norm, below it.
     """
     if max_atoms is None and residual_tol is None:
         raise ValueError("need max_atoms and/or residual_tol as a stopping rule")
-    y = _observation(operator, observation)
+    if isinstance(operator, np.ndarray):
+        raise TypeError("pass a sensing matrix as MatrixOperator(matrix, column_norms)")
+    y = np.asarray(observations, dtype=complex)
     p, q = operator.shape
+    if y.ndim not in (1, 2) or y.shape[-1] != p:
+        raise ValueError(f"observation length {y.shape[-1]} != matrix rows {p}")
     if max_atoms is not None and not (1 <= max_atoms <= min(p, q)):
         raise ValueError(f"max_atoms must be in [1, min(P, Q)], got {max_atoms}")
-
-    y_norm = np.linalg.norm(y)
-    x = np.zeros(q, dtype=complex)
-    if y_norm == 0 or (residual_tol is not None and residual_tol >= 1.0):
-        # nothing to fit, or the zero solution already meets the tolerance
-        return SparseSolution(
-            coefficients=x, support=np.array([], dtype=int),
-            residual_history=(float(y_norm),), iterations=0, converged=True,
-        )
-
-    support: list[int] = []
-    residual = y.copy()
-    history = [y_norm]
-    converged = False
+    ys = y.reshape(-1, p)
+    b = ys.shape[0]
+    tol = np.broadcast_to(-np.inf if residual_tol is None else residual_tol, (b,))
     budget = max_atoms if max_atoms is not None else min(p, q)
-    while not converged and len(support) < budget:
-        scores = operator.scores(residual)
-        scores[support] = -1.0  # after an exact fit, rounding must not re-pick an atom
-        support.append(int(np.argmax(scores)))
-        basis = operator.columns(support)
-        coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
-        if rank < len(support):
-            raise NumericalRankError(
-                f"rank-deficient refit on support of size {len(support)}"
-            )
-        residual = y - basis @ coef
-        history.append(float(np.linalg.norm(residual)))
-        if residual_tol is not None and history[-1] / y_norm <= residual_tol:
-            converged = True
-    x[support] = coef
-    return SparseSolution(
-        coefficients=x, support=np.array(support, dtype=int),
-        residual_history=tuple(history), iterations=len(support), converged=converged,
-    )
+
+    y_norm = np.linalg.norm(ys, axis=1)
+    # nothing to fit, or the zero solution already meets the tolerance
+    converged = (y_norm == 0) | (tol >= 1.0)
+    steps = np.zeros(b, dtype=int)
+    support = np.zeros((b, budget), dtype=int)
+    coefs = np.zeros((b, budget), dtype=complex)
+    history = np.zeros((b, budget + 1))
+    history[:, 0] = y_norm
+    # the problems still running, with their residuals, the columns of Q as rows,
+    # R (upper triangular), Q^H y, picks and residual norms; a problem's rows leave
+    # when it stops, its results written out
+    live = np.flatnonzero(~converged)
+    residual = ys[live]
+    basis = np.zeros((live.size, budget, p), dtype=complex)
+    tri = np.zeros((live.size, budget, budget), dtype=complex)
+    coords = np.zeros((live.size, budget), dtype=complex)
+    picks = np.zeros((live.size, budget), dtype=int)
+    norms = history[live]
+    eps = np.finfo(float).eps
+    for k in range(budget if live.size else 0):
+        scores = operator.scores(residual, live)
+        # after an exact fit, rounding must not re-pick an atom
+        scores[np.arange(live.size)[:, None], picks[:, :k]] = -1.0
+        picks[:, k] = np.argmax(scores, axis=1)
+        atom = operator.columns(picks[:, k], live).T
+        prior = basis[:, :k]
+        prior_h = prior.conj()
+        h = (prior_h @ atom[:, :, None])[:, :, 0]
+        rest = atom - (h[:, None, :] @ prior)[:, 0]
+        fix = (prior_h @ rest[:, :, None])[:, :, 0]
+        rest -= (fix[:, None, :] @ prior)[:, 0]
+        tau = np.linalg.norm(rest, axis=1)
+        if np.any(tau <= max(p, k + 1) * eps * np.linalg.norm(atom, axis=1)):
+            raise NumericalRankError(f"rank-deficient refit on support of size {k + 1}")
+        basis[:, k] = rest / tau[:, None]
+        coords[:, k] = np.sum(basis[:, k].conj() * residual, axis=1)
+        residual -= coords[:, k, None] * basis[:, k]
+        tri[:, :k, k] = h + fix
+        tri[:, k, k] = tau
+        norms[:, k + 1] = np.linalg.norm(residual, axis=1)
+        met = norms[:, k + 1] / y_norm[live] <= tol[live]
+        stop = met | (k + 1 == budget)
+        if np.any(stop):
+            done = live[stop]
+            converged[done] = met[stop]
+            steps[done] = k + 1
+            support[done, :k + 1] = picks[stop, :k + 1]
+            history[done] = norms[stop]
+            coefs[done, :k + 1] = np.linalg.solve(tri[stop, :k + 1, :k + 1],
+                                                  coords[stop, :k + 1, None])[..., 0]
+            keep = ~stop
+            live, residual, basis, tri = live[keep], residual[keep], basis[keep], tri[keep]
+            coords, picks, norms = coords[keep], picks[keep], norms[keep]
+            if live.size == 0:
+                break
+
+    coefficients = np.zeros((b, q), dtype=complex)
+    solutions = []
+    for i in range(b):
+        k = steps[i]
+        coefficients[i, support[i, :k]] = coefs[i, :k]
+        solutions.append(SparseSolution(
+            coefficients=coefficients[i], support=support[i, :k],
+            residual_history=tuple(history[i, :k + 1].tolist()), iterations=int(k),
+            converged=bool(converged[i]),
+        ))
+    return solutions[0] if y.ndim == 1 else SparseSolutions(solutions)
 
 
 def sbl_em(

@@ -1,12 +1,13 @@
-"""Plane- and spherical-wave references, the dense combiner and a dense sensing operator,
-for the tests only."""
+"""Plane- and spherical-wave references, the dense combiner, a dense sensing operator and
+one-problem references of OMP and MUSIC, for the tests only."""
 
 import numpy as np
 
 from nearmimo.channel import far_field_steering
 from nearmimo.dictionaries import GROUP_TOLERANCE, cosine_grid
+from nearmimo.errors import NumericalRankError
 from nearmimo.geometry import build_ula
-from nearmimo.solvers import MatrixOperator
+from nearmimo.solvers import MatrixOperator, SparseSolution
 
 
 def dense_combiner(design) -> np.ndarray:
@@ -123,3 +124,58 @@ def assert_near_absolute(channels, atoms, reference, w, rtol=1e-12):
     exact = np.einsum("n,nms->ms", w, blocks)
     scale = np.einsum("n,nms->ms", np.abs(w), np.abs(blocks))
     assert np.linalg.norm(atoms - exact) <= rtol * np.linalg.norm(scale)
+
+
+def omp_reference(matrix, y, max_atoms=None, residual_tol=None) -> SparseSolution:
+    """OMP on one problem over a formed matrix, refit by ``lstsq`` after every pick.
+
+    Scores ``|a_q^H r| / ||a_q||``, ties toward the lowest index, chosen
+    atoms masked; stops after ``max_atoms`` picks (``min(P, Q)`` if
+    omitted) or once ``||r|| / ||y|| <= residual_tol``.  Raises
+    ``NumericalRankError`` when ``lstsq(rcond=None)`` finds the support
+    rank deficient.
+    """
+    p, q = matrix.shape
+    norms = np.linalg.norm(matrix, axis=0)
+    y_norm = np.linalg.norm(y)
+    x = np.zeros(q, dtype=complex)
+    if y_norm == 0 or (residual_tol is not None and residual_tol >= 1.0):
+        return SparseSolution(x, np.array([], dtype=int), (float(y_norm),), 0, True)
+    support, residual, history, converged = [], y.copy(), [y_norm], False
+    budget = max_atoms if max_atoms is not None else min(p, q)
+    while not converged and len(support) < budget:
+        scores = np.abs(residual.conj() @ matrix) / norms
+        scores[support] = -1.0
+        support.append(int(np.argmax(scores)))
+        basis = matrix[:, support]
+        coef, _res, rank, _sv = np.linalg.lstsq(basis, y, rcond=None)
+        if rank < len(support):
+            raise NumericalRankError(f"rank-deficient refit on support of size {len(support)}")
+        residual = y - basis @ coef
+        history.append(float(np.linalg.norm(residual)))
+        converged = residual_tol is not None and history[-1] / y_norm <= residual_tol
+    x[support] = coef
+    return SparseSolution(x, np.array(support, dtype=int), tuple(history), len(support),
+                          converged)
+
+
+def music_reference(cov, m_e: int, d_e: float, wavelength: float, grid_points: int = 4096):
+    """1D MUSIC on one covariance by projecting centered steering vectors on the
+    ``m_e - 1`` noise eigenvectors; returns the grid, the pseudo-spectrum and the
+    parabolic-refined peak."""
+    _w, v = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+    grid = np.linspace(-1.0, 1.0, grid_points)
+    offsets = np.arange(m_e) - (m_e - 1) / 2.0
+    steering = np.exp(2j * np.pi / wavelength * d_e * offsets[:, None] * grid[None, :])
+    denom = np.sum(np.abs(v[:, :-1].conj().T @ steering) ** 2, axis=0)
+    values = 1.0 / np.maximum(denom, 1e-300)
+    k = int(np.argmax(values))
+    peak = grid[k]
+    if 0 < k < grid_points - 1:
+        logs = np.log(values[k - 1:k + 2])
+        curvature = logs[0] - 2 * logs[1] + logs[2]
+        if curvature < 0:
+            shift = 0.5 * (logs[0] - logs[2]) / curvature
+            if abs(shift) <= 1.0:
+                peak = grid[k] + shift * (grid[1] - grid[0])
+    return grid, values, float(np.clip(peak, -1.0, 1.0))

@@ -1,12 +1,15 @@
 """Property-based contracts, checked on derandomized hypothesis examples."""
 
 import numpy as np
+import pytest
 from helpers import (
     assert_near_absolute,
     dense_combiner,
     dense_operator,
     grouped_reference,
     location_reference,
+    music_reference,
+    omp_reference,
     spherical_reference,
     ula_offsets,
 )
@@ -14,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearmimo import errors
-from nearmimo.channel import _spherical_wave
+from nearmimo.channel import _spherical_wave, far_field_steering
 from nearmimo.dictionaries import build_angular, build_location, build_spherical_baseline
+from nearmimo.doa import music_1d
 from nearmimo.geometry import build_ula, build_upa, partition
 from nearmimo.harness import METHODS, ExperimentConfig, SweepContext, desk_profile, run_trial
+from nearmimo.pipeline import stage2
 from nearmimo.sensing import design_combiner, random_combiner
 from nearmimo.solvers import _GAMMA_CAP, _SPAN_RTOL, MatrixOperator, omp, sbl_em
 
@@ -122,14 +127,15 @@ def test_kronecker_operators_equal_the_dense_product(case):
     np.testing.assert_array_equal(d.columns(slice(None)), kron)
     v = dense_combiner(comb)
     rng = np.random.default_rng(seed)
-    for i, op in enumerate(d.tile_operators(comb, scale)):
+    op = d.tile_operator(comb, scale, np.arange(tiling.num_tiles))
+    for i in range(tiling.num_tiles):
         ref = scale * v[np.ix_(comb.tile_rows(i), tiling.tiles[i].antenna_indices)] @ kron
         norms = np.linalg.norm(ref, axis=0)
         r = rng.standard_normal(ref.shape[0]) + 1j * rng.standard_normal(ref.shape[0])
         assert op.shape == ref.shape
-        assert _relative(op.column_norms, norms) <= 1e-12
-        assert _relative(op.scores(r), np.abs(r.conj() @ ref) / norms) <= 1e-12
-        assert _relative(op.columns(support), ref[:, support]) <= 1e-12
+        assert _relative(op.column_norms[i], norms) <= 1e-12
+        assert _relative(op.scores(r[None], [i])[0], np.abs(r.conj() @ ref) / norms) <= 1e-12
+        assert _relative(op.columns(support, [i] * len(support)), ref[:, support]) <= 1e-12
     if designed:  # V^H V = I: the full-array scores of V^H y are those of V D against y
         full = build_angular(bs.m_h, bs.m_v, HALF, HALF, WAVELENGTH, z)
         ref = v @ np.kron(full.a_h, full.a_v)
@@ -246,6 +252,177 @@ def test_omp_converged_iff_tolerance_met_and_support_is_sound(case):
     assert np.unique(support).size == support.size <= (max_atoms or min(p, q))
     assert sol.iterations == support.size and len(history) == support.size + 1
     np.testing.assert_array_equal(np.delete(sol.coefficients, support), 0)
+
+
+@st.composite
+def omp_batches(draw):
+    """A batch of generic or planted problems on one matrix, some of them zero, with a
+    shared atom budget and one tolerance per problem."""
+    p, q, b = draw(st.integers(2, 12)), draw(st.integers(1, 16)), draw(st.integers(1, 6))
+    max_atoms = draw(st.none() | st.integers(1, min(p, q)))
+    tols = st.lists(st.sampled_from([1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0]), min_size=b, max_size=b)
+    residual_tol = np.array(draw(tols)) if max_atoms is None or draw(st.booleans()) else None
+    kinds = draw(st.lists(st.sampled_from(["generic", "planted", "zero"]), min_size=b,
+                          max_size=b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))) / np.sqrt(2)
+    ys = rng.standard_normal((b, p)) + 1j * rng.standard_normal((b, p))
+    for y, kind in zip(ys, kinds):
+        if kind == "zero":
+            y[:] = 0
+        elif kind == "planted" and residual_tol is not None:  # an exact fit must stop it
+            k = rng.integers(1, min(p, q) + 1)
+            y[:] = a[:, rng.choice(q, k, replace=False)] @ y[:k]
+    return a, ys, max_atoms, residual_tol
+
+
+@CONTRACT
+@given(case=omp_batches())
+def test_batched_omp_equals_the_lstsq_reference_per_problem(case):
+    # same supports, iterations and flags; coefficients and residual norms to 1e-9
+    # relative: the QR refit and lstsq differ only in rounding
+    a, ys, max_atoms, residual_tol = case
+    sols = omp(dense_operator(a), ys, max_atoms=max_atoms, residual_tol=residual_tol)
+    assert len(sols) == len(ys)
+    for i, (y, sol) in enumerate(zip(ys, sols)):
+        tol = None if residual_tol is None else residual_tol[i]
+        ref = omp_reference(a, y, max_atoms=max_atoms, residual_tol=tol)
+        np.testing.assert_array_equal(sol.support, ref.support)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        scale = np.linalg.norm(ref.coefficients)
+        assert np.linalg.norm(sol.coefficients - ref.coefficients) <= 1e-9 * scale
+        np.testing.assert_allclose(sol.residual_history, ref.residual_history, rtol=0,
+                                   atol=1e-9 * np.linalg.norm(y))
+    assert sols.iterations == max(s.iterations for s in sols)
+    assert sols.converged == all(s.converged for s in sols)
+    assert len(sols.support) == sum(len(s.support) for s in sols)
+
+
+@CONTRACT
+@given(p=st.integers(3, 12), seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5),
+       data=st.data())
+def test_batched_omp_raises_whenever_a_problem_repeats_an_atom(p, seed, b, data):
+    # every atom is stored twice: a problem still running after its k distinct
+    # atoms must pick a repeat, which the lstsq reference finds rank deficient
+    k = data.draw(st.integers(1, p - 1))
+    tols = np.array(data.draw(st.lists(st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
+                                       min_size=b, max_size=b)))
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
+    a = np.hstack([half, half])
+    ys = rng.standard_normal((b, p)) + 1j * rng.standard_normal((b, p))
+    repeats = False
+    for y, tol in zip(ys, tols):
+        try:
+            omp_reference(a, y, max_atoms=k + 1, residual_tol=tol)
+        except errors.NumericalRankError:
+            repeats = True
+    if repeats:
+        with pytest.raises(errors.NumericalRankError):
+            omp(dense_operator(a), ys, max_atoms=k + 1, residual_tol=tols)
+    else:
+        omp(dense_operator(a), ys, max_atoms=k + 1, residual_tol=tols)
+
+
+@CONTRACT
+@given(m_h=st.integers(1, 9), m_v=st.integers(1, 9), z=st.integers(2, 12),
+       rings=st.lists(st.floats(1.0, 20.0), min_size=1, max_size=3, unique=True),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_scores_equal_per_row_scores(m_h, m_v, z, rings, n, seed):
+    bs = build_upa(m_h, m_v, HALF, HALF, (0, 0, 0))
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, bs.size)) + 1j * rng.standard_normal((n, bs.size))
+    for d in (build_angular(m_h, m_v, HALF, HALF, WAVELENGTH, z),
+              build_spherical_baseline(bs, z, rings, WAVELENGTH)):
+        np.testing.assert_array_equal(d.scores(r), np.concatenate([d.scores(x[None]) for x in r]))
+
+
+@st.composite
+def axis_covariances(draw):
+    """A stack of axis covariances: random PSD of any rank, rank-one plane waves off
+    and on the 4096-point MUSIC grid."""
+    m = draw(st.integers(2, 16))
+    spacing = draw(st.sampled_from([HALF, 0.6 * WAVELENGTH, 0.3 * WAVELENGTH]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.linspace(-1.0, 1.0, 4096)
+    covs = []
+    for kind in draw(st.lists(st.sampled_from(["psd", "off", "on"]), min_size=1, max_size=6)):
+        if kind == "psd":
+            g = rng.standard_normal((m, rng.integers(1, m + 1))) * (1 + 1j)
+            g += 1j * rng.standard_normal(g.shape)
+            covs.append(g @ g.conj().T)
+        else:
+            cosine = rng.uniform(-0.95, 0.95) if kind == "off" else grid[rng.integers(100, 3996)]
+            a = far_field_steering(m, spacing, cosine, WAVELENGTH)
+            covs.append(np.outer(a, a.conj()))
+    return m, spacing, np.array(covs)
+
+
+@CONTRACT
+@given(case=axis_covariances())
+def test_stacked_music_peaks_equal_the_projection_reference(case):
+    m, spacing, covs = case
+    spec = music_1d(covs, m, spacing, WAVELENGTH)
+    assert spec.values.shape == (len(covs), 4096) and spec.peak.shape == (len(covs),)
+    for cov, peak in zip(covs, spec.peak):
+        assert abs(peak - music_reference(cov, m, spacing, WAVELENGTH)[2]) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 12])
+def test_music_on_the_identity_is_flat_as_the_reference(m):
+    # no direction stands out: both spectra are flat to rounding, so the reference's
+    # argmax falls wherever rounding puts it and only the spectra compare
+    spec = music_1d(np.eye(m, dtype=complex)[None], m, HALF, WAVELENGTH)
+    _grid, values, _peak = music_reference(np.eye(m, dtype=complex), m, HALF, WAVELENGTH)
+    np.testing.assert_allclose(spec.values[0], values, rtol=1e-12)
+    assert -1.0 <= spec.peak[0] <= 1.0
+
+
+@CONTRACT
+@given(tiles=st.lists(st.sampled_from(["random", "plane", "zero"]), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(tiles=["zero", "plane", "plane", "random"], seed=0)
+def test_batched_stage2_equals_the_per_tile_reference(tiles, seed):
+    # per tile: the block averages of h h^H, the projection MUSIC, its cosines
+    bs = build_upa(8, 12, HALF, HALF, (0, 0, 0))
+    tiling = partition(bs, 2, 2)
+    geom = tiling.tiles[0].geometry
+    rng = np.random.default_rng(seed)
+    h_sub = np.zeros(bs.size, dtype=complex)
+    for tile, kind in zip(tiling.tiles, tiles):
+        if kind == "random":
+            h = rng.standard_normal(geom.size) + 1j * rng.standard_normal(geom.size)
+        elif kind == "plane":
+            h = np.kron(far_field_steering(geom.m_h, HALF, rng.uniform(-0.6, 0.6), WAVELENGTH),
+                        far_field_steering(geom.m_v, HALF, rng.uniform(-0.6, 0.6), WAVELENGTH))
+        else:
+            h = np.zeros(geom.size)
+        h_sub[tile.antenna_indices] = h
+    try:
+        _estimate, directions = stage2(h_sub, tiling, WAVELENGTH)
+    except errors.StageFailure:
+        directions = None
+    expected = []
+    for tile in tiling.tiles:
+        h = h_sub[tile.antenna_indices]
+        if not np.any(h):
+            expected.append(None)
+            continue
+        blocks = np.outer(h, h.conj()).reshape(geom.m_h, geom.m_v, geom.m_h, geom.m_v)
+        c_v = np.mean([blocks[p, :, p, :] for p in range(geom.m_h)], axis=0)
+        c_h = np.einsum("pmqm->pq", blocks) / geom.m_v
+        k = []
+        for c, m_e in ((c_h, geom.m_h), (c_v, geom.m_v)):
+            scale = 1.0 / np.sqrt(np.diag(c).real)
+            k.append(music_reference(c * np.outer(scale, scale), m_e, HALF, WAVELENGTH)[2])
+        expected.append(k if k[0] ** 2 + k[1] ** 2 <= 1.0 + 1e-12 else None)
+    if directions is None:
+        assert sum(e is not None for e in expected) < 2
+        return
+    for got, ref in zip(directions, expected):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.abs(got[1:] - ref).max() <= 1e-9
 
 
 @st.composite

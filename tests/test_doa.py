@@ -3,67 +3,31 @@ import pytest
 from helpers import planar_far_field_steering
 
 from nearmimo.channel import far_field_steering
-from nearmimo.doa import (
-    _steering,
-    extract_axis_factors,
-    music_1d,
-    subarray_covariance,
-)
-from nearmimo.errors import DegenerateInputError
+from nearmimo.doa import _steering, extract_axis_factors, music_1d
 
 WAVELENGTH = 299792458.0 / 6.8e9
 HALF = WAVELENGTH / 2
 
 
-class TestSubarrayCovariance:
-    def test_basis_vector(self):
-        e1 = np.zeros(4, dtype=complex)
-        e1[0] = 1.0
-        c = subarray_covariance(e1)
-        np.testing.assert_array_equal(c, np.outer(e1, e1))
-
-    def test_outer_product_identities(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        c = subarray_covariance(h)
-        np.testing.assert_allclose(c, c.conj().T, atol=1e-14)
-        assert np.linalg.matrix_rank(c) == 1
-        assert np.trace(c).real == pytest.approx(np.linalg.norm(h) ** 2)
-
-    def test_kronecker_structure_of_steering_covariance(self):
-        a_h = far_field_steering(3, HALF, 0.3, WAVELENGTH)
-        a_v = far_field_steering(4, HALF, -0.2, WAVELENGTH)
-        gamma = 0.7 - 0.2j
-        c = subarray_covariance(gamma * np.kron(a_h, a_v))
-        expected = abs(gamma) ** 2 * np.kron(
-            np.outer(a_h, a_h.conj()), np.outer(a_v, a_v.conj())
-        )
-        np.testing.assert_allclose(c, expected, atol=1e-12)
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            subarray_covariance(np.zeros(4, dtype=complex))
-
-
 class TestExtractAxisFactors:
     def test_identity_input(self):
-        c_h, c_v = extract_axis_factors(np.eye(12, dtype=complex), 3, 4)
-        np.testing.assert_allclose(c_h, np.eye(3), atol=1e-14)
+        # the 4 x 4 DFT matrix has orthogonal rows and columns: both factors are I
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)
+        c_h, c_v = extract_axis_factors(dft.ravel(), 4, 4)
+        np.testing.assert_allclose(c_h, np.eye(4), atol=1e-14)
         np.testing.assert_allclose(c_v, np.eye(4), atol=1e-14)
 
     def test_construct_then_extract_roundtrip(self):
         a_h = far_field_steering(3, HALF, 0.45, WAVELENGTH)
         a_v = far_field_steering(5, HALF, -0.6, WAVELENGTH)
-        c_h0 = np.outer(a_h, a_h.conj())
-        c_v0 = np.outer(a_v, a_v.conj())
-        c_h, c_v = extract_axis_factors(np.kron(c_h0, c_v0), 3, 5)
-        np.testing.assert_allclose(c_h, c_h0, atol=1e-12)
-        np.testing.assert_allclose(c_v, c_v0, atol=1e-12)
+        c_h, c_v = extract_axis_factors(np.kron(a_h, a_v), 3, 5)
+        np.testing.assert_allclose(c_h, np.outer(a_h, a_h.conj()), atol=1e-12)
+        np.testing.assert_allclose(c_v, np.outer(a_v, a_v.conj()), atol=1e-12)
 
     def test_extraction_from_planar_steering(self):
         cos_h, cos_v = 0.3, -0.2
         vec = planar_far_field_steering(4, 6, HALF, HALF, cos_h, cos_v, WAVELENGTH)
-        c_h, c_v = extract_axis_factors(subarray_covariance(vec), 4, 6)
+        c_h, c_v = extract_axis_factors(vec, 4, 6)
         ah = far_field_steering(4, HALF, cos_h, WAVELENGTH)
         av = far_field_steering(6, HALF, cos_v, WAVELENGTH)
         np.testing.assert_allclose(c_h, np.outer(ah, ah.conj()), atol=1e-12)
@@ -72,9 +36,24 @@ class TestExtractAxisFactors:
     def test_unit_diagonal_after_normalization(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        c_h, c_v = extract_axis_factors(subarray_covariance(h), 3, 4)
+        c_h, c_v = extract_axis_factors(h, 3, 4)
         np.testing.assert_allclose(np.diag(c_h).real, 1.0, atol=1e-12)
         np.testing.assert_allclose(np.diag(c_v).real, 1.0, atol=1e-12)
+
+    def test_stack_equals_block_averages_of_each_covariance(self):
+        # row by row, the block averages of h h^H: the diagonal blocks for the
+        # vertical factor, each block's trace for the horizontal one
+        rng = np.random.default_rng(2)
+        h = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        c_h, c_v = extract_axis_factors(h, 3, 4)
+        assert c_h.shape == (5, 3, 3) and c_v.shape == (5, 4, 4)
+        for row, f_h, f_v in zip(h, c_h, c_v):
+            blocks = np.outer(row, row.conj()).reshape(3, 4, 3, 4)
+            v = np.mean([blocks[p, :, p, :] for p in range(3)], axis=0)
+            hor = np.einsum("pmqm->pq", blocks) / 4
+            for got, ref in ((f_h, hor), (f_v, v)):
+                scale = 1.0 / np.sqrt(np.diag(ref).real)
+                np.testing.assert_allclose(got, ref * np.outer(scale, scale), atol=1e-13)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -135,13 +114,21 @@ class TestMusic1d:
 class TestSteeringMemo:
     @staticmethod
     def fresh_spectrum(c, m_e, d_e, grid_points):
-        """Grid and pseudo-spectrum with the steering matrix built afresh."""
-        _w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+        """Grid and pseudo-spectrum with the steering table built afresh: the noise
+        projector's diagonal sums against ``[2 cos; -2 sin]`` of ``phi d theta``,
+        d = 0..m_e-1, with row 0 set to 1."""
+        _w, v = np.linalg.eigh(0.5 * (c + c.conj().T)[None])
+        noise = v[..., : m_e - 1]
+        projector = (noise @ noise.conj().swapaxes(-1, -2)).reshape(1, m_e * m_e)
+        rows, cols = np.indices((m_e, m_e))
+        sums = projector @ ((cols - rows)[..., None] == np.arange(m_e)).reshape(
+            m_e * m_e, m_e).astype(float)
         grid = np.linspace(-1.0, 1.0, grid_points)
-        offsets = np.arange(m_e) - (m_e - 1) / 2.0
-        steering = np.exp(2j * np.pi / WAVELENGTH * d_e * offsets[:, None] * grid[None, :])
-        denom = np.sum(np.abs(v[:, : m_e - 1].conj().T @ steering) ** 2, axis=0)
-        return grid, 1.0 / np.maximum(denom, 1e-300)
+        phase = 2 * np.pi / WAVELENGTH * d_e * np.arange(m_e)[:, None] * grid[None, :]
+        table = np.concatenate([2.0 * np.cos(phase), -2.0 * np.sin(phase)])
+        table[0] = 1.0
+        denom = np.concatenate([sums.real, sums.imag], axis=1) @ table
+        return grid, 1.0 / np.maximum(denom[0], 1e-300)
 
     def test_memoized_arrays_are_read_only(self):
         grid, steering = _steering(8, HALF, WAVELENGTH, 256)
@@ -170,7 +157,7 @@ class TestSteeringMemo:
         rng = np.random.default_rng(5)
         h = planar_far_field_steering(m_h, m_v, d_h, d_v, *rng.uniform(-0.5, 0.5, 2),
                                       WAVELENGTH)
-        c_h, c_v = extract_axis_factors(subarray_covariance(h), m_h, m_v)
+        c_h, c_v = extract_axis_factors(h, m_h, m_v)
         _steering.cache_clear()
         for cov, m_e, d_e in ((c_h, m_h, d_h), (c_v, m_v, d_v)):
             spec = music_1d(cov, m_e, d_e, WAVELENGTH, grid_points=128)

@@ -8,6 +8,7 @@ from helpers import dense_combiner, dense_operator, ula_offsets, wave_vector
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
     SphericalDictionary,
+    TileOperator,
     build_angular,
     build_spherical_baseline,
     reciprocal_distance_rings,
@@ -161,7 +162,7 @@ class TestStage1:
         tiling = partition(bs, 2, 4)
         comb = design_combiner(6, tiling, m_rf_per_tile=16)
         d = build_angular(8, 12, HALF, HALF, WAVELENGTH, 64)
-        rows, atoms = next(d.tile_operators(comb, 1.0)).shape
+        rows, atoms = d.tile_operator(comb, 1.0, np.arange(tiling.num_tiles)).shape
         assert (rows, atoms) == (6 * 16, 64 ** 2)
         kronecker = rows * comb.m_s + 64 * 8 * 12 + 64 * 12 * 64
         assert kronecker == 55_872
@@ -182,8 +183,8 @@ def tile_reference(comb, i, dictionary, scale) -> np.ndarray:
 class TestSharedTileOperator:
     """Stage 1 and the per-subarray baseline never form a Z^2-column operator.
 
-    Tiles with equal chain blocks share one set of column norms, so the
-    designed combiner computes one tile Gram per call.  The references
+    The designed combiner's column norms are a constant and take no tile
+    Gram; a random combiner's come from one call for all tiles.  The references
     form every tile's ``scale * V_i (A_h ⊗ A_v)`` and solve its problem
     densely: the supports agree, and the coefficients and channels agree
     to 1e-10 relative.  The two paths differ only in the rounding of the
@@ -196,29 +197,36 @@ class TestSharedTileOperator:
     @pytest.fixture(params=["designed", "random"])
     def case(self, request, desk):
         if request.param == "designed":
-            comb, expected = desk["combiner"], 1
+            comb, expected = desk["combiner"], 0
         else:
             comb = random_combiner(4, desk["tiling"], m_rf_per_tile=8, seed=3)
-            expected = desk["tiling"].num_tiles
+            expected = 1
         scene = desk["scene"].with_noise_var(0.01)
         return comb, expected, scene, desk["real"], desk["dictionary"]
 
     @staticmethod
     def record_work(monkeypatch) -> dict:
-        """Record the column count of every ``apply_tile`` input and each tile Gram formed."""
+        """Record the column count of every ``apply_tile`` input and of every batch of
+        tile-operator columns, and each call that forms the tile Grams."""
         work = {"columns": [], "grams": []}
-        apply_tile, tile_gram = CombinerDesign.apply_tile, CombinerDesign.tile_gram
+        apply_tile, tile_grams = CombinerDesign.apply_tile, CombinerDesign.tile_grams
+        columns = TileOperator.columns
 
         def counting_apply(self, i, x):
             work["columns"].append(x.shape[-1])
             return apply_tile(self, i, x)
 
-        def counting_gram(self, i):
-            work["grams"].append(i)
-            return tile_gram(self, i)
+        def counting_columns(self, support, problems):
+            work["columns"].append(len(support))
+            return columns(self, support, problems)
+
+        def counting_grams(self):
+            work["grams"].append(self)
+            return tile_grams(self)
 
         monkeypatch.setattr(CombinerDesign, "apply_tile", counting_apply)
-        monkeypatch.setattr(CombinerDesign, "tile_gram", counting_gram)
+        monkeypatch.setattr(TileOperator, "columns", counting_columns)
+        monkeypatch.setattr(CombinerDesign, "tile_grams", counting_grams)
         return work
 
     def assert_close(self, got, ref):

@@ -205,6 +205,16 @@ class TestStructuredApply:
         np.testing.assert_allclose(
             design.adjoint(z), dense_combiner(design).conj().T @ z, rtol=1e-12, atol=1e-12)
 
+    def test_tile_grams_and_gram_error_equal_the_dense_grams(self, case):
+        # gram_error is the global V^H V error, computed once and kept
+        design, (_slots, stacked, tiles) = case
+        np.testing.assert_allclose(design.tile_grams(), tiles.conj().swapaxes(1, 2) @ tiles,
+                                   rtol=0, atol=1e-12)
+        scale = design.t_slots * design.entry_modulus ** 2
+        error = np.linalg.norm(stacked.conj().T @ stacked - scale * np.eye(stacked.shape[1]))
+        assert design.gram_error == pytest.approx(error, rel=1e-9, abs=1e-12)
+        assert "gram_error" in vars(design)
+
 
 @pytest.mark.parametrize("design", [
     design_combiner(4, desk_tiling(), m_rf_per_tile=8),

@@ -30,7 +30,7 @@ def _angular_operators():
     """A 3 x 4 angular dictionary, and its view through the one tile of a designed combiner."""
     d = build_angular(3, 4, HALF, HALF, WAVELENGTH, 4)
     bs = build_upa(3, 4, HALF, HALF, (0, 0, 0))
-    return d, next(d.tile_operators(design_combiner(6, partition(bs, 1, 1), 2), 1.0))
+    return d, d.tile_operator(design_combiner(6, partition(bs, 1, 1), 2), 1.0, [0])
 
 
 def separated_atoms(rng, dictionary, count):
@@ -71,7 +71,7 @@ class TestProblemValidation:
     def test_rejects_a_zero_kronecker_norm(self):
         for op in _angular_operators():
             norms = op.column_norms.copy()
-            norms[5] = 0.0
+            norms[..., 5] = 0.0
             with pytest.raises(ValueError, match="zero"):
                 replace(op, column_norms=norms)
 
@@ -198,6 +198,30 @@ class TestOmp:
         op, y = dense_operator(np.eye(2, dtype=complex)), np.ones(2)
         with pytest.raises(ValueError):
             omp(op, y)
+
+
+class TestTracedFields:
+    """The benchmark's tracer reads ``args[0].shape[1]`` of every ``omp`` call and, from
+    what it returns, ``int(iterations)``, ``bool(converged)`` and ``len(support)``
+    (benchmarks/tracer.py); one problem and a batch both answer them."""
+
+    def test_one_problem_answers_the_traced_fields(self):
+        op, y, _x, _s = _random_problem(np.random.default_rng(21), 12, 30, sparsity=2)
+        sol = omp(op, y, max_atoms=3)
+        assert op.shape[1] == 30
+        assert (int(sol.iterations), bool(sol.converged), len(sol.support)) == (3, False, 3)
+
+    def test_a_batch_answers_them_for_the_whole_batch(self):
+        d, tile_op = _angular_operators()
+        rng = np.random.default_rng(22)
+        ys = rng.standard_normal((3, tile_op.shape[0])) + 1j * rng.standard_normal((3, 12))
+        ys[1] = 0.0  # converged at once, with an empty support
+        op = d.tile_operator(tile_op.combiner, 1.0, [0, 0, 0])
+        sols = omp(op, ys, max_atoms=4, residual_tol=np.array([1e-6, 1e-6, 0.999]))
+        assert op.shape[1] == 16 and len(sols) == 3
+        assert [s.iterations for s in sols] == [4, 0, 1]
+        assert (int(sols.iterations), bool(sols.converged), len(sols.support)) == (4, False, 5)
+        assert bool(omp(op, ys[1:2], max_atoms=4).converged)
 
 
 class TestSblEm:
