@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import threads
 from .errors import SingularGeometryError
 from .geometry import ArrayGeometry
 
@@ -88,24 +87,16 @@ def _spherical_wave(antennas, points, wavelength, divide=False):
     Over ``r`` if ``divide``.  Entry (m, s), from ``points[s]`` at ``antennas[m]``, is
     bit-identical to a one-point call: row blocks of 2,048-16,384 entries go through
     :func:`_fill_waves` with one block-sized buffer for ``r``, which bounds the
-    temporaries.  The blocks go in contiguous groups to ``threads.kernel_threads`` threads,
-    each with its own buffer and rows of the output, so the thread count changes no bit.
+    temporaries to 1/16 of the output, or one 2,048-entry block if that is more.
     """
     out = np.empty((len(antennas), len(points)), dtype=complex)
     m, s = out.shape
     rows = max(1, min(16384, max(m * s // 16, 2048)) // max(s, 1))
-
-    def fill(lo, hi):
-        r_buf = np.empty((min(rows, hi - lo), s))
-        for start in range(lo, hi, rows):
-            block = out[start:start + rows]
-            _fill_waves(antennas[start:start + rows], points, wavelength, divide, block,
-                        r_buf[:len(block)])
-
-    blocks = -(-m // rows)
-    groups = threads.kernel_threads(blocks)
-    edges = [min(m, rows * (blocks * g // groups)) for g in range(groups + 1)]
-    threads.run_spans(fill, list(zip(edges[:-1], edges[1:])))
+    r_buf = np.empty((min(rows, m), s))
+    for start in range(0, m, rows):
+        block = out[start:start + rows]
+        _fill_waves(antennas[start:start + rows], points, wavelength, divide, block,
+                    r_buf[:len(block)])
     return out
 
 

@@ -11,9 +11,8 @@ Output artifacts are byte-reproducible for a fixed (config, seed);
 wall-clock timings are zeroed in files unless --timings is passed.
 
 BLAS and OpenMP run one thread unless one of the thread variables
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, ...) is set.
-Those variables do not govern the spherical-wave kernel, which splits
-large calls over the CPUs the process may run on (see ``nearmimo.threads``).
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, ...) is set
+(see ``nearmimo.threads``).
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from .pipeline import (
 )
 from .sensing import design_combiner, design_precoder_dft, random_combiner, uniform_precoder
 from .solvers import _is_integer, _is_real
-from .threads import share_cores, single_thread_children
+from .threads import single_thread_children
 
 
 @dataclass(frozen=True)
@@ -588,8 +588,7 @@ def run_sweep(config: ExperimentConfig, progress=None) -> ResultTable:
     1`` the cells go to a pool of ``spawn``ed processes, which receive that
     context when they start but build the lazy baseline dictionaries once
     each; the pool starts them with BLAS at one thread unless a thread
-    variable is set, and each worker's spherical-wave kernel gets
-    ``cores // workers`` threads, at least one (see ``threads``).
+    variable is set (see ``threads``).
     ``progress(done, total)`` is called every 25 trials.
     """
     cells = list(itertools.product(config.methods, config.snr_db, range(config.trials)))
@@ -619,10 +618,9 @@ _worker_ctx: SweepContext | None = None
 
 
 def _init_worker(ctx: SweepContext) -> None:
-    """Keep the caller's context for the pool worker's cells; share the CPUs among the workers."""
+    """Keep the caller's context for the pool worker's cells."""
     global _worker_ctx
     _worker_ctx = ctx
-    share_cores(ctx.config.workers)
 
 
 def _run_cell(cell) -> TrialRow:

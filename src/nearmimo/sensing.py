@@ -60,12 +60,6 @@ class CombinerDesign:
         """Variance multiplier of the effective noise: ``M_s * modulus^2``."""
         return self.m_s * self.entry_modulus ** 2
 
-    def tile_rows(self, i: int) -> np.ndarray:
-        """Row indices of tile ``i``'s RF chains within the combined output."""
-        start = i * self.m_rf_per_tile
-        per_slot = np.arange(start, start + self.m_rf_per_tile)
-        return (np.arange(self.t_slots)[:, None] * self.m_rf_total + per_slot).ravel()
-
     def apply_tile(self, i: int, x: np.ndarray) -> np.ndarray:
         """Combine tile ``i``'s antennas, within-tile order, in O(T*M_i*K).
 

@@ -96,16 +96,6 @@ class MatrixOperator:
         return self.matrix[:, support]
 
 
-def _observation(operator, observation) -> np.ndarray:
-    """``observation`` as the (P,) vector ``operator`` senses; a bare array is no operator."""
-    if isinstance(operator, np.ndarray):
-        raise TypeError("pass a sensing matrix as MatrixOperator(matrix, column_norms)")
-    y = np.asarray(observation).reshape(-1)
-    if y.shape[0] != operator.shape[0]:
-        raise ValueError(f"observation length {y.shape[0]} != matrix rows {operator.shape[0]}")
-    return y
-
-
 @dataclass(frozen=True)
 class SparseSolution:
     """Solver output: coefficients, support and convergence diagnostics."""
@@ -343,8 +333,10 @@ def sbl_em(
     if not isinstance(operator, MatrixOperator):
         raise ValueError("SBL needs a formed sensing matrix: a MatrixOperator")
     a = operator.matrix
-    y = _observation(operator, observation)
     p, q_full = a.shape
+    y = np.asarray(observation).reshape(-1)
+    if y.shape[0] != p:
+        raise ValueError(f"observation length {y.shape[0]} != matrix rows {p}")
     b = (y.conj() @ a).conj()  # A^H y
     norms2 = operator.column_norms ** 2
     y_energy = float(np.vdot(y, y).real)

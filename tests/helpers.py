@@ -1,5 +1,5 @@
-"""Plane- and spherical-wave references, the dense combiner, a dense sensing operator and
-one-problem references of OMP and MUSIC, for the tests only."""
+"""Plane- and spherical-wave references, the dense combiner and its tile rows, a dense
+sensing operator and one-problem references of OMP and MUSIC, for the tests only."""
 
 import numpy as np
 
@@ -13,6 +13,13 @@ from nearmimo.solvers import MatrixOperator, SparseSolution
 def dense_combiner(design) -> np.ndarray:
     """The dense (T*M_RF) x M combiner ``V`` of a ``CombinerDesign``."""
     return design.apply(np.eye(design.num_antennas))
+
+
+def tile_rows(combiner, i: int) -> np.ndarray:
+    """Row indices of tile ``i``'s RF chains within a ``CombinerDesign``'s combined output."""
+    start = i * combiner.m_rf_per_tile
+    per_slot = np.arange(start, start + combiner.m_rf_per_tile)
+    return (np.arange(combiner.t_slots)[:, None] * combiner.m_rf_total + per_slot).ravel()
 
 
 def dense_operator(a) -> MatrixOperator:

@@ -5,6 +5,7 @@ from helpers import planar_far_field_steering, wave_vector
 from nearmimo.channel import (
     PathParams,
     Scene,
+    _spherical_wave,
     far_field_steering,
     los_channel,
     near_field_steering,
@@ -52,6 +53,12 @@ class TestLosChannel:
     def test_coincident_antennas_rejected(self):
         with pytest.raises(SingularGeometryError):
             los_channel(_single((0, 0, 0)), _single((0, 0, 0)), WAVELENGTH)
+        # 40 row blocks of 4 rows, the last of 3, whose last row sits on a point
+        rng = np.random.default_rng(6)
+        antennas, points = rng.uniform(-1.0, 1.0, (159, 3)), rng.uniform(2.0, 9.0, (4000, 3))
+        antennas[-1] = points[0]
+        with pytest.raises(SingularGeometryError):
+            _spherical_wave(antennas, points, WAVELENGTH, divide=True)
 
 
 class TestNearFieldSteering:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_combiner, dense_operator, ula_offsets, wave_vector
+from helpers import dense_combiner, dense_operator, tile_rows, ula_offsets, wave_vector
 
 from nearmimo.channel import Scene, synthesize
 from nearmimo.dictionaries import (
@@ -119,10 +119,10 @@ class TestStage1:
         y = rec.observations[:, 0]
         recon = np.empty_like(y)
         for i in range(comb.tiling.num_tiles):
-            recon[comb.tile_rows(i)] = y[comb.tile_rows(i)]
+            recon[tile_rows(comb, i)] = y[tile_rows(comb, i)]
         np.testing.assert_array_equal(recon, y)
         all_rows = np.sort(np.concatenate(
-            [comb.tile_rows(i) for i in range(comb.tiling.num_tiles)]
+            [tile_rows(comb, i) for i in range(comb.tiling.num_tiles)]
         ))
         np.testing.assert_array_equal(all_rows, np.arange(y.size))
 
@@ -176,7 +176,7 @@ def kron_reference(dictionary) -> np.ndarray:
 
 def tile_reference(comb, i, dictionary, scale) -> np.ndarray:
     """The formed tile operator ``scale * V_i (A_h ⊗ A_v)``, from the dense combiner."""
-    v_i = dense_combiner(comb)[np.ix_(comb.tile_rows(i), comb.tiling.tiles[i].antenna_indices)]
+    v_i = dense_combiner(comb)[np.ix_(tile_rows(comb, i), comb.tiling.tiles[i].antenna_indices)]
     return scale * v_i @ kron_reference(dictionary)
 
 
@@ -245,7 +245,7 @@ class TestSharedTileOperator:
         y = rec.observations[:, 0]
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, scale)
-            ref = omp(dense_operator(a_bar), y[comb.tile_rows(i)],
+            ref = omp(dense_operator(a_bar), y[tile_rows(comb, i)],
                       max_atoms=STAGE1_MAX_ATOMS, residual_tol=OMP_TOL)
             np.testing.assert_array_equal(sols[i].support, ref.support)
             self.assert_close(sols[i].coefficients, ref.coefficients)
@@ -266,7 +266,7 @@ class TestSharedTileOperator:
         for i, tile in enumerate(comb.tiling.tiles):
             a_bar = tile_reference(comb, i, d, np.sqrt(rec.power))
             for col in range(n):
-                sol = omp(dense_operator(a_bar), per_antenna[comb.tile_rows(i), col],
+                sol = omp(dense_operator(a_bar), per_antenna[tile_rows(comb, i), col],
                           max_atoms=BASELINE_MAX_ATOMS, residual_tol=OMP_TOL)
                 ref[tile.antenna_indices, col] = kron_reference(d) @ sol.coefficients
         self.assert_close(h_hat, ref)

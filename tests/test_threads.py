@@ -133,20 +133,25 @@ def test_pooled_cli_sweep_no_slower_than_serial_and_byte_identical(tmp_path):
 
 
 def test_serial_sweep_of_every_method_loads_neither_scipy_nor_the_pool():
-    # the program runs on numpy alone; the process pool serves only workers > 1
+    # the program runs on numpy alone, on the calling thread; the process pool serves only
+    # workers > 1.  The paper spherical baseline is the largest spherical-wave kernel call.
     code = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "import numpy as np\n"
-        "from nearmimo.harness import METHODS, desk_profile, run_sweep\n"
+        "from nearmimo.harness import METHODS, desk_profile, paper_profile, run_sweep\n"
         "from nearmimo.solvers import MatrixOperator, sbl_em\n"
         "table = run_sweep(desk_profile(methods=METHODS, snr_db=(15.0,), trials=1))\n"
+        "paper = run_sweep(paper_profile(methods=('antenna-wise-spherical',), snr_db=(15.0,),\n"
+        "                                trials=1))\n"
         "sbl_em(MatrixOperator(np.eye(4, dtype=complex), np.ones(4)), np.ones(4), sigma2=0.1)\n"
-        "print(json.dumps({'statuses': [r.status for r in table.rows], 'loaded': sorted(\n"
+        "print(json.dumps({'statuses': [r.status for r in table.rows + paper.rows],\n"
+        "    'threads': threading.active_count(), 'loaded': sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
-        "    or m.startswith('concurrent.futures.process'))}))\n"
+        "    or m.startswith(('concurrent.futures.process', 'concurrent.futures.thread')))}))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=clean_env(), capture_output=True,
                          text=True, check=True)
     report = json.loads(out.stdout)
-    assert report["statuses"] == ["ok"] * 8
+    assert report["statuses"] == ["ok"] * 9
+    assert report["threads"] == 1
     assert report["loaded"] == []
